@@ -2,17 +2,21 @@
 // throughput (join/intersect/union over synthetic postings), varint
 // posting codec, B+tree point operations, XML parse throughput, Zipf
 // sampling, index construction. These are the costs the paper's O(s*l)
-// analysis is made of.
+// analysis is made of. Plus one serving-layer guard: the per-request
+// overhead QueryService adds around a cheap query under a large cost
+// model.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <string>
 
+#include "engine/database.h"
 #include "engine/list_ops.h"
 #include "gen/xml_generator.h"
 #include "index/label_index.h"
 #include "index/stored_label_index.h"
 #include "schema/schema.h"
+#include "service/query_service.h"
 #include "storage/bptree.h"
 #include "storage/mem_kv_store.h"
 #include "util/random.h"
@@ -288,6 +292,60 @@ void BM_SchemaBuild(benchmark::State& state) {
                           static_cast<int64_t>(tree->size()));
 }
 BENCHMARK(BM_SchemaBuild)->Arg(10000)->Arg(50000);
+
+// --- serving layer ---------------------------------------------------------
+
+/// QueryService::ExecuteNow of one cheap direct query over a small
+/// database whose cost model has ~6k delete entries (one per term, as in
+/// a deletable-vocabulary deployment). Arg = cache capacity: 0 never
+/// consults the cache; 256 cycles 1024 distinct queries, so every
+/// request misses and inserts. Neither should pay for serializing the
+/// backend model — per-request work here is parse, evaluate, and (at
+/// 256) one key, lookup and insert.
+void BM_ServiceExecuteNowLargeModel(benchmark::State& state) {
+  gen::XmlGenOptions options;
+  options.seed = 11;
+  options.total_elements = 2000;
+  options.vocabulary = 6000;
+  gen::XmlGenerator generator(options);
+  cost::CostModel model;
+  for (size_t i = 0; i < options.element_names; ++i) {
+    model.SetDeleteCost(NodeType::kStruct, generator.ElementName(i),
+                        static_cast<cost::Cost>(2 + i % 9));
+  }
+  for (size_t i = 0; i < options.vocabulary; ++i) {
+    model.SetDeleteCost(NodeType::kText, generator.Term(i),
+                        static_cast<cost::Cost>(2 + i % 9));
+  }
+  auto tree = generator.GenerateTree(model);
+  APPROXQL_CHECK(tree.ok());
+  auto db = engine::Database::FromDataTree(std::move(tree).value(),
+                                           std::move(model));
+  APPROXQL_CHECK(db.ok());
+
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 1024; ++i) {
+    queries.push_back(generator.ElementName(i % options.element_names) +
+                      "[\"" + generator.Term(i) + "\"]");
+  }
+  service::QueryService service(
+      *db, service::ServiceOptions{
+               .num_threads = 1,
+               .cache_capacity = static_cast<size_t>(state.range(0))});
+  size_t next = 0;
+  for (auto _ : state) {
+    service::QueryRequest request;
+    request.query_text = queries[next++ % queries.size()];
+    request.exec.strategy = engine::Strategy::kDirect;
+    request.exec.n = 10;
+    service::QueryResponse response = service.ExecuteNow(std::move(request));
+    APPROXQL_CHECK(response.status.ok()) << response.status;
+    APPROXQL_CHECK(!response.cache_hit);
+    benchmark::DoNotOptimize(response.answers.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServiceExecuteNowLargeModel)->Arg(0)->Arg(256);
 
 }  // namespace
 }  // namespace approxql

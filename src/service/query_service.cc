@@ -102,6 +102,7 @@ QueryService::QueryService(const engine::Database* db,
       router_(router),
       mutable_(corpus),
       backend_fingerprint_(FingerprintBackend(sharded, router)),
+      backend_cost_fingerprint_(FingerprintCostModel(BackendCostModel())),
       options_(options),
       cache_(options.cache_capacity),
       submitted_(metrics_.RegisterCounter("queries_submitted")),
@@ -225,27 +226,32 @@ QueryResponse QueryService::Run(QueryRequest& request,
   std::shared_ptr<const shard::ShardedDatabase> pinned;
   if (mutable_ != nullptr) pinned = mutable_->snapshot();
 
-  // Live-cluster routed backend: the backend fingerprint is the static
-  // cluster configuration, not the moving document layout, so a cached
-  // answer could outlive the data it was computed from. Never cache.
-  const bool bypass_cache = request.bypass_cache ||
-                            (router_ != nullptr && router_->live());
+  // The one cache decision: key construction, lookup, the hit/miss
+  // counters and the insert below all hang off it. Live-cluster routed
+  // backend: the backend fingerprint is the static cluster
+  // configuration, not the moving document layout, so a cached answer
+  // could outlive the data it was computed from. Never cache.
+  const bool use_cache = options_.cache_capacity > 0 &&
+                         !request.bypass_cache &&
+                         !(router_ != nullptr && router_->live());
 
-  const cost::CostModel& effective_model = request.exec.cost_model != nullptr
-                                               ? *request.exec.cost_model
-                                               : BackendCostModel();
+  // Fingerprinting a cost model serializes every table in it, which for
+  // a large model costs more than the query itself: the backend model's
+  // fingerprint is precomputed, and a per-request model is fingerprinted
+  // only when the cache is consulted.
   CacheKey key;
-  key.normalized_query = query.ToString();
-  key.strategy = request.exec.strategy;
-  key.n = request.exec.n;
-  key.cost_fingerprint = FingerprintCostModel(effective_model);
-  // The generation fingerprint is epoch-salted, so a cached answer can
-  // only ever be served against the exact corpus state it was computed
-  // from.
-  key.backend_fingerprint =
-      pinned != nullptr ? pinned->LayoutFingerprint() : backend_fingerprint_;
-
-  if (!bypass_cache) {
+  if (use_cache) {
+    key.normalized_query = query.ToString();
+    key.strategy = request.exec.strategy;
+    key.n = request.exec.n;
+    key.cost_fingerprint = request.exec.cost_model != nullptr
+                               ? FingerprintCostModel(*request.exec.cost_model)
+                               : backend_cost_fingerprint_;
+    // The generation fingerprint is epoch-salted, so a cached answer
+    // can only ever be served against the exact corpus state it was
+    // computed from.
+    key.backend_fingerprint =
+        pinned != nullptr ? pinned->LayoutFingerprint() : backend_fingerprint_;
     if (auto cached = cache_.Lookup(key); cached != nullptr) {
       cache_hits_->Increment();
       completed_->Increment();
@@ -336,7 +342,7 @@ QueryResponse QueryService::Run(QueryRequest& request,
   // Only complete answer lists are cacheable; a truncated prefix (or a
   // degraded scatter missing whole shards' answers) served from cache
   // would silently under-answer future requests.
-  if (!bypass_cache && !r.truncated && !r.degraded) {
+  if (use_cache && !r.truncated && !r.degraded) {
     cache_.Insert(key, r.answers);
   }
   return finish(std::move(r));

@@ -257,6 +257,10 @@ class QueryService {
   const ingest::MutableCorpus* mutable_ = nullptr;
   /// Folded into every cache key (see CacheKey::backend_fingerprint).
   uint32_t backend_fingerprint_ = 0;
+  /// FingerprintCostModel(BackendCostModel()), computed once: every
+  /// backend's model is immutable after construction. The cache key of
+  /// a request without its own cost model carries this value.
+  uint32_t backend_cost_fingerprint_ = 0;
   const ServiceOptions options_;
   ResultCache cache_;
   MetricsRegistry metrics_;

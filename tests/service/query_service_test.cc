@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ingest/mutable_corpus.h"
 #include "service/thread_pool.h"
 
 namespace approxql::service {
@@ -71,11 +75,15 @@ std::vector<std::string> CatalogDocs() {
   };
 }
 
-Database MakeDb() {
+cost::CostModel CatalogModel() {
   cost::CostModel model;
   model.SetRenameCost(NodeType::kText, "concerto", "variations", 3);
   model.SetDeleteCost(NodeType::kText, "piano", 5);
-  auto db = Database::BuildFromXml(CatalogDocs(), std::move(model));
+  return model;
+}
+
+Database MakeDb() {
+  auto db = Database::BuildFromXml(CatalogDocs(), CatalogModel());
   APPROXQL_CHECK(db.ok()) << db.status();
   return std::move(db).value();
 }
@@ -131,12 +139,95 @@ TEST(QueryServiceTest, SecondIdenticalRequestHitsCache) {
 TEST(QueryServiceTest, BypassCacheSkipsLookupAndInsert) {
   Database db = MakeDb();
   QueryService service(db, ServiceOptions{.num_threads = 1});
+  QueryRequest bypass;
+  bypass.query_text = kQuery;
+  bypass.bypass_cache = true;
+  EXPECT_FALSE(service.ExecuteNow(bypass).cache_hit);
+  EXPECT_FALSE(service.ExecuteNow(bypass).cache_hit);
+  // Neither run filled the cache: a caching request still misses.
+  EXPECT_EQ(service.GetSnapshot().cache.size, 0u);
+  QueryRequest cached = bypass;
+  cached.bypass_cache = false;
+  EXPECT_FALSE(service.ExecuteNow(cached).cache_hit);
+  ASSERT_EQ(service.GetSnapshot().cache.size, 1u);
+  // And with the entry present, a bypassing request does not read it.
+  EXPECT_FALSE(service.ExecuteNow(bypass).cache_hit);
+  QueryService::Snapshot snapshot = service.GetSnapshot();
+  EXPECT_EQ(snapshot.cache.hits, 0u);
+  EXPECT_EQ(snapshot.cache.misses, 1u);
+  EXPECT_NE(service.DumpMetrics().find("cache_misses 1\n"), std::string::npos);
+}
+
+TEST(QueryServiceTest, DisabledCacheCountsNoHitsOrMisses) {
+  Database db = MakeDb();
+  QueryService service(db,
+                       ServiceOptions{.num_threads = 1, .cache_capacity = 0});
   QueryRequest request;
   request.query_text = kQuery;
-  request.bypass_cache = true;
-  EXPECT_FALSE(service.ExecuteNow(request).cache_hit);
-  EXPECT_FALSE(service.ExecuteNow(request).cache_hit);
-  EXPECT_EQ(service.GetSnapshot().cache.size, 0u);
+  for (int i = 0; i < 3; ++i) {
+    QueryResponse response = service.ExecuteNow(request);
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    EXPECT_FALSE(response.cache_hit);
+  }
+  // The service counters and the cache's own stats agree: a disabled
+  // cache is never consulted, so nothing counts as a miss.
+  QueryService::Snapshot snapshot = service.GetSnapshot();
+  EXPECT_EQ(snapshot.completed, 3u);
+  EXPECT_EQ(snapshot.cache.hits, 0u);
+  EXPECT_EQ(snapshot.cache.misses, 0u);
+  std::string dump = service.DumpMetrics();
+  for (const char* key : {"cache_hits 0\n", "cache_misses 0\n",
+                          "cache_hit_rate 0.0000\n", "cache_capacity 0\n"}) {
+    EXPECT_NE(dump.find(key), std::string::npos)
+        << "missing `" << key << "` in:\n"
+        << dump;
+  }
+}
+
+TEST(QueryServiceTest, MutableCorpusNeverServesAcrossGenerations) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("approxql_query_service_test_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    ingest::MutableCorpus::Options options;
+    options.data_dir = dir;
+    options.num_shards = 2;
+    options.model = CatalogModel();
+    auto corpus = ingest::MutableCorpus::Open(std::move(options));
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    for (const std::string& xml : CatalogDocs()) {
+      ASSERT_TRUE((*corpus)->AddDocument(xml).ok());
+    }
+    QueryService service(**corpus, ServiceOptions{.num_threads = 1});
+    QueryRequest request;
+    request.query_text = kQuery;
+    request.exec.n = SIZE_MAX;
+
+    QueryResponse before = service.ExecuteNow(request);
+    ASSERT_TRUE(before.status.ok()) << before.status;
+    EXPECT_FALSE(before.cache_hit);
+    QueryResponse warm = service.ExecuteNow(request);
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(warm.backend_epoch, before.backend_epoch);
+
+    // A new generation: the cached answer list is for the old one.
+    auto added = (*corpus)->AddDocument(
+        "<catalog><cd><title>piano concerto</title></cd></catalog>");
+    ASSERT_TRUE(added.ok()) << added.status();
+    QueryResponse after = service.ExecuteNow(request);
+    ASSERT_TRUE(after.status.ok()) << after.status;
+    EXPECT_FALSE(after.cache_hit);
+    EXPECT_EQ(after.backend_epoch, added->epoch);
+    EXPECT_GT(after.answers.size(), before.answers.size());
+    // The new generation caches under its own key.
+    QueryResponse rewarm = service.ExecuteNow(request);
+    EXPECT_TRUE(rewarm.cache_hit);
+    EXPECT_EQ(rewarm.backend_epoch, added->epoch);
+    EXPECT_EQ(rewarm.answers.size(), after.answers.size());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(QueryServiceTest, QueueFullRejectsWithResourceExhausted) {
@@ -205,10 +296,20 @@ TEST(QueryServiceTest, PerQueryCostModelsGetDistinctCacheEntries) {
   QueryRequest tweaked = base;
   tweaked.exec.cost_model = &expensive;
 
+  // The build-time tables in a separate object: the precomputed backend
+  // fingerprint must equal the one computed on demand.
+  const cost::CostModel same = CatalogModel();
+  QueryRequest matching = base;
+  matching.exec.cost_model = &same;
+
   QueryResponse base_response = service.ExecuteNow(base);
+  QueryResponse matching_response = service.ExecuteNow(matching);
   QueryResponse tweaked_response = service.ExecuteNow(tweaked);
   ASSERT_TRUE(base_response.status.ok());
+  ASSERT_TRUE(matching_response.status.ok());
   ASSERT_TRUE(tweaked_response.status.ok());
+  EXPECT_FALSE(base_response.cache_hit);
+  EXPECT_TRUE(matching_response.cache_hit);  // same content, same entry
   EXPECT_FALSE(tweaked_response.cache_hit);  // different fingerprint
   ASSERT_EQ(base_response.answers.size(), 2u);
   ASSERT_EQ(tweaked_response.answers.size(), 2u);
@@ -216,6 +317,7 @@ TEST(QueryServiceTest, PerQueryCostModelsGetDistinctCacheEntries) {
   // Each model now hits its own entry.
   EXPECT_TRUE(service.ExecuteNow(base).cache_hit);
   EXPECT_TRUE(service.ExecuteNow(tweaked).cache_hit);
+  EXPECT_EQ(service.GetSnapshot().cache.size, 2u);
 }
 
 TEST(QueryServiceTest, InvalidateCacheForcesReexecution) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -154,7 +155,13 @@ TEST(ThreadPoolStealTest, ShutdownAbandonDropsDequeBacklog) {
   EXPECT_EQ(pool->QueueDepth(), 4u);  // the forked backlog, all on deques
   std::thread shutdown([&] { pool->Shutdown(DrainMode::kAbandon); });
   // Shutdown closes admission and sweeps the queues, then joins; the
-  // pinned workers only return once released.
+  // pinned workers only return once released. Release them only after
+  // the sweep has destroyed the backlog: released earlier, they could
+  // run it before Shutdown gets there. The wait is bounded, so a sweep
+  // that never happens fails the expectations below instead of hanging.
+  for (int i = 0; i < 10000 && destroyed.load() < 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   release.CountDown();
   shutdown.join();
   EXPECT_EQ(ran.load(), 0u);
