@@ -97,8 +97,8 @@ int Usage() {
       "  --clients N      concurrent client threads (default 8)\n"
       "  --threads N      service worker threads (default 8)\n"
       "  --queue N        admission queue capacity (default 128)\n"
-      "  --parallelism N  intra-query fan-out per request, 1 = serial "
-      "(default 1)\n"
+      "  --parallelism N  shards evaluated concurrently per request under\n"
+      "                   --shards N; no effect on one database (default 1)\n"
       "  --cache N        result-cache entries, 0 = off (default 256)\n"
       "  --passes N       workload replays; pass 2+ hits a warm cache "
       "(default 2)\n"

@@ -79,14 +79,6 @@ void FetchPlan::Materialize(size_t i, const EncodedTree& tree,
   slot.ready = true;
 }
 
-size_t FetchPlan::EstimateEntries(size_t i, const index::PostingSource& index,
-                                  const doc::LabelTable& labels) const {
-  const Slot& slot = slots_[i];
-  doc::LabelId id = labels.Find(slot.label);
-  if (id == doc::kInvalidLabel) return 0;
-  return index.EstimateSize(slot.type, id);
-}
-
 const EntryList* FetchPlan::Find(NodeType type, std::string_view label,
                                  bool as_leaf) const {
   auto it = index_.find(Key(type, label, as_leaf));

@@ -1,15 +1,16 @@
 // A per-query fetch plan: the set of (type, label, as_leaf) postings an
 // expanded query will read, collected up front so the reads can be
-// materialized concurrently before evaluation starts. The evaluators
-// treat a plan as an optional read-through cache: a slot that was never
-// materialized (cancellation struck first, or the label is missing from
-// the plan) makes Find return nullptr and the evaluator falls back to
-// its inline fetch, so a partially materialized plan is always safe.
+// materialized (and timed) before evaluation starts — the sharded
+// scatter path does this per shard. The evaluators treat a plan as an
+// optional read-through cache: a slot that was never materialized (the
+// label is missing from the plan) makes Find return nullptr and the
+// evaluator falls back to its inline fetch, so a partially materialized
+// plan is always safe.
 //
 // Thread safety: Materialize may run concurrently for *distinct* slots;
-// the caller must establish a barrier (e.g. ParallelFor's join) between
-// the materialization phase and any Find call. After that barrier the
-// plan is immutable and may be shared read-only across threads.
+// the caller must establish a barrier between the materialization phase
+// and any Find call. After that barrier the plan is immutable and may be
+// shared read-only across threads.
 #ifndef APPROXQL_ENGINE_FETCH_PLAN_H_
 #define APPROXQL_ENGINE_FETCH_PLAN_H_
 
@@ -45,13 +46,6 @@ class FetchPlan {
   void Materialize(size_t i, const EncodedTree& tree,
                    const index::PostingSource& index,
                    const doc::LabelTable& labels);
-
-  /// Estimated entry count of slot `i`, from the source's statistics
-  /// only (never fetches): 0 for labels absent from the table,
-  /// index::PostingSource::kUnknownSize when the source cannot say.
-  /// Input to the adaptive fan-out decision (service/granularity.h).
-  size_t EstimateEntries(size_t i, const index::PostingSource& index,
-                         const doc::LabelTable& labels) const;
 
   /// The materialized list for (type, label, as_leaf), or nullptr if the
   /// slot is absent or was never materialized.

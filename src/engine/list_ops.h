@@ -61,9 +61,10 @@ std::vector<RootCost> SortBestN(const EntryList& list, size_t n);
 /// instead of sorting every finite entry.
 void SortTopN(std::vector<RootCost>* results, size_t n);
 
-/// K-way merge of per-disjunct best-n lists (each sorted by
-/// (cost, root) with unique roots) into the global best n. A root
-/// appearing in several lists keeps its cheapest cost: entries pop in
+/// K-way merge of per-shard best-n lists (each sorted by (cost, root)
+/// with unique roots) into the global best n. A root appearing in
+/// several lists (the super-root every shard shares) keeps its cheapest
+/// cost: entries pop in
 /// ascending (cost, root) order, so the first occurrence of a root is
 /// its minimum and later ones are skipped. A bounded heap of one cursor
 /// per list replaces concatenate-and-sort: O(n log k) pops instead of

@@ -98,27 +98,6 @@ void TopKPairs(const std::vector<const SkeletonRef*>& left,
 
 }  // namespace
 
-std::shared_ptr<const index::Posting> SharedSkeletonMemo::Lookup(
-    const std::string& signature) const {
-  util::MutexLock lock(&mu_);
-  auto it = map_.find(signature);
-  return it != map_.end() ? it->second : nullptr;
-}
-
-void SharedSkeletonMemo::Insert(const std::string& signature,
-                                index::Posting posting) {
-  auto shared = std::make_shared<const index::Posting>(std::move(posting));
-  util::MutexLock lock(&mu_);
-  // First writer wins; concurrent inserts for one signature carry the
-  // same deterministic posting, so dropping the copy is safe.
-  map_.emplace(signature, std::move(shared));
-}
-
-size_t SharedSkeletonMemo::size() const {
-  util::MutexLock lock(&mu_);
-  return map_.size();
-}
-
 SchemaEvaluator::SchemaEvaluator(const schema::Schema& schema,
                                  const doc::DataTree& tree, Options options)
     : schema_(schema), tree_(tree), options_(options) {}
@@ -424,20 +403,6 @@ TopKList SchemaEvaluator::TopKQueries(const ExpandedQuery& query, size_t k) {
 index::Posting SchemaEvaluator::ExecuteSecondary(const SkeletonRef& skeleton) {
   auto it = secondary_memo_.find(skeleton.get());
   if (it != secondary_memo_.end()) return it->second;
-  // The cross-evaluator memo is consulted (and filled) per skeleton,
-  // including the recursive child executions below, so overlapping
-  // sub-skeletons computed by a concurrent disjunct are reused too.
-  std::string shared_key;
-  if (options_.shared_memo != nullptr) {
-    shared_key = Signature(*skeleton);
-    if (auto shared = options_.shared_memo->Lookup(shared_key);
-        shared != nullptr) {
-      ++stats_.shared_memo_hits;
-      secondary_memo_.emplace(skeleton.get(), *shared);
-      memo_guard_.push_back(skeleton);
-      return *shared;
-    }
-  }
   ++stats_.second_level_executed;
   index::Posting result;
   const index::Posting* posting =
@@ -465,101 +430,9 @@ index::Posting SchemaEvaluator::ExecuteSecondary(const SkeletonRef& skeleton) {
       result = std::move(filtered);
     }
   }
-  if (options_.shared_memo != nullptr) {
-    options_.shared_memo->Insert(shared_key, result);
-  }
   secondary_memo_.emplace(skeleton.get(), result);
   memo_guard_.push_back(skeleton);
   return result;
-}
-
-index::Posting SchemaEvaluator::ComputeSecondaryShared(
-    const SkeletonEntry& skeleton, SharedSkeletonMemo* memo,
-    SchemaEvalStats* stats) const {
-  // Mirrors ExecuteSecondary with the per-evaluator state factored out:
-  // the pointer memo is replaced by the thread-safe signature memo and
-  // counters land in a wave-local stats block, folded in at the
-  // barrier. Keep the filtering logic in lockstep with
-  // ExecuteSecondary — the two must compute identical postings.
-  std::string key = Signature(skeleton);
-  if (auto shared = memo->Lookup(key); shared != nullptr) {
-    ++stats->shared_memo_hits;
-    return *shared;
-  }
-  ++stats->second_level_executed;
-  index::Posting result;
-  const index::Posting* posting =
-      schema_.secondary_index().Fetch(skeleton.pre, skeleton.label);
-  if (posting != nullptr) {
-    result = *posting;
-    stats->instances_scanned += posting->size();
-    for (const SkeletonRef& child : skeleton.pointers) {
-      if (result.empty()) break;
-      index::Posting child_instances =
-          ComputeSecondaryShared(*child, memo, stats);
-      index::Posting filtered;
-      size_t cursor = 0;
-      for (doc::NodeId u : result) {
-        while (cursor < child_instances.size() && child_instances[cursor] <= u) {
-          ++cursor;
-        }
-        if (cursor < child_instances.size() &&
-            child_instances[cursor] <= tree_.node(u).bound) {
-          filtered.push_back(u);
-        }
-      }
-      result = std::move(filtered);
-    }
-  }
-  memo->Insert(key, result);
-  return result;
-}
-
-void SchemaEvaluator::PrecomputeRound(
-    const TopKList& queries, const std::unordered_set<std::string>& executed,
-    bool have_boundary, cost::Cost boundary) {
-  // Fresh = not yet executed, not beyond any stopping bound the serial
-  // consumption loop would hit. The bounds are snapshots: the external
-  // cost_bound only tightens (scatter-gather CAS-min), so a skeleton
-  // above it now stays above it — the serial loop would never run it.
-  std::vector<SkeletonRef> fresh;
-  std::unordered_set<std::string> in_wave;
-  for (const SkeletonRef& skeleton : queries) {
-    if (have_boundary && skeleton->cost > boundary) break;
-    if (options_.cost_bound && skeleton->cost > options_.cost_bound()) break;
-    if (secondary_memo_.count(skeleton.get()) != 0) continue;
-    std::string signature = Signature(*skeleton);
-    if (executed.count(signature) != 0) continue;
-    if (!in_wave.insert(std::move(signature)).second) continue;
-    fresh.push_back(skeleton);
-  }
-  if (fresh.size() < options_.parallel_min_batch) return;
-
-  SharedSkeletonMemo* memo = options_.shared_memo;  // BestN guarantees one
-  // Bounded waves keep the fork-join barrier short and let the
-  // cancellation poll between waves stay responsive — the serial
-  // consumption loop's own poll granularity.
-  constexpr size_t kWave = 32;
-  std::vector<index::Posting> postings(std::min(kWave, fresh.size()));
-  std::vector<SchemaEvalStats> wave_stats(postings.size());
-  for (size_t start = 0; start < fresh.size(); start += kWave) {
-    if (options_.cancelled && options_.cancelled()) return;
-    const size_t count = std::min(kWave, fresh.size() - start);
-    options_.parallel_runner(count, [&](size_t i) {
-      wave_stats[i] = SchemaEvalStats();
-      postings[i] =
-          ComputeSecondaryShared(*fresh[start + i], memo, &wave_stats[i]);
-    });
-    // Install at the barrier: the consumption loop (and later rounds'
-    // freshness filter) now see these as memoized.
-    for (size_t i = 0; i < count; ++i) {
-      stats_.second_level_executed += wave_stats[i].second_level_executed;
-      stats_.instances_scanned += wave_stats[i].instances_scanned;
-      stats_.shared_memo_hits += wave_stats[i].shared_memo_hits;
-      secondary_memo_.emplace(fresh[start + i].get(), std::move(postings[i]));
-      memo_guard_.push_back(fresh[start + i]);
-    }
-  }
 }
 
 std::string SchemaEvaluator::DescribeSkeleton(
@@ -605,21 +478,13 @@ std::vector<RootCost> SchemaEvaluator::BestN(const ExpandedQuery& query,
   std::unordered_set<std::string> executed;
   secondary_memo_.clear();
   memo_guard_.clear();
-  if (options_.parallel_runner && options_.shared_memo == nullptr) {
-    // Wave workers coordinate through a signature-keyed memo; give this
-    // evaluation a private one when the caller shared none, so waves
-    // and the serial consumption path reuse sub-skeleton results
-    // uniformly. Fresh per BestN, like the pointer memo.
-    owned_memo_ = std::make_unique<SharedSkeletonMemo>();
-    options_.shared_memo = owned_memo_.get();
-  }
   size_t k = options_.initial_k;
   // Once n results exist, `boundary` is the cost of the skeleton that
   // crossed n. Skeletons run in ascending cost order, so draining every
   // remaining skeleton that ties with the boundary before stopping makes
   // the (cost, root)-truncated list canonical: the same n answers
-  // regardless of enumeration order, which is what lets the parallel
-  // per-disjunct path reproduce this list bit-for-bit.
+  // regardless of enumeration order, which is what lets the sharded
+  // scatter-gather MergeTopN reproduce this list bit-for-bit.
   bool have_boundary = false;
   cost::Cost boundary = 0;
   bool done = false;
@@ -631,12 +496,6 @@ std::vector<RootCost> SchemaEvaluator::BestN(const ExpandedQuery& query,
     ++stats_.rounds;
     stats_.final_k = k;
     TopKList queries = TopKQueries(query, k);
-    // Precompute the round's second-level batch as concurrent waves;
-    // the loop below then consumes memoized results in the exact serial
-    // order, so the (cost, root) ranking is bit-identical either way.
-    if (options_.parallel_runner) {
-      PrecomputeRound(queries, executed, have_boundary, boundary);
-    }
     for (const SkeletonRef& skeleton : queries) {
       // Second-level queries run in ascending cost order, so stopping on
       // a fired deadline between them still leaves a correct (short)
@@ -682,7 +541,6 @@ std::vector<RootCost> SchemaEvaluator::BestN(const ExpandedQuery& query,
     // nothing.
     if (queries.size() < k) break;
     if (k >= options_.max_k) {
-      APPROXQL_LOG(Warning) << "incremental k cap reached at " << k;
       stats_.k_capped = true;
       break;
     }

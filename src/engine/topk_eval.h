@@ -31,8 +31,6 @@
 #include "index/secondary_index.h"
 #include "query/expanded.h"
 #include "schema/schema.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace approxql::engine {
 
@@ -62,7 +60,6 @@ struct SchemaEvalStats {
   uint64_t entries_created = 0;
   uint64_t second_level_executed = 0;
   uint64_t instances_scanned = 0;  // posting entries touched by secondary
-  uint64_t shared_memo_hits = 0;   // skeletons answered by a shared memo
   /// True if BestN stopped at Options::max_k before either finding n
   /// results or exhausting the closure. The returned results are still
   /// the true best ones found so far; the list may just be short.
@@ -71,35 +68,6 @@ struct SchemaEvalStats {
   /// k_capped, everything returned up to that point is correct — the
   /// list may just be short.
   bool cancelled = false;
-};
-
-/// A signature-keyed memo of second-level (skeleton) results shared
-/// across SchemaEvaluators running against the *same* schema and tree —
-/// the PR 2 disjunct fan-out: disjuncts differ only in or-branch
-/// choices, so most of their skeletons overlap and per-evaluator memos
-/// re-execute them. Thread-safe; results are deterministic per
-/// signature, so whichever evaluator computes one first stores the same
-/// posting every other would. Never share one memo across different
-/// schemas (signatures embed schema preorder numbers).
-class SharedSkeletonMemo {
- public:
-  SharedSkeletonMemo() = default;
-  SharedSkeletonMemo(const SharedSkeletonMemo&) = delete;
-  SharedSkeletonMemo& operator=(const SharedSkeletonMemo&) = delete;
-
-  /// The memoized posting for a skeleton signature, or nullptr.
-  std::shared_ptr<const index::Posting> Lookup(
-      const std::string& signature) const;
-
-  /// Stores (or keeps the existing, identical) posting for `signature`.
-  void Insert(const std::string& signature, index::Posting posting);
-
-  size_t size() const;
-
- private:
-  mutable util::Mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const index::Posting>> map_
-      GUARDED_BY(mu_);
 };
 
 class SchemaEvaluator {
@@ -115,8 +83,9 @@ class SchemaEvaluator {
     /// when a query has few or no results. Ablation A2 sweeps this.
     double growth = 2.0;
     /// Hard bound on k. Queries whose results require more second-level
-    /// queries than this return what was found (with a logged warning);
-    /// the bound is what keeps zero-result queries from enumerating the
+    /// queries than this return what was found (reported through
+    /// SchemaEvalStats::k_capped, never logged per query); the bound is
+    /// what keeps zero-result queries from enumerating the
     /// full schema closure — the known degenerate case of the
     /// schema-driven strategy (the paper's Figure 7 shows it losing
     /// against direct evaluation exactly when n approaches all results).
@@ -138,24 +107,6 @@ class SchemaEvaluator {
     /// upper bound on this evaluation's true n-th cost. Scatter-gather
     /// feeds it back into other shards' cost_bound.
     std::function<void(cost::Cost)> publish_bound;
-    /// Optional cross-evaluator memo of second-level results (see
-    /// SharedSkeletonMemo). Must outlive the evaluator and refer to the
-    /// same schema/tree.
-    SharedSkeletonMemo* shared_memo = nullptr;
-    /// Injected by the service layer (src/engine cannot depend on the
-    /// thread pool): runner(count, fn) must invoke fn(0..count-1) —
-    /// every index exactly once, possibly concurrently — and return
-    /// after all complete. When set, BestN precomputes each round's
-    /// fresh second-level batch through it as concurrent waves; the
-    /// consumption loop is unchanged, so results stay bit-identical to
-    /// serial execution (second-level results are deterministic per
-    /// signature). Null = serial second level.
-    std::function<void(size_t, const std::function<void(size_t)>&)>
-        parallel_runner;
-    /// Fewer fresh skeletons than this in a round and the wave is not
-    /// worth its fork-join barrier; the round runs serially. 0 = wave
-    /// every round (tests).
-    size_t parallel_min_batch = 8;
   };
 
   /// `schema`, `tree` (its labels and encoding) must outlive this.
@@ -195,22 +146,6 @@ class SchemaEvaluator {
 
   SkeletonRef NewEntry(const SkeletonEntry& base);
 
-  /// Thread-safe flavor of ExecuteSecondary for wave workers: reads
-  /// only immutable state (schema_, tree_) plus the thread-safe `memo`,
-  /// and accumulates counters into the caller-owned `stats` instead of
-  /// stats_. Results are identical to ExecuteSecondary's.
-  index::Posting ComputeSecondaryShared(const SkeletonEntry& skeleton,
-                                        SharedSkeletonMemo* memo,
-                                        SchemaEvalStats* stats) const;
-
-  /// Runs the round's fresh (unexecuted, in-bound) skeletons through
-  /// options_.parallel_runner in bounded waves, installing each wave's
-  /// results into secondary_memo_ at the barrier so the serial
-  /// consumption loop finds them memoized.
-  void PrecomputeRound(const TopKList& queries,
-                       const std::unordered_set<std::string>& executed,
-                       bool have_boundary, cost::Cost boundary);
-
   TopKList FetchLabel(NodeType type, std::string_view label, bool as_leaf);
   const TopKList& InnerList(const query::ExpandedNode* node, size_t k);
   TopKList ComputeInnerList(const query::ExpandedNode* node, size_t k);
@@ -237,10 +172,6 @@ class SchemaEvaluator {
   std::unordered_map<const SkeletonEntry*, index::Posting> secondary_memo_;
   // Keeps memoized entries alive so raw-pointer keys cannot be reused.
   std::vector<SkeletonRef> memo_guard_;
-  // Wave workers need a signature-keyed thread-safe memo; when the
-  // caller supplied none, BestN installs an owned one so waves and the
-  // serial consumption path share sub-skeleton results uniformly.
-  std::unique_ptr<SharedSkeletonMemo> owned_memo_;
 };
 
 /// Pull-based incremental retrieval (the paper's conclusion: "once the

@@ -29,25 +29,11 @@ using Posting = std::vector<doc::NodeId>;
 /// KvStore, the paper's Berkeley-DB-style deployment).
 class PostingSource {
  public:
-  /// EstimateSize's "cannot say without doing the fetch" sentinel.
-  static constexpr size_t kUnknownSize = static_cast<size_t>(-1);
-
   virtual ~PostingSource() = default;
 
   /// The posting for (type, label) or nullptr if the label is unknown.
   /// The pointer stays valid for the lifetime of the source.
   virtual const Posting* Fetch(NodeType type, doc::LabelId label) const = 0;
-
-  /// Estimated entry count of (type, label)'s posting, from statistics
-  /// already in memory — never triggers IO or decode (the adaptive
-  /// fan-out granularity decision runs before any fetch and must stay
-  /// cheap). Returns kUnknownSize when the source cannot say; callers
-  /// should treat unknown as "large enough to be worth a task".
-  virtual size_t EstimateSize(NodeType type, doc::LabelId label) const {
-    (void)type;
-    (void)label;
-    return kUnknownSize;
-  }
 };
 
 class LabelIndex : public PostingSource {
@@ -64,12 +50,6 @@ class LabelIndex : public PostingSource {
 
   /// The posting for (type, label), or nullptr if the label is unknown.
   const Posting* Fetch(NodeType type, doc::LabelId label) const override;
-
-  /// Exact: the in-memory posting's length (0 for unknown labels).
-  size_t EstimateSize(NodeType type, doc::LabelId label) const override {
-    const Posting* posting = Fetch(type, label);
-    return posting != nullptr ? posting->size() : 0;
-  }
 
   /// Number of distinct labels of a type.
   size_t LabelCount(NodeType type) const {

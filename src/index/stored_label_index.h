@@ -45,17 +45,6 @@ class StoredLabelIndex : public PostingSource {
   /// recorded; see corrupt_fetches()).
   const Posting* Fetch(NodeType type, doc::LabelId label) const override;
 
-  /// Exact for postings already decoded into the cache; kUnknownSize
-  /// otherwise — estimating would cost the very store read + decode the
-  /// estimate exists to schedule, so an un-fetched posting reports
-  /// unknown and the granularity layer assumes it is worth a task.
-  size_t EstimateSize(NodeType type, doc::LabelId label) const override {
-    util::MutexLock lock(&mu_);
-    auto it = cache_.find(Key(type, label));
-    return it != cache_.end() && it->second != nullptr ? it->second->size()
-                                                       : kUnknownSize;
-  }
-
   /// Number of postings materialized so far.
   size_t CachedCount() const {
     util::MutexLock lock(&mu_);

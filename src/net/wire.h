@@ -154,7 +154,7 @@ struct WireRequest {
   engine::Strategy strategy = engine::Strategy::kSchema;
   /// Best-n bound; UINT64_MAX = all results (matches SIZE_MAX in-process).
   uint64_t n = 10;
-  uint32_t parallelism = 0;  // 0 = server default
+  uint32_t parallelism = 0;  // shard-scatter width; 0 = server default
   /// Per-request deadline; 0 = server default, negative = already
   /// expired (deterministic DEADLINE_EXCEEDED, used by tests).
   int64_t deadline_ms = 0;

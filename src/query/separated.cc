@@ -127,37 +127,12 @@ Result<std::vector<Group>> Expand(const AstNode& node, size_t max_queries) {
   return Status::Internal("unreachable AST kind");
 }
 
-std::unique_ptr<AstNode> ToAst(const ConjunctiveNode& node) {
-  auto ast = std::make_unique<AstNode>();
-  ast->kind = node.type == NodeType::kText ? AstKind::kText : AstKind::kName;
-  ast->label = node.label;
-  if (node.children.empty()) return ast;
-  if (node.children.size() == 1) {
-    ast->children.push_back(ToAst(*node.children.front()));
-    return ast;
-  }
-  auto conj = std::make_unique<AstNode>();
-  conj->kind = AstKind::kAnd;
-  conj->children.reserve(node.children.size());
-  for (const auto& child : node.children) {
-    conj->children.push_back(ToAst(*child));
-  }
-  ast->children.push_back(std::move(conj));
-  return ast;
-}
-
 }  // namespace
 
 std::string ConjunctiveQuery::ToString() const {
   std::string out;
   if (root != nullptr) AppendString(*root, &out);
   return out;
-}
-
-Query ConjunctiveQuery::ToQuery() const {
-  Query q;
-  if (root != nullptr) q.root = ToAst(*root);
-  return q;
 }
 
 Result<std::vector<ConjunctiveQuery>> SeparatedRepresentation(

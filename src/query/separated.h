@@ -29,10 +29,6 @@ struct ConjunctiveQuery {
   std::unique_ptr<ConjunctiveNode> root;
 
   std::string ToString() const;
-
-  /// Rebuilds a regular (or-free) Query AST for this conjunct, so a
-  /// disjunct can be handed to any evaluator that consumes a Query.
-  Query ToQuery() const;
 };
 
 /// Expands a query into its separated representation. Fails with

@@ -7,9 +7,10 @@
 // from a shared atomic cursor, and the caller claims too, so a full
 // queue (or a pool whose workers are all busy running ParallelFor
 // callers themselves) degrades to the caller executing everything
-// inline. This is what makes intra-query parallelism safe to run *on*
-// the query service's own pool: a worker that forks sub-tasks into the
-// pool it occupies can always finish alone.
+// inline. This is what makes the in-process shard scatter (the one
+// user, shard/sharded_database.h) safe to run *on* the query service's
+// own pool: a worker that forks shard tasks into the pool it occupies
+// can always finish alone.
 #ifndef APPROXQL_SERVICE_PARALLEL_H_
 #define APPROXQL_SERVICE_PARALLEL_H_
 

@@ -6,13 +6,8 @@
 #include <utility>
 
 #include "dist/shard_router.h"
-#include "engine/fetch_plan.h"
 #include "ingest/mutable_corpus.h"
-#include "engine/list_ops.h"
 #include "query/ast.h"
-#include "query/separated.h"
-#include "service/granularity.h"
-#include "service/parallel.h"
 #include "shard/sharded_database.h"
 #include "util/crc32.h"
 
@@ -114,6 +109,7 @@ QueryService::QueryService(const engine::Database* db,
       cache_hits_(metrics_.RegisterCounter("cache_hits")),
       cache_misses_(metrics_.RegisterCounter("cache_misses")),
       abandoned_(metrics_.RegisterCounter("queries_abandoned")),
+      k_capped_(metrics_.RegisterCounter("queries_k_capped")),
       parallel_tasks_(metrics_.RegisterCounter("query_parallel_tasks")),
       queue_depth_(metrics_.RegisterGauge("queue_depth")),
       thread_pool_queue_depth_(
@@ -122,9 +118,7 @@ QueryService::QueryService(const engine::Database* db,
       queue_wait_us_(metrics_.RegisterHistogram("queue_wait_us")),
       exec_latency_us_(metrics_.RegisterHistogram("exec_latency_us")),
       total_latency_us_(metrics_.RegisterHistogram("total_latency_us")),
-      parallel_fetch_us_(metrics_.RegisterHistogram("parallel_fetch_us")),
       parallel_eval_us_(metrics_.RegisterHistogram("parallel_eval_us")),
-      parallel_merge_us_(metrics_.RegisterHistogram("parallel_merge_us")),
       pool_(ThreadPool::Options{options.num_threads, options.queue_capacity}) {
 }
 
@@ -271,11 +265,11 @@ QueryResponse QueryService::Run(QueryRequest& request,
   // between top-k rounds and second-level executions, producing a
   // correct-prefix partial answer. The direct strategies have no safe
   // interior stopping point (one recursive pass over the list algebra),
-  // so their deadline is only checked at dispatch above. The parallel
-  // path additionally polls between ParallelFor iterations — but a
-  // partial disjunct union is *not* a correct prefix of the global
-  // ranking, so a deadline there fails the request (kDeadlineExceeded)
-  // instead of returning truncated answers.
+  // so their deadline is only checked at dispatch above. The shard
+  // scatter additionally polls between shards — but a partial shard
+  // union is *not* a correct prefix of the global ranking, so a
+  // deadline there fails the request (kDeadlineExceeded) instead of
+  // returning truncated answers.
   std::function<bool()> cancelled;
   if (has_deadline) {
     cancelled = [deadline] { return Clock::now() >= deadline; };
@@ -310,15 +304,11 @@ QueryResponse QueryService::Run(QueryRequest& request,
     r.backend_epoch = pinned->epoch();
     r.backend_snapshot = pinned;
   } else {
-    bool handled =
-        parallelism > 1 && RunParallel(query, exec, parallelism, cancelled, &r);
-    if (!handled) {
-      auto answers = db_->Execute(query, exec);
-      if (answers.ok()) {
-        r.answers = std::move(*answers);
-      } else {
-        r.status = answers.status();
-      }
+    auto answers = db_->Execute(query, exec);
+    if (answers.ok()) {
+      r.answers = std::move(*answers);
+    } else {
+      r.status = answers.status();
     }
   }
 
@@ -332,11 +322,13 @@ QueryResponse QueryService::Run(QueryRequest& request,
     return finish(std::move(r));
   }
 
-  if (exec.strategy == engine::Strategy::kSchema &&
-      exec.schema_stats_out->cancelled) {
-    r.truncated = true;
-    truncated_->Increment();
-    deadline_exceeded_->Increment();
+  if (exec.strategy == engine::Strategy::kSchema) {
+    if (exec.schema_stats_out->cancelled) {
+      r.truncated = true;
+      truncated_->Increment();
+      deadline_exceeded_->Increment();
+    }
+    if (exec.schema_stats_out->k_capped) k_capped_->Increment();
   }
   completed_->Increment();
   // Only complete answer lists are cacheable; a truncated prefix (or a
@@ -346,260 +338,6 @@ QueryResponse QueryService::Run(QueryRequest& request,
     cache_.Insert(key, r.answers);
   }
   return finish(std::move(r));
-}
-
-bool QueryService::RunParallel(const query::Query& query,
-                               engine::ExecOptions& exec, size_t parallelism,
-                               const std::function<bool()>& cancelled,
-                               QueryResponse* out) {
-  // The full-scan baseline deliberately ignores the index; the fetch
-  // plan has nothing to offer it and a baseline should stay a baseline.
-  if (exec.strategy == engine::Strategy::kFullScan) return false;
-  const bool direct = exec.strategy == engine::Strategy::kDirect;
-
-  const cost::CostModel& model =
-      exec.cost_model != nullptr ? *exec.cost_model : db_->cost_model();
-
-  // The separated representation is exponential in the or-count; when
-  // it overflows its limit, the serial engines (which encode "or"
-  // natively in the expanded DAG) handle the query instead.
-  auto separated = query::SeparatedRepresentation(query);
-  if (!separated.ok()) return false;
-  const size_t disjuncts = separated->size();
-
-  auto expanded = query::ExpandedQuery::Build(query, model);
-  if (!expanded.ok()) return false;
-
-  // Adaptive granularity: per-slot posting-size estimates for the full
-  // query, from index statistics only (never a fetch). Below the floor
-  // the fan-out overhead dominates the work being split — decline, and
-  // the caller runs the serial path. For the schema strategy the data
-  // postings still bound the instance-scanning volume, so the same
-  // estimate serves both strategies.
-  engine::FetchPlan plan(*expanded);
-  std::vector<size_t> estimates(plan.size());
-  for (size_t i = 0; i < plan.size(); ++i) {
-    estimates[i] =
-        plan.EstimateEntries(i, db_->label_index(), db_->tree().labels());
-  }
-  if (options_.parallel_min_work > 0 &&
-      EstimateTotalWork(estimates) < options_.parallel_min_work) {
-    return false;
-  }
-
-  ParallelForOptions pf;
-  pf.parallelism = parallelism;
-  pf.cancelled = cancelled;
-
-  // Second-level wave runner injected into the schema evaluators (the
-  // engine layer cannot depend on the pool). The runner contract
-  // requires every index to execute, so no cancellation here — the
-  // evaluator bounds each wave and polls its own cancellation between
-  // waves, the same granularity as its serial loop.
-  ParallelForOptions wave_pf;
-  wave_pf.parallelism = parallelism;
-  auto wave_runner = [this, wave_pf](size_t count,
-                                     const std::function<void(size_t)>& fn) {
-    ParallelForResult waved = ParallelFor(&pool_, count, fn, wave_pf);
-    parallel_tasks_->Increment(waved.executed);
-  };
-
-  // Stage 1 (direct only): materialize every per-label index read of
-  // the full query concurrently. Sub-queries fetch a subset of the full
-  // query's (type, label, as_leaf) slots, so one plan serves them all.
-  // A task per ~parallel_fetch_batch estimated entries instead of one
-  // per slot: parallel_tasks scales with real work, not plan size.
-  if (direct) {
-    Clock::time_point fetch_started = Clock::now();
-    const engine::EncodedTree tree = engine::EncodedTree::Of(db_->tree());
-    const std::vector<size_t> batch_ends =
-        PackBatches(estimates, options_.parallel_fetch_batch);
-    ParallelForResult fetched = ParallelFor(
-        &pool_, batch_ends.size(),
-        [&](size_t b) {
-          for (size_t i = b == 0 ? 0 : batch_ends[b - 1]; i < batch_ends[b];
-               ++i) {
-            plan.Materialize(i, tree, db_->label_index(),
-                             db_->tree().labels());
-          }
-        },
-        pf);
-    parallel_tasks_->Increment(fetched.executed);
-    parallel_fetch_us_->Record(
-        static_cast<uint64_t>(MicrosSince(fetch_started)));
-    if (fetched.cancelled) {
-      out->parallel = true;
-      out->status = util::Status::DeadlineExceeded(
-          "deadline expired during parallel evaluation");
-      return true;
-    }
-    exec.direct.fetch_plan = &plan;
-  }
-
-  if (disjuncts < 2) {
-    // One conjunct: no disjunct fan-out. The direct strategy already
-    // parallelized its fetch stage above; the schema strategy runs its
-    // second-level rounds as concurrent waves instead.
-    if (!direct) {
-      exec.schema.parallel_runner = wave_runner;
-      exec.schema.parallel_min_batch = options_.parallel_min_skeletons;
-    }
-    Clock::time_point eval_started = Clock::now();
-    auto answers = db_->Execute(query, exec);
-    parallel_eval_us_->Record(static_cast<uint64_t>(MicrosSince(eval_started)));
-    if (answers.ok()) {
-      out->answers = std::move(*answers);
-    } else {
-      out->status = answers.status();
-    }
-    out->parallel = true;
-    return true;
-  }
-
-  // Stage 2: evaluate the disjuncts concurrently, each for the full
-  // top n. Per-disjunct top-n lists suffice for the exact global top n:
-  // every global answer's cost is its minimum over the disjuncts, and
-  // any disjunct entry outside that disjunct's top n is dominated by n
-  // better (cost, root) pairs which also reach the merge.
-  struct Part {
-    util::Status status = util::Status::OK();
-    std::vector<engine::QueryAnswer> answers;
-    engine::SchemaEvalStats schema_stats;
-    engine::EvalStats direct_stats;
-  };
-  std::vector<query::Query> subqueries;
-  subqueries.reserve(disjuncts);
-  for (const query::ConjunctiveQuery& conjunct : *separated) {
-    subqueries.push_back(conjunct.ToQuery());
-  }
-  std::vector<Part> parts(disjuncts);
-  // Disjuncts differ only in their or-branch choices, so their skeleton
-  // closures overlap heavily; a shared second-level memo lets whichever
-  // disjunct executes a skeleton first answer it for all the others
-  // (results are deterministic per signature, so sharing cannot change
-  // answers — only skip re-execution).
-  engine::SharedSkeletonMemo skeleton_memo;
-  // The same granularity logic batches the disjuncts: consecutive
-  // disjuncts whose combined estimated work stays under the floor share
-  // one task instead of costing one each. An un-estimable disjunct
-  // (expansion failed here; Execute will surface the error) counts as
-  // unknown and gets its own task.
-  std::vector<size_t> disjunct_work(disjuncts,
-                                    index::PostingSource::kUnknownSize);
-  if (options_.parallel_min_work > 0) {
-    for (size_t i = 0; i < disjuncts; ++i) {
-      auto sub_expanded = query::ExpandedQuery::Build(subqueries[i], model);
-      if (!sub_expanded.ok()) continue;
-      engine::FetchPlan sub_plan(*sub_expanded);
-      std::vector<size_t> sub_estimates(sub_plan.size());
-      for (size_t s = 0; s < sub_plan.size(); ++s) {
-        sub_estimates[s] = sub_plan.EstimateEntries(s, db_->label_index(),
-                                                    db_->tree().labels());
-      }
-      disjunct_work[i] = EstimateTotalWork(sub_estimates);
-    }
-  }
-  const std::vector<size_t> disjunct_ends =
-      PackBatches(disjunct_work, options_.parallel_min_work);
-  Clock::time_point eval_started = Clock::now();
-  ParallelForResult evaluated = ParallelFor(
-      &pool_, disjunct_ends.size(),
-      [&](size_t b) {
-        for (size_t i = b == 0 ? 0 : disjunct_ends[b - 1];
-             i < disjunct_ends[b]; ++i) {
-          engine::ExecOptions sub = exec;
-          sub.schema_stats_out = &parts[i].schema_stats;
-          sub.direct_stats_out = &parts[i].direct_stats;
-          if (sub.strategy == engine::Strategy::kSchema) {
-            sub.schema.shared_memo = &skeleton_memo;
-            // Disjunct tasks fork their second-level waves back into
-            // the pool; idle workers (done with their own disjuncts)
-            // steal that work instead of waiting at the barrier.
-            sub.schema.parallel_runner = wave_runner;
-            sub.schema.parallel_min_batch = options_.parallel_min_skeletons;
-          }
-          auto result = db_->Execute(subqueries[i], sub);
-          if (result.ok()) {
-            parts[i].answers = std::move(*result);
-          } else {
-            parts[i].status = result.status();
-          }
-        }
-      },
-      pf);
-  parallel_tasks_->Increment(evaluated.executed);
-  parallel_eval_us_->Record(static_cast<uint64_t>(MicrosSince(eval_started)));
-  out->parallel = true;
-
-  // Surface aggregate evaluator counters: sums for work counts, max for
-  // final_k, OR for the flags — the caller sees the union of what the
-  // disjunct evaluations did.
-  if (exec.schema_stats_out != nullptr) {
-    engine::SchemaEvalStats total;
-    for (const Part& part : parts) {
-      total.rounds += part.schema_stats.rounds;
-      total.final_k = std::max(total.final_k, part.schema_stats.final_k);
-      total.entries_created += part.schema_stats.entries_created;
-      total.second_level_executed += part.schema_stats.second_level_executed;
-      total.instances_scanned += part.schema_stats.instances_scanned;
-      total.shared_memo_hits += part.schema_stats.shared_memo_hits;
-      total.k_capped = total.k_capped || part.schema_stats.k_capped;
-      total.cancelled = total.cancelled || part.schema_stats.cancelled;
-    }
-    *exec.schema_stats_out = total;
-  }
-  if (exec.direct_stats_out != nullptr) {
-    engine::EvalStats total;
-    for (const Part& part : parts) {
-      total.fetches += part.direct_stats.fetches;
-      total.entries_fetched += part.direct_stats.entries_fetched;
-      total.list_ops += part.direct_stats.list_ops;
-      total.cache_hits += part.direct_stats.cache_hits;
-      total.cache_misses += part.direct_stats.cache_misses;
-      total.and_short_circuits += part.direct_stats.and_short_circuits;
-    }
-    *exec.direct_stats_out = total;
-  }
-
-  for (const Part& part : parts) {
-    if (!part.status.ok()) {
-      out->status = part.status;
-      return true;
-    }
-  }
-  // A deadline mid-fan-out leaves some disjuncts partial or unrun; the
-  // union of what finished is not a correct prefix of the global
-  // ranking, so the request fails rather than under-answer silently.
-  bool fired = evaluated.cancelled;
-  for (const Part& part : parts) {
-    fired = fired || part.schema_stats.cancelled;
-  }
-  if (fired) {
-    out->status = util::Status::DeadlineExceeded(
-        "deadline expired during parallel evaluation");
-    if (exec.schema_stats_out != nullptr) {
-      exec.schema_stats_out->cancelled = true;
-    }
-    return true;
-  }
-
-  // Stage 3: k-way merge of the per-disjunct rankings (first occurrence
-  // of a root wins = its minimum cost over the disjuncts).
-  Clock::time_point merge_started = Clock::now();
-  std::vector<std::vector<engine::RootCost>> lists(disjuncts);
-  for (size_t i = 0; i < disjuncts; ++i) {
-    lists[i].reserve(parts[i].answers.size());
-    for (const engine::QueryAnswer& answer : parts[i].answers) {
-      lists[i].push_back({answer.root, answer.cost});
-    }
-  }
-  std::vector<engine::RootCost> merged = engine::MergeTopN(lists, exec.n);
-  out->answers.reserve(merged.size());
-  for (const engine::RootCost& rc : merged) {
-    out->answers.push_back({rc.root, rc.cost});
-  }
-  parallel_merge_us_->Record(static_cast<uint64_t>(MicrosSince(merge_started)));
-  return true;
 }
 
 QueryResponse QueryService::RunSharded(const shard::ShardedDatabase& db,
@@ -687,7 +425,6 @@ QueryService::Snapshot QueryService::GetSnapshot() const {
 
 std::string QueryService::DumpMetrics() const {
   std::string out = metrics_.DumpText();
-  out += "thread_pool_steals " + std::to_string(pool_.steals()) + "\n";
   ResultCache::Stats cache = cache_.GetStats();
   out += "cache_evictions " + std::to_string(cache.evictions) + "\n";
   out += "cache_size " + std::to_string(cache.size) + "\n";

@@ -6,15 +6,12 @@
 // flagged `truncated`), an LRU result cache, and a metrics registry
 // covering the whole request lifecycle.
 //
-// Intra-query parallelism (parallelism > 1): a request is decomposed
-// into the conjunctive disjuncts of its separated representation
-// (paper Section 3), the disjuncts are evaluated concurrently on the
-// same worker pool via ParallelFor (deadlock-free — see parallel.h),
-// and their per-disjunct top-n lists are k-way merged into the global
-// top n. The direct strategy additionally materializes all per-label
-// index fetches concurrently up front (engine::FetchPlan). Parallel
-// results are bit-identical to serial execution; see DESIGN.md for the
-// argument and the one caveat (schema-strategy k-capping).
+// One request runs on one worker: against a single Database it is one
+// serial Database::Execute, which evaluates "or" natively in the
+// expanded DAG (paper Section 6.1). The pool's cores go to concurrent
+// requests. The only intra-request fan-out is the in-process shard
+// scatter of the sharded and mutable-corpus backends, whose width is
+// the request's `parallelism` (see DESIGN.md §7).
 //
 // Safe because Database's const query paths are thread-safe (see the
 // contract in engine/database.h): workers share one Database without
@@ -58,22 +55,12 @@ struct ServiceOptions {
   size_t cache_capacity = 256;
   /// Deadline applied to requests that don't set one; zero = none.
   std::chrono::milliseconds default_deadline{0};
-  /// Default intra-query parallelism (concurrent executors per request,
-  /// including the thread running the request). 1 = serial; requests
-  /// can override per-call. Results are identical either way.
+  /// Default shard-scatter width of the in-process sharded backends
+  /// (concurrent shard evaluations per request, including the thread
+  /// running the request). 1 = shards run one after another; requests
+  /// can override per-call. No effect on a single Database. Results are
+  /// identical either way.
   size_t parallelism = 1;
-  /// Adaptive fan-out floor (service/granularity.h): a parallel-eligible
-  /// request whose total estimated index entries fall below this runs
-  /// serially instead — task overhead would dominate. 0 = always fan
-  /// out (tests use this to force the parallel path on tiny corpora).
-  size_t parallel_min_work = 2048;
-  /// Target estimated entries per concurrent fetch task; consecutive
-  /// small plan slots are packed into one task. 0 = one task per slot.
-  size_t parallel_fetch_batch = 512;
-  /// Schema strategy: fresh skeletons a top-k round must produce before
-  /// the second-level batch is executed as a parallel wave; smaller
-  /// rounds run serially. 0 = parallelize every round.
-  size_t parallel_min_skeletons = 8;
 };
 
 struct QueryRequest {
@@ -88,7 +75,7 @@ struct QueryRequest {
   std::chrono::milliseconds deadline{0};
   /// Skip cache lookup and insertion for this request.
   bool bypass_cache = false;
-  /// Intra-query parallelism override; 0 = ServiceOptions::parallelism.
+  /// Shard-scatter width override; 0 = ServiceOptions::parallelism.
   size_t parallelism = 0;
   /// Live-cluster routed backend only: read-your-writes floors.
   /// min_epochs[i] is the minimum ingest epoch cluster shard i's answer
@@ -110,8 +97,9 @@ struct QueryResponse {
   /// NEVER cached — a repeat of the query re-asks the cluster.
   bool degraded = false;
   std::vector<uint32_t> missing_shards;
-  /// The parallel evaluation path ran (disjunct fan-out and/or
-  /// concurrent fetch). False for serial execution and cache hits.
+  /// Shards were evaluated concurrently (a multi-shard scatter at
+  /// parallelism > 1, or a multi-shard router). Always false for a
+  /// single Database and for cache hits.
   bool parallel = false;
   /// Mutable-corpus backend: the ingest epoch of the snapshot this
   /// response was evaluated against. Live-cluster routed backend: the
@@ -197,7 +185,7 @@ class QueryService {
     uint64_t deadline_exceeded = 0;
     uint64_t truncated = 0;
     uint64_t abandoned = 0;       // queued requests dropped at shutdown
-    uint64_t parallel_tasks = 0;  // ParallelFor iterations executed
+    uint64_t parallel_tasks = 0;  // shard evaluations scattered
     ResultCache::Stats cache;
   };
   Snapshot GetSnapshot() const;
@@ -219,8 +207,8 @@ class QueryService {
   QueryResponse Run(QueryRequest& request, Clock::time_point admitted);
 
   /// Scatter-gather execution against the sharded backend (sharded_
-  /// != nullptr). Mirrors the serial/parallel paths' deadline and
-  /// truncation semantics.
+  /// != nullptr). Mirrors the serial path's deadline and truncation
+  /// semantics.
   QueryResponse RunSharded(const shard::ShardedDatabase& db,
                            const query::Query& query, engine::ExecOptions& exec,
                            size_t parallelism,
@@ -233,24 +221,15 @@ class QueryService {
 
   const cost::CostModel& BackendCostModel() const;
 
-  /// Parallel evaluation of a parsed query. Returns false when the
-  /// request has no exploitable parallelism (full-scan baseline,
-  /// separated representation too large, single disjunct under the
-  /// schema strategy); the caller then executes serially with `exec`
-  /// untouched. Returns true with `out` filled otherwise.
-  bool RunParallel(const query::Query& query, engine::ExecOptions& exec,
-                   size_t parallelism, const std::function<bool()>& cancelled,
-                   QueryResponse* out);
-
   std::chrono::milliseconds EffectiveDeadline(
       const QueryRequest& request) const {
     return request.deadline.count() != 0 ? request.deadline
                                          : options_.default_deadline;
   }
 
-  /// Exactly one backend is set. Requests dispatch to db_ (serial or
-  /// disjunct-parallel), to sharded_ (in-process scatter-gather), or to
-  /// router_ (remote scatter-gather).
+  /// Exactly one backend is set. Requests dispatch to db_ (serial), to
+  /// sharded_ or mutable_'s current generation (in-process
+  /// scatter-gather), or to router_ (remote scatter-gather).
   const engine::Database* db_ = nullptr;
   const shard::ShardedDatabase* sharded_ = nullptr;
   dist::ShardRouter* router_ = nullptr;
@@ -274,6 +253,10 @@ class QueryService {
   Counter* cache_hits_;
   Counter* cache_misses_;
   Counter* abandoned_;
+  /// Completed schema runs that stopped at SchemaEvaluator::Options::
+  /// max_k (their answer lists may be short); counted here instead of
+  /// logged per query.
+  Counter* k_capped_;
   Counter* parallel_tasks_;
   Gauge* queue_depth_;
   /// ThreadPool::QueueDepth() sampled at submit and completion — the
@@ -284,9 +267,8 @@ class QueryService {
   LatencyHistogram* queue_wait_us_;
   LatencyHistogram* exec_latency_us_;
   LatencyHistogram* total_latency_us_;
-  LatencyHistogram* parallel_fetch_us_;
+  /// Shard-scatter evaluation time (sharded and mutable backends).
   LatencyHistogram* parallel_eval_us_;
-  LatencyHistogram* parallel_merge_us_;
 
   ThreadPool pool_;  // last member: workers stop before metrics die
 };

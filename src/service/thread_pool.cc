@@ -5,90 +5,43 @@
 
 namespace approxql::service {
 
-namespace {
-
-/// Which pool (if any) the current thread is a worker of, and its index
-/// there. Lets TrySubmit route a worker's nested submissions to the
-/// worker's own deque instead of the global admission queue.
-struct WorkerIdentity {
-  const void* pool = nullptr;
-  size_t index = 0;
-};
-thread_local WorkerIdentity tls_worker;
-
-}  // namespace
-
 ThreadPool::ThreadPool(Options options)
     : queue_capacity_(options.queue_capacity) {
   size_t n = options.num_threads;
   if (n == 0) {
     n = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  deques_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
 bool ThreadPool::TrySubmit(std::function<void()> task) {
-  if (tls_worker.pool == this) {
-    // Worker-local path: subdivided work, admitted without a capacity
-    // check. The shutdown probe shares the deque's critical section
-    // with Shutdown's sweep, so a task is either swept or rejected —
-    // never silently stranded.
-    Deque& d = *deques_[tls_worker.index];
-    {
-      util::MutexLock lock(&d.mu);
-      if (shutdown_.load()) return false;
-      d.tasks.push_back(std::move(task));
-      pending_.fetch_add(1);
-    }
-    // Dekker-style pairing with the park path: pending_ was raised
-    // before this sleeper probe, and parking workers raise sleepers_
-    // before re-checking pending_, so either we see the sleeper or the
-    // sleeper sees our task (both seq_cst) — no lost wakeup, and the
-    // common nobody-sleeping case skips the notify entirely.
-    if (sleepers_.load() > 0) work_available_.NotifyOne();
-    return true;
-  }
   {
     util::MutexLock lock(&mu_);
-    if (shutdown_.load() || global_.size() >= queue_capacity_) return false;
-    global_.push_back(std::move(task));
-    pending_.fetch_add(1);
+    if (shutdown_ || queue_.size() >= queue_capacity_) return false;
+    queue_.push_back(std::move(task));
   }
-  if (sleepers_.load() > 0) work_available_.NotifyOne();
+  work_available_.NotifyOne();
   return true;
 }
 
-size_t ThreadPool::QueueDepth() const { return pending_.load(); }
+size_t ThreadPool::QueueDepth() const {
+  util::MutexLock lock(&mu_);
+  return queue_.size();
+}
 
 void ThreadPool::Shutdown(DrainMode mode) {
-  std::vector<std::function<void()>> abandoned;
+  std::deque<std::function<void()>> abandoned;
   {
     util::MutexLock lock(&mu_);
-    shutdown_.store(true);  // before the sweeps; closes both admit paths
-    if (mode == DrainMode::kAbandon) {
-      abandoned.reserve(global_.size());
-      for (auto& task : global_) abandoned.push_back(std::move(task));
-      global_.clear();
-    }
+    shutdown_ = true;
+    if (mode == DrainMode::kAbandon) abandoned.swap(queue_);
   }
-  if (mode == DrainMode::kAbandon) {
-    for (auto& d : deques_) {
-      util::MutexLock lock(&d->mu);
-      for (auto& task : d->tasks) abandoned.push_back(std::move(task));
-      d->tasks.clear();
-    }
-    pending_.fetch_sub(abandoned.size());
-  }
-  // Destroy abandoned tasks outside the locks: their captures may run
+  // Destroy abandoned tasks outside the lock: their captures may run
   // arbitrary destructors (promise guards that notify waiters, etc.).
   abandoned.clear();
   work_available_.NotifyAll();
@@ -98,68 +51,18 @@ void ThreadPool::Shutdown(DrainMode mode) {
   workers_.clear();
 }
 
-bool ThreadPool::TakeTask(size_t index, std::function<void()>* task) {
-  {
-    // Own deque, newest first: the task just pushed by a nested fork is
-    // the one whose data is hot in this worker's cache.
-    Deque& d = *deques_[index];
-    util::MutexLock lock(&d.mu);
-    if (!d.tasks.empty()) {
-      *task = std::move(d.tasks.back());
-      d.tasks.pop_back();
-      pending_.fetch_sub(1);
-      return true;
-    }
-  }
-  {
-    util::MutexLock lock(&mu_);
-    if (!global_.empty()) {
-      *task = std::move(global_.front());
-      global_.pop_front();
-      pending_.fetch_sub(1);
-      return true;
-    }
-  }
-  // Steal oldest-first from a rotating victim: the oldest task is the
-  // root of the victim's deepest pending subdivision — the largest
-  // chunk of work, and the one the owner will reach last.
-  const size_t n = deques_.size();
-  for (size_t offset = 1; offset < n; ++offset) {
-    Deque& d = *deques_[(index + offset) % n];
-    util::MutexLock lock(&d.mu);
-    if (!d.tasks.empty()) {
-      *task = std::move(d.tasks.front());
-      d.tasks.pop_front();
-      pending_.fetch_sub(1);
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_worker = {this, index};
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
-    if (TakeTask(index, &task)) {
-      task();
-      task = nullptr;  // run destructors before the next take
-      continue;
+    {
+      util::MutexLock lock(&mu_);
+      while (!shutdown_ && queue_.empty()) work_available_.Wait(&mu_);
+      // Drain mode: keep taking after shutdown until the queue is empty.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    util::MutexLock lock(&mu_);
-    if (pending_.load() != 0) {
-      // A task was pushed (or is mid-push) since the scan came up
-      // empty; rescan instead of parking. Terminates: pending_ only
-      // rises through pushes we will find on the next scan.
-      continue;
-    }
-    if (shutdown_.load()) return;
-    sleepers_.fetch_add(1);
-    while (!shutdown_.load() && pending_.load() == 0) {
-      work_available_.Wait(&mu_);
-    }
-    sleepers_.fetch_sub(1);
+    task();
   }
 }
 

@@ -1,34 +1,18 @@
-// A fixed-size worker pool with work-stealing deques behind a bounded
-// admission queue.
+// A fixed-size worker pool behind a bounded FIFO admission queue.
 //
-// Two kinds of submission:
-//   - External threads go through the bounded global injection queue.
-//     TrySubmit never blocks: it returns false when that queue is full
-//     (or the pool is shutting down), which is what lets the query
-//     service shed load with an explicit rejection instead of buffering
-//     unbounded work — overload degrades to fast failures, not OOM.
-//   - A pool worker that submits (nested ParallelFor fan-out: a task
-//     subdividing already-admitted work) pushes onto its OWN deque
-//     without an admission check. Owners pop their deque LIFO (newest
-//     first, cache-warm); idle workers steal from the opposite end FIFO
-//     (oldest first), so one worker's backlog is drained by whoever is
-//     free — nested forks no longer serialize on a single pool mutex,
-//     and a shard that finishes early steals the queued sub-tasks of a
-//     skewed shard (see DESIGN.md §12).
-//
-// Scheduling order per worker: own deque (LIFO) -> global queue (FIFO)
-// -> steal (FIFO, rotating victim) -> park. External work is therefore
-// still started roughly in admission order; only subdivided work is
-// out of order, which fork-join joins make invisible.
+// TrySubmit never blocks: it returns false when the queue is full (or
+// the pool is shutting down), which is what lets the query service shed
+// load with an explicit rejection instead of buffering unbounded work —
+// overload degrades to fast failures, not OOM. The bound applies to
+// every submitter, pool workers included: a worker that forks through
+// ParallelFor (parallel.h) needs no exemption, because a rejected helper
+// only means the forking caller runs those iterations itself.
 #ifndef APPROXQL_SERVICE_THREAD_POOL_H_
 #define APPROXQL_SERVICE_THREAD_POOL_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -48,9 +32,8 @@ class ThreadPool {
   struct Options {
     /// Worker count; 0 = hardware_concurrency (min 1).
     size_t num_threads = 0;
-    /// Max tasks waiting in the global injection queue (excluding the
-    /// ones running and worker-local subdivided work). TrySubmit from a
-    /// non-worker thread fails beyond this.
+    /// Max tasks waiting in the queue (excluding the ones running).
+    /// TrySubmit fails beyond this.
     size_t queue_capacity = 256;
   };
 
@@ -61,66 +44,30 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task` unless admission is closed. From a non-worker
-  /// thread: bounded by queue_capacity (false when full or Shutdown
-  /// began). From one of this pool's own workers: pushed onto the
-  /// worker's deque, no capacity check (it subdivides work that was
-  /// already admitted; rejecting it would only force the fork-join
-  /// caller to run it inline anyway).
+  /// Enqueues `task`; false when the queue holds queue_capacity tasks
+  /// or Shutdown began.
   bool TrySubmit(std::function<void()> task);
 
-  /// Tasks currently waiting anywhere (global queue + worker deques,
-  /// excluding the ones running).
+  /// Tasks currently waiting (excluding the ones running).
   size_t QueueDepth() const;
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks executed by a worker that took them from another worker's
-  /// deque (observability; see thread_pool_steals in DumpMetrics).
-  uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
-
-  /// Stops admission, then either drains or abandons all queues (global
-  /// and worker deques), and joins workers. Idempotent (later calls
-  /// find empty queues); the destructor calls Shutdown(kDrain).
-  /// Abandoned tasks are destroyed without running — callers whose
-  /// tasks carry completion obligations (promises) must discharge them
-  /// from the task's destructor.
+  /// Stops admission, then either drains or abandons the queue, and
+  /// joins workers. Idempotent (later calls find an empty queue); the
+  /// destructor calls Shutdown(kDrain). Abandoned tasks are destroyed
+  /// without running — callers whose tasks carry completion obligations
+  /// (promises) must discharge them from the task's destructor.
   void Shutdown(DrainMode mode = DrainMode::kDrain);
 
  private:
-  /// One worker's deque. Each has its own mutex, so pushes and steals
-  /// on different workers never contend; the global mutex is only
-  /// touched for injection, parking and wakeup.
-  struct Deque {
-    util::Mutex mu;
-    std::deque<std::function<void()>> tasks GUARDED_BY(mu);
-  };
-
-  void WorkerLoop(size_t index);
-  /// Takes one task: own deque back (LIFO), else global front (FIFO),
-  /// else steal from another worker's front (FIFO). False if nothing
-  /// was found anywhere.
-  bool TakeTask(size_t index, std::function<void()>* task);
+  void WorkerLoop();
 
   mutable util::Mutex mu_;
   util::CondVar work_available_;
-  std::deque<std::function<void()>> global_ GUARDED_BY(mu_);
-  /// Workers parked in work_available_; lets pushers skip the notify
-  /// lock when nobody is sleeping. Mirrors a count maintained under mu_.
-  std::atomic<size_t> sleepers_{0};
-  /// Set (under mu_ and before the deque sweeps) once Shutdown begins;
-  /// closes both admission paths.
-  std::atomic<bool> shutdown_{false};
-  /// Exact count of tasks queued anywhere (global + deques): the park
-  /// predicate and QueueDepth. Updated inside the owning queue's
-  /// critical section, so a worker that sees pending_ == 0 under mu_
-  /// cannot miss a wakeup for a task pushed afterwards.
-  std::atomic<size_t> pending_{0};
-  std::atomic<uint64_t> steals_{0};
+  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
+  bool shutdown_ GUARDED_BY(mu_) = false;
   const size_t queue_capacity_;
-  /// Sized by the constructor, never resized after: workers index it
-  /// without synchronization.
-  std::vector<std::unique_ptr<Deque>> deques_;
   /// Written only by the constructor and Shutdown (which joins every
   /// worker before clearing); workers never touch it.
   std::vector<std::thread> workers_;

@@ -331,24 +331,6 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
           }
         };
       }
-      if (scatter.pool != nullptr && scatter.parallelism != 1 &&
-          scatter.parallel_min_skeletons != SIZE_MAX) {
-        // Inter-shard work stealing: this shard's second-level rounds
-        // fan back out to the scatter pool, where workers that finished
-        // their own shards pick them up (work-stealing deques make the
-        // handoff cheap). The runner contract requires every index to
-        // run, so no cancellation option here — the evaluator polls
-        // between bounded waves.
-        service::ThreadPool* pool = scatter.pool;
-        service::ParallelForOptions wave_pf;
-        wave_pf.parallelism = scatter.parallelism;
-        local.schema.parallel_runner =
-            [pool, wave_pf](size_t count,
-                            const std::function<void(size_t)>& fn) {
-              service::ParallelFor(pool, count, fn, wave_pf);
-            };
-        local.schema.parallel_min_batch = scatter.parallel_min_skeletons;
-      }
     }
 
     auto eval_started = std::chrono::steady_clock::now();
@@ -408,7 +390,6 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
       stats_out->schema.second_level_executed +=
           schema_stats[i].second_level_executed;
       stats_out->schema.instances_scanned += schema_stats[i].instances_scanned;
-      stats_out->schema.shared_memo_hits += schema_stats[i].shared_memo_hits;
       stats_out->schema.k_capped =
           stats_out->schema.k_capped || schema_stats[i].k_capped;
       stats_out->schema.cancelled =

@@ -74,14 +74,6 @@ struct ScatterOptions {
   /// bit-identity-preserving (see the equivalence notes above); off only
   /// for A/B measurement.
   bool share_cost_bound = true;
-  /// Schema strategy: shard tasks fork their second-level rounds back
-  /// into `pool` as concurrent waves (SchemaEvaluator::Options::
-  /// parallel_runner), so workers whose shards finished early steal the
-  /// straggler shards' skeleton work instead of idling at the gather
-  /// barrier — skewed layouts no longer bound latency by their largest
-  /// shard's serial second level. This is the per-round wave floor;
-  /// SIZE_MAX disables the forking entirely.
-  size_t parallel_min_skeletons = 8;
 };
 
 /// Per-execution observability for benchmarks and tests.

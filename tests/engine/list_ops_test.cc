@@ -302,7 +302,7 @@ TEST(MergeTopNTest, MatchesConcatenateSortDedup) {
     std::vector<std::vector<RootCost>> lists(k);
     for (auto& list : lists) {
       // Unique roots per list, sorted by (cost, root) — the contract the
-      // per-disjunct evaluators guarantee.
+      // per-shard evaluations guarantee.
       size_t size = rng.Uniform(15);
       std::vector<doc::NodeId> roots;
       for (size_t i = 0; i < size; ++i) {

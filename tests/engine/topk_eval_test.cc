@@ -282,45 +282,6 @@ TEST(SchemaEvalTest, DescribeSkeletonShowsRenamedLabels) {
   EXPECT_NE(description.find("sonata"), std::string::npos);
 }
 
-TEST(SchemaEvalTest, SharedMemoReusesSkeletonsAcrossEvaluators) {
-  // Two evaluators over the same schema/tree share second-level results:
-  // the second run answers its skeletons from the memo instead of
-  // re-executing them, and returns exactly the same ranking.
-  Fixture fx(kCatalogXml, PaperCosts());
-  SharedSkeletonMemo memo;
-  SchemaEvaluator::Options options;
-  options.shared_memo = &memo;
-
-  SchemaEvalStats cold_stats;
-  auto cold =
-      fx.Schema(R"(cd[title["piano"]])", SIZE_MAX, options, &cold_stats);
-  SchemaEvalStats warm_stats;
-  auto warm =
-      fx.Schema(R"(cd[title["piano"]])", SIZE_MAX, options, &warm_stats);
-
-  EXPECT_EQ(warm, cold);
-  EXPECT_EQ(cold_stats.shared_memo_hits, 0u);
-  EXPECT_GT(warm_stats.shared_memo_hits, 0u);
-  EXPECT_LT(warm_stats.second_level_executed,
-            cold_stats.second_level_executed);
-  // Without a memo the run matches too (the memo is a pure cache).
-  EXPECT_EQ(fx.Schema(R"(cd[title["piano"]])"), cold);
-}
-
-TEST(SchemaEvalTest, SharedMemoAgreesAcrossOverlappingQueries) {
-  // Queries that differ only in one branch share most skeletons — the
-  // PR 2 disjunct fan-out shape. Memoized runs must stay bit-identical
-  // to memo-free runs for every query.
-  Fixture fx(kCatalogXml, PaperCosts());
-  SharedSkeletonMemo memo;
-  SchemaEvaluator::Options options;
-  options.shared_memo = &memo;
-  for (const char* text : kQueries) {
-    EXPECT_EQ(fx.Schema(text, SIZE_MAX, options), fx.Schema(text))
-        << text;
-  }
-}
-
 TEST(SchemaEvalTest, StatsReportWork) {
   Fixture fx(kCatalogXml, PaperCosts());
   SchemaEvalStats stats;

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "gen/query_generator.h"
+#include "gen/xml_generator.h"
 #include "ingest/mutable_corpus.h"
 #include "service/thread_pool.h"
 
@@ -341,56 +343,74 @@ TEST(QueryServiceTest, ParseErrorCountsAsFailed) {
   EXPECT_EQ(service.GetSnapshot().failed, 1u);
 }
 
-TEST(QueryServiceTest, ParallelRequestMatchesSerialAndSetsFlag) {
-  Database db = MakeDb();
-  // Tiny corpus: zero the granularity floor so fan-out still triggers.
-  QueryService service(
-      db, ServiceOptions{.num_threads = 2, .parallel_min_work = 0});
-  // Two disjuncts under the schema strategy; parallel and serial must
-  // rank identically.
-  QueryRequest request;
-  request.query_text = R"(cd[title["piano" or "goldberg"]])";
-  request.exec.n = SIZE_MAX;
-  request.bypass_cache = true;
-  request.parallelism = 1;
-  QueryResponse serial = service.ExecuteNow(request);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  EXPECT_FALSE(serial.parallel);
-  request.parallelism = 4;
-  QueryResponse parallel = service.ExecuteNow(request);
-  ASSERT_TRUE(parallel.status.ok()) << parallel.status;
-  EXPECT_TRUE(parallel.parallel);
-  ASSERT_EQ(parallel.answers.size(), serial.answers.size());
-  for (size_t i = 0; i < serial.answers.size(); ++i) {
-    EXPECT_EQ(parallel.answers[i].root, serial.answers[i].root);
-    EXPECT_EQ(parallel.answers[i].cost, serial.answers[i].cost);
+// Three independent binary "or"s: eight disjuncts once separated.
+constexpr std::string_view kOrHeavyPattern =
+    "name[(name[term] or term) and (term or term) and (name[term] or term)]";
+
+std::string Canonical(const QueryResponse& response) {
+  std::string out;
+  for (const QueryAnswer& answer : response.answers) {
+    out += std::to_string(answer.root) + ":" + std::to_string(answer.cost) +
+           ";";
   }
-  EXPECT_GT(service.GetSnapshot().parallel_tasks, 0u);
+  return out;
 }
 
-TEST(QueryServiceTest, SmallPlanStaysInlineUnderGranularityFloor) {
-  Database db = MakeDb();
-  // The default parallel_min_work floor dwarfs this corpus's postings:
-  // a parallel request must decline fan-out (no tasks, parallel=false)
-  // and still answer identically to serial.
-  QueryService service(db, ServiceOptions{.num_threads = 2});
-  QueryRequest request;
-  request.query_text = R"(cd[title["piano" or "goldberg"]])";
-  request.exec.n = SIZE_MAX;
-  request.bypass_cache = true;
-  request.parallelism = 1;
-  QueryResponse serial = service.ExecuteNow(request);
-  ASSERT_TRUE(serial.status.ok()) << serial.status;
-  request.parallelism = 4;
-  QueryResponse parallel = service.ExecuteNow(request);
-  ASSERT_TRUE(parallel.status.ok()) << parallel.status;
-  EXPECT_FALSE(parallel.parallel);
-  EXPECT_EQ(service.GetSnapshot().parallel_tasks, 0u);
-  ASSERT_EQ(parallel.answers.size(), serial.answers.size());
-  for (size_t i = 0; i < serial.answers.size(); ++i) {
-    EXPECT_EQ(parallel.answers[i].root, serial.answers[i].root);
-    EXPECT_EQ(parallel.answers[i].cost, serial.answers[i].cost);
+TEST(QueryServiceTest, KCappedOrQueriesIdenticalAtEveryParallelism) {
+  // A single-Database request is one serial Execute whatever its
+  // parallelism. Or-heavy schema queries under a small max_k stop at
+  // the cap; evaluating them per disjunct instead would cap each
+  // disjunct later than the whole query and return different answers.
+  // Capped runs are counted, not logged.
+  gen::XmlGenOptions gen_options;
+  gen_options.seed = 20020314;
+  gen_options.total_elements = 4000;
+  gen_options.vocabulary = 800;
+  gen::XmlGenerator generator(gen_options);
+  auto tree = generator.GenerateTree(cost::CostModel());
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  auto built =
+      Database::FromDataTree(std::move(tree).value(), cost::CostModel());
+  ASSERT_TRUE(built.ok()) << built.status();
+  const Database db = std::move(built).value();
+
+  QueryService service(db, ServiceOptions{.num_threads = 4,
+                                          .cache_capacity = 0});
+  gen::QueryGenOptions query_options;
+  query_options.seed = 99;
+  query_options.renamings_per_label = 3;
+  gen::QueryGenerator queries(db, query_options);
+  size_t capped = 0;
+  for (int i = 0; i < 12; ++i) {
+    auto generated = queries.Generate(kOrHeavyPattern);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    QueryRequest request;
+    request.query_text = generated->text;
+    request.exec.strategy = Strategy::kSchema;
+    request.exec.n = 10;
+    request.exec.cost_model = &generated->cost_model;
+    request.exec.schema.max_k = 16;
+    engine::SchemaEvalStats serial_stats;
+    request.exec.schema_stats_out = &serial_stats;
+    request.parallelism = 1;
+    QueryResponse serial = service.ExecuteNow(request);
+    ASSERT_TRUE(serial.status.ok()) << serial.status;
+    capped += serial_stats.k_capped ? 1 : 0;
+
+    engine::SchemaEvalStats wide_stats;
+    request.exec.schema_stats_out = &wide_stats;
+    request.parallelism = 4;
+    QueryResponse wide = service.ExecuteNow(request);
+    ASSERT_TRUE(wide.status.ok()) << wide.status;
+    EXPECT_EQ(Canonical(wide), Canonical(serial)) << generated->text;
+    EXPECT_EQ(wide_stats.k_capped, serial_stats.k_capped) << generated->text;
+    EXPECT_FALSE(wide.parallel) << generated->text;
   }
+  EXPECT_GT(capped, 0u);  // the cap really fired
+  EXPECT_EQ(service.GetSnapshot().parallel_tasks, 0u);
+  const std::string counter = "queries_k_capped " + std::to_string(2 * capped);
+  EXPECT_NE(service.DumpMetrics().find(counter + "\n"), std::string::npos)
+      << service.DumpMetrics();
 }
 
 TEST(QueryServiceTest, ParallelAndSerialShareCacheEntries) {

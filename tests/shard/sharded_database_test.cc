@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <future>
 #include <set>
 #include <string>
 #include <vector>
@@ -352,40 +353,80 @@ TEST_F(ShardedDatabaseTest, CancellationIsDeadlineExceededAcrossShards) {
 }
 
 TEST_F(ShardedDatabaseTest, QueryServiceShardedBackendMatchesSingle) {
+  // For both strategies and every scatter width: through ExecuteNow
+  // (including a cached repeat) and through admission, where concurrent
+  // Submits run on workers that fork their shard tasks into the pool
+  // they occupy.
   ShardedDatabase sharded = MakeSharded(4);
   service::ServiceOptions options;
   options.num_threads = 4;
   options.queue_capacity = 64;
   options.cache_capacity = 8;
-  options.parallelism = 4;
   service::QueryService sharded_service(sharded, options);
   service::QueryService single_service(*db_, options);
+  const size_t count = queries_->size();
 
-  for (const gen::GeneratedQuery& generated : *queries_) {
+  auto make_request = [](const gen::GeneratedQuery& generated,
+                         Strategy strategy) {
     service::QueryRequest request;
     request.query_text = generated.text;
+    request.exec.strategy = strategy;
     request.exec.n = 10;
     request.exec.cost_model = &generated.cost_model;
+    return request;
+  };
 
-    engine::SchemaEvalStats single_stats;
-    request.exec.schema_stats_out = &single_stats;
-    request.bypass_cache = true;
-    service::QueryResponse expected = single_service.ExecuteNow(request);
-    ASSERT_TRUE(expected.status.ok()) << expected.status;
+  for (Strategy strategy : {Strategy::kSchema, Strategy::kDirect}) {
+    std::vector<std::string> expected(count);
+    std::vector<bool> single_capped(count);
+    for (size_t i = 0; i < count; ++i) {
+      service::QueryRequest request = make_request((*queries_)[i], strategy);
+      engine::SchemaEvalStats single_stats;
+      request.exec.schema_stats_out = &single_stats;
+      request.bypass_cache = true;
+      service::QueryResponse response = single_service.ExecuteNow(request);
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      expected[i] = Canonical(response.answers);
+      single_capped[i] = single_stats.k_capped;
+    }
 
-    engine::SchemaEvalStats sharded_stats;
-    request.exec.schema_stats_out = &sharded_stats;
-    request.bypass_cache = false;
-    service::QueryResponse first = sharded_service.ExecuteNow(request);
-    ASSERT_TRUE(first.status.ok()) << first.status;
-    service::QueryResponse second = sharded_service.ExecuteNow(request);
-    ASSERT_TRUE(second.status.ok()) << second.status;
-    EXPECT_TRUE(second.cache_hit) << generated.text;
-    EXPECT_EQ(Canonical(second.answers), Canonical(first.answers));
+    for (size_t parallelism : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      // Parallelism is not part of the cache key; start each width cold
+      // so every first run below really evaluates.
+      sharded_service.InvalidateCache();
+      std::vector<engine::SchemaEvalStats> submit_stats(count);
+      std::vector<std::future<service::QueryResponse>> futures;
+      for (size_t i = 0; i < count; ++i) {
+        const gen::GeneratedQuery& generated = (*queries_)[i];
+        service::QueryRequest request = make_request(generated, strategy);
+        request.parallelism = parallelism;
+        engine::SchemaEvalStats sharded_stats;
+        request.exec.schema_stats_out = &sharded_stats;
+        service::QueryResponse first = sharded_service.ExecuteNow(request);
+        ASSERT_TRUE(first.status.ok()) << first.status;
+        EXPECT_EQ(first.parallel, parallelism > 1);
+        service::QueryResponse second = sharded_service.ExecuteNow(request);
+        ASSERT_TRUE(second.status.ok()) << second.status;
+        EXPECT_TRUE(second.cache_hit) << generated.text;
+        EXPECT_EQ(Canonical(second.answers), Canonical(first.answers));
+        if (!single_capped[i] && !sharded_stats.k_capped) {
+          EXPECT_EQ(Canonical(first.answers), expected[i])
+              << generated.text << " @" << parallelism;
+        }
 
-    if (single_stats.k_capped || sharded_stats.k_capped) continue;
-    EXPECT_EQ(Canonical(first.answers), Canonical(expected.answers))
-        << generated.text;
+        request.exec.schema_stats_out = &submit_stats[i];
+        request.bypass_cache = true;
+        futures.push_back(sharded_service.Submit(std::move(request)));
+      }
+      for (size_t i = 0; i < count; ++i) {
+        service::QueryResponse response = futures[i].get();
+        ASSERT_TRUE(response.status.ok())
+            << (*queries_)[i].text << ": " << response.status;
+        if (single_capped[i] || submit_stats[i].k_capped) continue;
+        EXPECT_EQ(Canonical(response.answers), expected[i])
+            << (*queries_)[i].text << " submitted @" << parallelism;
+      }
+    }
   }
   // The sharded service's metrics dump carries the per-shard sections.
   EXPECT_NE(sharded_service.DumpMetrics().find("shard0_"), std::string::npos);
