@@ -942,6 +942,24 @@ int main(int argc, char** argv) {
                  live ? " (live cluster)" : "", strict ? " (strict)" : "");
   }
 
+  // The one backend choice for every static-corpus role, listening or
+  // replaying in process: one shard of the partition (--shard-server),
+  // the router, the partition, or the single database. A mutable corpus
+  // exists only under --listen and is chosen there.
+  auto make_service = [&]() -> std::unique_ptr<QueryService> {
+    if (shard_server_mode) {
+      return std::make_unique<QueryService>(sharded->shard(shard_server),
+                                            service_options);
+    }
+    if (router != nullptr) {
+      return std::make_unique<QueryService>(*router, service_options);
+    }
+    if (sharded != nullptr) {
+      return std::make_unique<QueryService>(*sharded, service_options);
+    }
+    return std::make_unique<QueryService>(*db, service_options);
+  };
+
   if (listen_mode) {
     // Declared before service/server so it outlives them (destruction
     // runs a final checkpoint).
@@ -981,55 +999,27 @@ int main(int argc, char** argv) {
                    approxql::storage::StoreKindName(store_kind),
                    data_dir.c_str());
       service = std::make_unique<QueryService>(*corpus, service_options);
-      if (shard_server_mode) {
-        // One live-mutating cluster shard: kShardQuery answers carry
-        // local preorders + snapshot epoch, kManifestFetch serves the
-        // slice, and the stamp is the static cluster fingerprint (the
-        // corpus's own fingerprint moves with every mutation — the
-        // epoch, not the stamp, pins the layout; DESIGN.md §14).
-        server_options.shard.enabled = true;
-        server_options.shard.fingerprint = approxql::cluster::ClusterFingerprint(
-            IngestCostModel(seed), shards);
-        server_options.shard.shard_index = static_cast<uint32_t>(shard_server);
-      }
-      server = std::make_unique<Server>(*service, *corpus, server_options);
-    } else if (shard_server_mode) {
-      // This process fronts exactly one shard of the partition: plain
-      // kQueryRequest traffic runs against the shard's own database,
-      // while kShardQuery/kPing answers carry the layout fingerprint
-      // and shard index stamped here.
-      const Database& shard_db = sharded->shard(shard_server);
-      service = std::make_unique<QueryService>(shard_db, service_options);
-      server_options.shard.enabled = true;
-      server_options.shard.fingerprint = sharded->LayoutFingerprint();
-      server_options.shard.shard_index = static_cast<uint32_t>(shard_server);
-      server = std::make_unique<Server>(*service, shard_db, server_options);
-    } else if (router != nullptr) {
-      service = std::make_unique<QueryService>(*router, service_options);
-      if (live) {
-        // A live router's layout is its manifest view, not a static
-        // manifest: resolve answer roots through the current slices.
-        server = std::make_unique<Server>(
-            *service,
-            std::function<approxql::doc::NodeId(approxql::doc::NodeId)>(
-                [r = router.get()](approxql::doc::NodeId node) {
-                  return r->DocRootOfGlobal(node);
-                }),
-            server_options);
-      } else {
-        // The router's own manifest copy resolves answer roots, so this
-        // works identically with and without a local corpus
-        // (--manifest).
-        server = std::make_unique<Server>(*service, router->manifest(),
-                                          server_options);
-      }
-    } else if (sharded != nullptr) {
-      service = std::make_unique<QueryService>(*sharded, service_options);
-      server = std::make_unique<Server>(*service, *sharded, server_options);
     } else {
-      service = std::make_unique<QueryService>(*db, service_options);
-      server = std::make_unique<Server>(*service, *db, server_options);
+      service = make_service();
     }
+    if (shard_server_mode) {
+      // This process fronts exactly one shard: kShardQuery/kPing answers
+      // carry the shard index and a fingerprint. A static shard stamps
+      // the partition's layout fingerprint; a live-mutating cluster
+      // shard stamps the static cluster fingerprint (its corpus's own
+      // fingerprint moves with every mutation — the epoch, not the
+      // stamp, pins the layout; DESIGN.md §14).
+      server_options.shard.enabled = true;
+      server_options.shard.fingerprint =
+          mutable_mode ? approxql::cluster::ClusterFingerprint(
+                             IngestCostModel(seed), shards)
+                       : sharded->LayoutFingerprint();
+      server_options.shard.shard_index = static_cast<uint32_t>(shard_server);
+    }
+    // Answer roots resolve through the service's backend.
+    server = corpus != nullptr
+                 ? std::make_unique<Server>(*service, *corpus, server_options)
+                 : std::make_unique<Server>(*service, server_options);
     auto started = server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.ToString().c_str());
@@ -1506,12 +1496,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto service =
-      router != nullptr
-          ? std::make_unique<QueryService>(*router, service_options)
-      : sharded != nullptr
-          ? std::make_unique<QueryService>(*sharded, service_options)
-          : std::make_unique<QueryService>(*db, service_options);
+  std::unique_ptr<QueryService> service = make_service();
   for (size_t pass = 1; pass <= passes; ++pass) {
     PassResult result = RunPass(*service, workload_queries, clients, repeat,
                                 exec, deadline_ms);

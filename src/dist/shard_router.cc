@@ -6,6 +6,7 @@
 
 #include "engine/list_ops.h"
 #include "net/socket.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -206,9 +207,7 @@ void ShardRouter::Shutdown() {
 
 void ShardRouter::LaunchAttempt(const std::shared_ptr<ScatterState>& state,
                                 size_t i, int attempt, bool share_bound,
-                                int64_t deadline_ms,
-                                Clock::time_point overall_deadline) {
-  (void)deadline_ms;
+                                Clock::time_point overall_deadline) const {
   shard_calls_->Increment();
   net::WireShardQuery query;
   query.query = state->query_text;
@@ -310,7 +309,7 @@ void ShardRouter::LaunchAttempt(const std::shared_ptr<ScatterState>& state,
 
 util::Result<RoutedResult> ShardRouter::Execute(
     const std::string& query_text, engine::Strategy strategy, size_t n,
-    int64_t deadline_ms, const std::vector<uint64_t>& min_epochs) {
+    int64_t deadline_ms, const std::vector<uint64_t>& min_epochs) const {
   APPROXQL_CHECK(started_) << "ShardRouter::Execute before Start";
   queries_->Increment();
   const Clock::time_point started = Clock::now();
@@ -350,8 +349,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
     }
   }
   for (size_t i : initial) {
-    LaunchAttempt(state, i, /*attempt=*/0, share_bound, deadline_ms,
-                  overall_deadline);
+    LaunchAttempt(state, i, /*attempt=*/0, share_bound, overall_deadline);
   }
 
   const auto floor_of = [&min_epochs](size_t i) -> uint64_t {
@@ -434,8 +432,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
       for (const auto& [i, attempt] : due) {
         shard_retries_->Increment();
         state->retries.fetch_add(1, std::memory_order_relaxed);
-        LaunchAttempt(state, i, attempt, share_bound, deadline_ms,
-                      overall_deadline);
+        LaunchAttempt(state, i, attempt, share_bound, overall_deadline);
       }
       state->mu.Lock();
       continue;
@@ -548,8 +545,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
       state->mu.Unlock();
       for (const auto& [i, attempt] : due) {
         state->retries.fetch_add(1, std::memory_order_relaxed);
-        LaunchAttempt(state, i, attempt, share_bound, deadline_ms,
-                      overall_deadline);
+        LaunchAttempt(state, i, attempt, share_bound, overall_deadline);
       }
       state->mu.Lock();
       continue;
@@ -747,7 +743,8 @@ void ShardRouter::RefetchSliceAsync(size_t i) {
       });
 }
 
-util::Status ShardRouter::FetchSliceBlocking(size_t i, int deadline_ms) {
+util::Status ShardRouter::FetchSliceBlocking(size_t i,
+                                             int deadline_ms) const {
   manifest_fetches_->Increment();
   auto done =
       std::make_shared<std::promise<util::Result<net::WireManifestSlice>>>();
@@ -769,9 +766,50 @@ util::Status ShardRouter::FetchSliceBlocking(size_t i, int deadline_ms) {
   return util::Status::OK();
 }
 
-doc::NodeId ShardRouter::DocRootOfGlobal(doc::NodeId global) const {
+doc::NodeId ShardRouter::DocRootOf(doc::NodeId global) const {
   return view_ != nullptr ? view_->DocRootOf(global)
                           : manifest_.DocRootOf(global);
+}
+
+service::BackendPin ShardRouter::Pin() const {
+  // An in-process sharded backend over the same layout shares the
+  // layout fingerprint but not the tag: distributed answers can be
+  // degraded, so they must never alias in the cache.
+  static const uint32_t kTag = util::Crc32c("backend=dist");
+  return {kTag ^ layout_fingerprint(), 0, nullptr};
+}
+
+service::QueryResponse ShardRouter::Execute(
+    const service::BackendPin&, const query::Query&,
+    const service::QueryRequest& request, const engine::ExecOptions& exec,
+    std::optional<Clock::time_point> deadline, service::ThreadPool*) const {
+  service::QueryResponse r;
+  if (exec.cost_model != nullptr) {
+    // Shipping an arbitrary per-request model is not supported, and
+    // silently ignoring it would poison the cost-fingerprinted cache.
+    r.status = util::Status::InvalidArgument(
+        "per-request cost models are not supported by the distributed "
+        "backend");
+    return r;
+  }
+  int64_t remaining_ms = 0;  // no deadline
+  if (deadline.has_value()) {
+    remaining_ms = std::max<int64_t>(
+        1, std::chrono::duration_cast<std::chrono::milliseconds>(
+               *deadline - Clock::now())
+               .count());
+  }
+  auto routed = Execute(request.query_text, exec.strategy, exec.n,
+                        remaining_ms, request.min_epochs);
+  if (!routed.ok()) {
+    r.status = routed.status();
+    return r;
+  }
+  r.answers = std::move(routed->answers);
+  r.degraded = routed->degraded;
+  r.missing_shards = std::move(routed->missing_shards);
+  r.backend_epoch = routed->backend_epoch;
+  return r;
 }
 
 util::Result<net::WireIngestAck> ShardRouter::CallIngestBlocking(

@@ -69,6 +69,7 @@
 #include "cluster/manifest_view.h"
 #include "dist/remote_shard.h"
 #include "engine/database.h"
+#include "service/backend.h"
 #include "service/metrics.h"
 #include "shard/layout_manifest.h"
 #include "shard/sharded_database.h"
@@ -134,7 +135,10 @@ struct RoutedResult {
   uint64_t backend_epoch = 0;
 };
 
-class ShardRouter {
+/// As a service::Backend its pin fingerprint tags the layout's as
+/// distributed, so possibly degraded answers never alias in-process
+/// ones; a live router is not cacheable at all.
+class ShardRouter : public service::Backend {
  public:
   /// The router needs only the partition's *layout* (DocSpan
   /// translation tables, fingerprint, cost model) — never the data. A
@@ -167,11 +171,20 @@ class ShardRouter {
   /// floors — shard i's answer must have been computed at epoch >=
   /// min_epochs[i] (shards beyond the vector have no floor); an answer
   /// below its floor is re-queried, never returned.
-  util::Result<RoutedResult> Execute(const std::string& query_text,
-                                     engine::Strategy strategy, size_t n,
-                                     int64_t deadline_ms,
-                                     const std::vector<uint64_t>& min_epochs =
-                                         {});
+  util::Result<RoutedResult> Execute(
+      const std::string& query_text, engine::Strategy strategy, size_t n,
+      int64_t deadline_ms, const std::vector<uint64_t>& min_epochs = {}) const;
+
+  // service::Backend. Execute runs the scatter above; a per-request
+  // cost model is kInvalidArgument (shards use their own model).
+  service::BackendPin Pin() const override;
+  service::QueryResponse Execute(const service::BackendPin& pin,
+                                 const query::Query& query,
+                                 const service::QueryRequest& request,
+                                 const engine::ExecOptions& exec,
+                                 std::optional<Clock::time_point> deadline,
+                                 service::ThreadPool* pool) const override;
+  bool cacheable() const override { return !live(); }
 
   /// Routes one ingest mutation and blocks for the ack. Adds go to the
   /// shard this router has sent the fewest documents (ties to the
@@ -189,7 +202,9 @@ class ShardRouter {
                                           int64_t deadline_ms);
 
   const shard::LayoutManifest& manifest() const { return manifest_; }
-  const cost::CostModel& cost_model() const { return manifest_.cost_model(); }
+  const cost::CostModel& cost_model() const override {
+    return manifest_.cost_model();
+  }
   uint32_t layout_fingerprint() const { return manifest_.fingerprint(); }
   size_t num_shards() const { return backends_.size(); }
   ShardHealth shard_health(size_t i) const { return backends_[i]->health(); }
@@ -201,15 +216,13 @@ class ShardRouter {
   /// Live mode: the composite manifest view (tests inspect epochs).
   const cluster::ManifestView* view() const { return view_.get(); }
   /// Document root containing `global` — through the live view in
-  /// cluster mode, through the static manifest otherwise (the wire
-  /// layer's doc_root_of for a cluster router host).
-  doc::NodeId DocRootOfGlobal(doc::NodeId global) const;
+  /// cluster mode, through the static manifest otherwise.
+  doc::NodeId DocRootOf(doc::NodeId global) const override;
 
   /// dist_* counters/gauges plus per-shard health and transport lines.
-  std::string DumpMetrics() const;
+  std::string DumpMetrics() const override;
 
  private:
-  using Clock = std::chrono::steady_clock;
   struct ScatterState;
 
   ShardRouter(shard::LayoutManifest manifest, RouterOptions options,
@@ -218,8 +231,8 @@ class ShardRouter {
   /// Issues one attempt against shard `i`. `attempt` tags the slot so a
   /// late reply from a superseded attempt is ignored.
   void LaunchAttempt(const std::shared_ptr<ScatterState>& state, size_t i,
-                     int attempt, bool share_bound, int64_t deadline_ms,
-                     Clock::time_point overall_deadline);
+                     int attempt, bool share_bound,
+                     Clock::time_point overall_deadline) const;
   void HealthLoop();
   void UpdateHealthGauges();
 
@@ -233,7 +246,7 @@ class ShardRouter {
   /// re-establishes the delta subscription after a reconnect.
   void RefetchSliceAsync(size_t i);
   /// Blocking slice fetch + install (the Execute reconciliation path).
-  util::Status FetchSliceBlocking(size_t i, int deadline_ms);
+  util::Status FetchSliceBlocking(size_t i, int deadline_ms) const;
   /// Re-fetches every shard's slice and rebases next_global_ on the
   /// view's id-space high-water mark (ingest bootstrap / collision
   /// recovery).

@@ -607,6 +607,34 @@ std::vector<MutableCorpus::ShardStatus> MutableCorpus::ShardStatuses() const {
   return statuses;
 }
 
+service::BackendPin MutableCorpus::Pin() const {
+  std::shared_ptr<const shard::ShardedDatabase> generation = snapshot();
+  return {generation->LayoutFingerprint(), generation->epoch(),
+          std::move(generation)};
+}
+
+service::QueryResponse MutableCorpus::Execute(
+    const service::BackendPin& pin, const query::Query& query,
+    const service::QueryRequest& request, const engine::ExecOptions& exec,
+    std::optional<Clock::time_point> deadline,
+    service::ThreadPool* pool) const {
+  return pin.snapshot->Execute(pin, query, request, exec, deadline, pool);
+}
+
+std::string MutableCorpus::DumpMetrics() const {
+  std::string out = metrics_->DumpText();
+  std::vector<ShardStatus> statuses = ShardStatuses();
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    const std::string stem = "ingest_shard" + std::to_string(i);
+    out += stem + "_documents " + std::to_string(statuses[i].documents) + "\n";
+    out += stem + "_last_seq " + std::to_string(statuses[i].last_seq) + "\n";
+    out += stem + "_wal_bytes " + std::to_string(statuses[i].wal_bytes) + "\n";
+    out += stem + "_vlog_bytes " + std::to_string(statuses[i].vlog_bytes) +
+           "\n";
+  }
+  return out;
+}
+
 bool MutableCorpus::ShardOverThreshold(const DurableShard& shard) const {
   if (shard.poisoned()) return false;
   if (options_.checkpoint_wal_bytes > 0 &&

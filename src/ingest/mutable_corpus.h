@@ -60,7 +60,10 @@
 
 namespace approxql::ingest {
 
-class MutableCorpus {
+/// As a service::Backend, each request pins the current generation
+/// (whose epoch-salted fingerprint keys the cache, so cached answers
+/// never survive a mutation) and runs that generation's scatter.
+class MutableCorpus : public service::Backend {
  public:
   struct Options {
     std::string data_dir;
@@ -199,6 +202,26 @@ class MutableCorpus {
   const std::shared_ptr<service::MetricsRegistry>& metrics() const {
     return metrics_;
   }
+
+  // service::Backend.
+  service::BackendPin Pin() const override;
+  service::QueryResponse Execute(const service::BackendPin& pin,
+                                 const query::Query& query,
+                                 const service::QueryRequest& request,
+                                 const engine::ExecOptions& exec,
+                                 std::optional<Clock::time_point> deadline,
+                                 service::ThreadPool* pool) const override;
+  const cost::CostModel& cost_model() const override {
+    return options_.model;
+  }
+  /// Any generation that produced an answer keeps its documents' global
+  /// roots stable forever, so the current one resolves them.
+  doc::NodeId DocRootOf(doc::NodeId node) const override {
+    return snapshot()->DocRootOf(node);
+  }
+  /// metrics() (ingest_* plus every generation's per-shard fetch/eval
+  /// metrics) and per-shard status lines.
+  std::string DumpMetrics() const override;
 
  private:
   explicit MutableCorpus(Options options,

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "ingest/mutable_corpus.h"
-#include "shard/layout_manifest.h"
 #include "shard/sharded_database.h"
 #include "util/logging.h"
 
@@ -53,47 +52,9 @@ struct Server::Connection {
         last_active(std::chrono::steady_clock::now()) {}
 };
 
-Server::Server(service::QueryService& service, const engine::Database& db,
-               ServerOptions options)
-    : Server(service,
-             // Walk parents to the child of the super-root: the document
-             // root containing `node` (Database keeps no document table).
-             [&db](doc::NodeId node) -> doc::NodeId {
-               const doc::DataTree& tree = db.tree();
-               if (node == tree.root() || node >= tree.size()) return node;
-               doc::NodeId current = node;
-               for (;;) {
-                 doc::NodeId parent = tree.node(current).parent;
-                 if (parent == tree.root() || parent == doc::kInvalidNode) {
-                   return current;
-                 }
-                 current = parent;
-               }
-             },
-             std::move(options)) {}
-
-Server::Server(service::QueryService& service, const shard::ShardedDatabase& db,
-               ServerOptions options)
-    : Server(service,
-             [&db](doc::NodeId node) { return db.DocRootOf(node); },
-             std::move(options)) {}
-
-Server::Server(service::QueryService& service,
-               const shard::LayoutManifest& manifest, ServerOptions options)
-    : Server(service,
-             [&manifest](doc::NodeId node) { return manifest.DocRootOf(node); },
-             std::move(options)) {}
-
 Server::Server(service::QueryService& service, ingest::MutableCorpus& corpus,
                ServerOptions options)
-    : Server(service,
-             // Resolve against the generation current at answer time:
-             // the corpus mutates, but any generation that produced an
-             // answer keeps its documents' global roots stable forever.
-             [&corpus](doc::NodeId node) {
-               return corpus.snapshot()->DocRootOf(node);
-             },
-             std::move(options)) {
+    : Server(service, std::move(options)) {
   corpus_ = &corpus;
   // Manifest-sync push path: after every generation publish, fan the
   // mutation chain out to subscribed connections as kManifestDelta
@@ -143,11 +104,8 @@ Server::Server(service::QueryService& service, ingest::MutableCorpus& corpus,
   });
 }
 
-Server::Server(service::QueryService& service,
-               std::function<doc::NodeId(doc::NodeId)> doc_root_of,
-               ServerOptions options)
+Server::Server(service::QueryService& service, ServerOptions options)
     : service_(service),
-      doc_root_of_(std::move(doc_root_of)),
       options_(std::move(options)),
       connections_open_(metrics_.RegisterGauge("net_connections_open")),
       connections_accepted_(
@@ -623,7 +581,8 @@ void Server::DispatchFrame(const std::shared_ptr<Connection>& conn,
         response.answers.reserve(r.answers.size());
         for (const engine::QueryAnswer& answer : r.answers) {
           response.answers.push_back(
-              {answer.cost, answer.root, DocRootOf(answer.root)});
+              {answer.cost, answer.root,
+               service_.backend().DocRootOf(answer.root)});
         }
         EnqueueResponse(conn, reply, EncodeQueryResponse(response));
         wire_latency_us_->Record(static_cast<uint64_t>(MicrosSince(start)));
@@ -736,10 +695,10 @@ void Server::DispatchShardQuery(const std::shared_ptr<Connection>& conn,
         }
         // A full n answers makes the local n-th cost a valid global
         // inclusive bound (the global n-th answer costs no more than
-        // ours); anything less says nothing about the global set.
-        if (r.status.ok() && !r.truncated &&
-            want_n != UINT64_MAX &&
-            answer.answers.size() == want_n) {
+        // ours); anything less says nothing about the global set, and
+        // n = 0 has no n-th answer at all.
+        if (r.status.ok() && !r.truncated && want_n > 0 &&
+            want_n != UINT64_MAX && answer.answers.size() == want_n) {
           answer.achieved_bound = answer.answers.back().cost;
         }
         EnqueueResponse(conn, reply, EncodeShardAnswer(answer));

@@ -47,7 +47,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -64,7 +63,6 @@
 
 namespace approxql::shard {
 class LayoutManifest;
-class ShardedDatabase;
 }  // namespace approxql::shard
 
 namespace approxql::ingest {
@@ -107,25 +105,22 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// `service` executes the queries; `db` is the same database the
-  /// service fronts (used only to resolve each answer's document root
-  /// for the wire response). Both must outlive the server.
-  Server(service::QueryService& service, const engine::Database& db,
-         ServerOptions options);
-  /// Sharded-backend flavor: answer roots are global ids, resolved
-  /// through the shard layout's document table.
-  Server(service::QueryService& service, const shard::ShardedDatabase& db,
-         ServerOptions options);
-  /// Router-host flavor: the process holds no corpus at all, only a
-  /// layout manifest; answer roots resolve through its span tables.
-  /// `manifest` must outlive the server.
+  /// `service` executes the queries; each answer's document root is
+  /// resolved through service.backend().DocRootOf. `service` must
+  /// outlive the server.
+  Server(service::QueryService& service, ServerOptions options);
+  /// Same as Server(service, options); `db` / `manifest` name what the
+  /// service's backend already resolves through.
+  Server(service::QueryService& service, const engine::Database& /*db*/,
+         ServerOptions options)
+      : Server(service, std::move(options)) {}
   Server(service::QueryService& service,
-         const shard::LayoutManifest& manifest, ServerOptions options);
-  /// Mutable-corpus flavor: queries resolve document roots through the
-  /// corpus's current generation, and the server additionally answers
-  /// kIngest (add/remove a document; acked only after the mutation is
-  /// durable and visible), kManifestFetch (the current generation's
-  /// DocSpan slice + epoch, optionally subscribing the connection to
+         const shard::LayoutManifest& /*manifest*/, ServerOptions options)
+      : Server(service, std::move(options)) {}
+  /// Mutable-corpus flavor: the server additionally answers kIngest
+  /// (add/remove a document; acked only after the mutation is durable
+  /// and visible), kManifestFetch (the current generation's DocSpan
+  /// slice + epoch, optionally subscribing the connection to
   /// kManifestDelta pushes after every publish), and — in shard-serving
   /// mode — stamps each kShardAnswer with its snapshot epoch and
   /// translates answer roots to shard-local preorders. `corpus` must
@@ -133,14 +128,6 @@ class Server {
   /// other publish listener (the server owns the corpus's listener slot
   /// for the duration).
   Server(service::QueryService& service, ingest::MutableCorpus& corpus,
-         ServerOptions options);
-  /// Custom-resolver flavor (e.g. a cluster router host, whose answer
-  /// roots resolve through the router's manifest view): `doc_root_of`
-  /// maps an answer root to its containing document root and must be
-  /// thread-safe (worker threads call it concurrently) and outlive the
-  /// server.
-  Server(service::QueryService& service,
-         std::function<doc::NodeId(doc::NodeId)> doc_root_of,
          ServerOptions options);
   /// Equivalent to Shutdown(/*drain=*/false).
   ~Server();
@@ -231,18 +218,10 @@ class Server {
   /// Worker threads call this (via the completion callback) to get the
   /// loop's attention for a connection with a freshly filled outbox.
   void NotifyWritable(const std::shared_ptr<Connection>& conn);
-  doc::NodeId DocRootOf(doc::NodeId node) const {
-    return doc_root_of_(node);
-  }
 
   service::QueryService& service_;
   /// Set by the mutable-corpus constructor; enables kIngest.
   ingest::MutableCorpus* corpus_ = nullptr;
-  /// Maps an answer root to its containing document root — the only
-  /// thing the wire layer needs from the corpus, abstracted so single
-  /// and sharded backends plug in alike. Must be thread-safe (worker
-  /// threads call it concurrently).
-  const std::function<doc::NodeId(doc::NodeId)> doc_root_of_;
   const ServerOptions options_;
 
   int listen_fd_ = -1;

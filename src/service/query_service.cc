@@ -5,10 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "dist/shard_router.h"
-#include "ingest/mutable_corpus.h"
 #include "query/ast.h"
-#include "shard/sharded_database.h"
 #include "util/crc32.h"
 
 namespace approxql::service {
@@ -55,49 +52,69 @@ class PendingResponse {
   Counter* abandoned_;
 };
 
-}  // namespace
+/// engine::Database as a Backend: one serial Database::Execute per
+/// request. It lives here rather than in engine/ so the engine stays
+/// below the service.
+class DatabaseBackend final : public Backend {
+ public:
+  explicit DatabaseBackend(const engine::Database& db) : db_(db) {}
 
-namespace {
-
-uint32_t FingerprintBackend(const shard::ShardedDatabase* sharded,
-                            const dist::ShardRouter* router) {
-  // A distributed and an in-process sharded backend over the same
-  // layout share the fingerprint but not the tag: distributed answers
-  // can be degraded, so they must never alias in the cache.
-  if (router != nullptr) {
-    return util::Crc32c("backend=dist") ^ router->layout_fingerprint();
+  BackendPin Pin() const override {
+    static const uint32_t kFingerprint = util::Crc32c("backend=single");
+    return {kFingerprint, 0, nullptr};
   }
-  if (sharded != nullptr) return sharded->LayoutFingerprint();
-  return util::Crc32c("backend=single");
-}
+
+  QueryResponse Execute(const BackendPin&, const query::Query& query,
+                        const QueryRequest&, const engine::ExecOptions& exec,
+                        std::optional<Clock::time_point>,
+                        ThreadPool*) const override {
+    QueryResponse r;
+    auto answers = db_.Execute(query, exec);
+    if (answers.ok()) {
+      r.answers = std::move(*answers);
+    } else {
+      r.status = answers.status();
+    }
+    return r;
+  }
+
+  const cost::CostModel& cost_model() const override {
+    return db_.cost_model();
+  }
+
+  // Walks parents to the child of the super-root (Database keeps no
+  // document table).
+  doc::NodeId DocRootOf(doc::NodeId node) const override {
+    const doc::DataTree& tree = db_.tree();
+    if (node == tree.root() || node >= tree.size()) return node;
+    doc::NodeId current = node;
+    for (;;) {
+      doc::NodeId parent = tree.node(current).parent;
+      if (parent == tree.root() || parent == doc::kInvalidNode) {
+        return current;
+      }
+      current = parent;
+    }
+  }
+
+ private:
+  const engine::Database& db_;
+};
 
 }  // namespace
 
 QueryService::QueryService(const engine::Database& db, ServiceOptions options)
-    : QueryService(&db, nullptr, nullptr, nullptr, std::move(options)) {}
+    : QueryService(std::make_unique<DatabaseBackend>(db), std::move(options)) {}
 
-QueryService::QueryService(const shard::ShardedDatabase& db,
+QueryService::QueryService(std::unique_ptr<const Backend> owned,
                            ServiceOptions options)
-    : QueryService(nullptr, &db, nullptr, nullptr, std::move(options)) {}
+    : QueryService(*owned, std::move(options)) {
+  owned_backend_ = std::move(owned);
+}
 
-QueryService::QueryService(dist::ShardRouter& router, ServiceOptions options)
-    : QueryService(nullptr, nullptr, &router, nullptr, std::move(options)) {}
-
-QueryService::QueryService(const ingest::MutableCorpus& corpus,
-                           ServiceOptions options)
-    : QueryService(nullptr, nullptr, nullptr, &corpus, std::move(options)) {}
-
-QueryService::QueryService(const engine::Database* db,
-                           const shard::ShardedDatabase* sharded,
-                           dist::ShardRouter* router,
-                           const ingest::MutableCorpus* corpus,
-                           ServiceOptions options)
-    : db_(db),
-      sharded_(sharded),
-      router_(router),
-      mutable_(corpus),
-      backend_fingerprint_(FingerprintBackend(sharded, router)),
-      backend_cost_fingerprint_(FingerprintCostModel(BackendCostModel())),
+QueryService::QueryService(const Backend& backend, ServiceOptions options)
+    : backend_(backend),
+      backend_cost_fingerprint_(FingerprintCostModel(backend.cost_model())),
       options_(options),
       cache_(options.cache_capacity),
       submitted_(metrics_.RegisterCounter("queries_submitted")),
@@ -110,7 +127,6 @@ QueryService::QueryService(const engine::Database* db,
       cache_misses_(metrics_.RegisterCounter("cache_misses")),
       abandoned_(metrics_.RegisterCounter("queries_abandoned")),
       k_capped_(metrics_.RegisterCounter("queries_k_capped")),
-      parallel_tasks_(metrics_.RegisterCounter("query_parallel_tasks")),
       queue_depth_(metrics_.RegisterGauge("queue_depth")),
       thread_pool_queue_depth_(
           metrics_.RegisterGauge("thread_pool_queue_depth")),
@@ -118,7 +134,6 @@ QueryService::QueryService(const engine::Database* db,
       queue_wait_us_(metrics_.RegisterHistogram("queue_wait_us")),
       exec_latency_us_(metrics_.RegisterHistogram("exec_latency_us")),
       total_latency_us_(metrics_.RegisterHistogram("total_latency_us")),
-      parallel_eval_us_(metrics_.RegisterHistogram("parallel_eval_us")),
       pool_(ThreadPool::Options{options.num_threads, options.queue_capacity}) {
 }
 
@@ -214,20 +229,15 @@ QueryResponse QueryService::Run(QueryRequest& request,
   }
   const query::Query& query = *parsed;
 
-  // Mutable backend: pin this request to the corpus's current
-  // generation — one consistent state for the cache key, the evaluation
-  // and the reported epoch, however long the query runs.
-  std::shared_ptr<const shard::ShardedDatabase> pinned;
-  if (mutable_ != nullptr) pinned = mutable_->snapshot();
+  // One consistent backend state for the cache key, the evaluation and
+  // the reported epoch, however long the query runs (a mutable corpus
+  // pins its current generation here).
+  const BackendPin pin = backend_.Pin();
 
   // The one cache decision: key construction, lookup, the hit/miss
-  // counters and the insert below all hang off it. Live-cluster routed
-  // backend: the backend fingerprint is the static cluster
-  // configuration, not the moving document layout, so a cached answer
-  // could outlive the data it was computed from. Never cache.
+  // counters and the insert below all hang off it.
   const bool use_cache = options_.cache_capacity > 0 &&
-                         !request.bypass_cache &&
-                         !(router_ != nullptr && router_->live());
+                         !request.bypass_cache && backend_.cacheable();
 
   // Fingerprinting a cost model serializes every table in it, which for
   // a large model costs more than the query itself: the backend model's
@@ -241,21 +251,15 @@ QueryResponse QueryService::Run(QueryRequest& request,
     key.cost_fingerprint = request.exec.cost_model != nullptr
                                ? FingerprintCostModel(*request.exec.cost_model)
                                : backend_cost_fingerprint_;
-    // The generation fingerprint is epoch-salted, so a cached answer
-    // can only ever be served against the exact corpus state it was
-    // computed from.
-    key.backend_fingerprint =
-        pinned != nullptr ? pinned->LayoutFingerprint() : backend_fingerprint_;
+    key.backend_fingerprint = pin.fingerprint;
     if (auto cached = cache_.Lookup(key); cached != nullptr) {
       cache_hits_->Increment();
       completed_->Increment();
       QueryResponse r;
       r.answers = *cached;
       r.cache_hit = true;
-      if (pinned != nullptr) {
-        r.backend_epoch = pinned->epoch();
-        r.backend_snapshot = pinned;
-      }
+      r.backend_epoch = pin.epoch;
+      r.backend_snapshot = pin.snapshot;
       return finish(std::move(r));
     }
     cache_misses_->Increment();
@@ -270,47 +274,22 @@ QueryResponse QueryService::Run(QueryRequest& request,
   // union is *not* a correct prefix of the global ranking, so a
   // deadline there fails the request (kDeadlineExceeded) instead of
   // returning truncated answers.
-  std::function<bool()> cancelled;
-  if (has_deadline) {
-    cancelled = [deadline] { return Clock::now() >= deadline; };
-  }
   engine::ExecOptions exec = request.exec;
   engine::SchemaEvalStats schema_stats;
   if (exec.strategy == engine::Strategy::kSchema) {
     if (has_deadline) {
-      exec.schema.cancelled = cancelled;
+      exec.schema.cancelled = [deadline] { return Clock::now() >= deadline; };
     }
     if (exec.schema_stats_out == nullptr) {
       exec.schema_stats_out = &schema_stats;
     }
   }
 
-  const size_t parallelism = request.parallelism != 0 ? request.parallelism
-                                                      : options_.parallelism;
-  QueryResponse r;
-  if (router_ != nullptr) {
-    int64_t remaining_ms = 0;
-    if (has_deadline) {
-      remaining_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                         deadline - Clock::now())
-                         .count();
-      if (remaining_ms < 1) remaining_ms = 1;
-    }
-    r = RunRouted(request, remaining_ms);
-  } else if (sharded_ != nullptr) {
-    r = RunSharded(*sharded_, query, exec, parallelism, cancelled);
-  } else if (pinned != nullptr) {
-    r = RunSharded(*pinned, query, exec, parallelism, cancelled);
-    r.backend_epoch = pinned->epoch();
-    r.backend_snapshot = pinned;
-  } else {
-    auto answers = db_->Execute(query, exec);
-    if (answers.ok()) {
-      r.answers = std::move(*answers);
-    } else {
-      r.status = answers.status();
-    }
-  }
+  if (request.parallelism == 0) request.parallelism = options_.parallelism;
+  QueryResponse r = backend_.Execute(
+      pin, query, request, exec,
+      has_deadline ? std::optional<Clock::time_point>(deadline) : std::nullopt,
+      &pool_);
 
   if (!r.status.ok()) {
     if (r.status.IsDeadlineExceeded()) {
@@ -340,71 +319,6 @@ QueryResponse QueryService::Run(QueryRequest& request,
   return finish(std::move(r));
 }
 
-QueryResponse QueryService::RunSharded(const shard::ShardedDatabase& db,
-                                       const query::Query& query,
-                                       engine::ExecOptions& exec,
-                                       size_t parallelism,
-                                       const std::function<bool()>& cancelled) {
-  QueryResponse r;
-  shard::ScatterOptions scatter;
-  scatter.pool = &pool_;
-  scatter.parallelism = parallelism;
-  scatter.cancelled = cancelled;
-  shard::ScatterStats stats;
-  Clock::time_point eval_started = Clock::now();
-  auto answers = db.Execute(query, exec, scatter, &stats);
-  parallel_eval_us_->Record(static_cast<uint64_t>(MicrosSince(eval_started)));
-  parallel_tasks_->Increment(stats.shards.size());
-  r.parallel = db.num_shards() > 1 && parallelism > 1;
-  // Surface the aggregated evaluator counters through the caller's
-  // stats slot (Run's truncation logic reads the cancelled flag there).
-  if (exec.schema_stats_out != nullptr) {
-    *exec.schema_stats_out = stats.schema;
-  }
-  if (exec.direct_stats_out != nullptr) {
-    *exec.direct_stats_out = stats.direct;
-  }
-  if (answers.ok()) {
-    r.answers = std::move(*answers);
-  } else {
-    r.status = answers.status();
-  }
-  return r;
-}
-
-QueryResponse QueryService::RunRouted(const QueryRequest& request,
-                                      int64_t deadline_ms) {
-  QueryResponse r;
-  if (request.exec.cost_model != nullptr) {
-    // Remote shards evaluate with their own (identically built) model;
-    // shipping an arbitrary per-request model is not supported, and
-    // silently ignoring it would poison the cost-fingerprinted cache.
-    r.status = util::Status::InvalidArgument(
-        "per-request cost models are not supported by the distributed "
-        "backend");
-    return r;
-  }
-  auto routed = router_->Execute(request.query_text, request.exec.strategy,
-                                 request.exec.n, deadline_ms,
-                                 request.min_epochs);
-  if (!routed.ok()) {
-    r.status = routed.status();
-    return r;
-  }
-  r.answers = std::move(routed->answers);
-  r.degraded = routed->degraded;
-  r.missing_shards = std::move(routed->missing_shards);
-  r.backend_epoch = routed->backend_epoch;
-  r.parallel = router_->num_shards() > 1;
-  return r;
-}
-
-const cost::CostModel& QueryService::BackendCostModel() const {
-  if (router_ != nullptr) return router_->cost_model();
-  if (mutable_ != nullptr) return mutable_->options().model;
-  return sharded_ != nullptr ? sharded_->cost_model() : db_->cost_model();
-}
-
 void QueryService::InvalidateCache() { cache_.Invalidate(); }
 
 QueryService::Snapshot QueryService::GetSnapshot() const {
@@ -418,7 +332,6 @@ QueryService::Snapshot QueryService::GetSnapshot() const {
   snapshot.deadline_exceeded = deadline_exceeded_->Value();
   snapshot.truncated = truncated_->Value();
   snapshot.abandoned = abandoned_->Value();
-  snapshot.parallel_tasks = parallel_tasks_->Value();
   snapshot.cache = cache_.GetStats();
   return snapshot;
 }
@@ -434,29 +347,7 @@ std::string QueryService::DumpMetrics() const {
   std::snprintf(rate, sizeof(rate), "%.4f",
                 total == 0 ? 0.0 : static_cast<double>(cache.hits) / total);
   out += std::string("cache_hit_rate ") + rate + "\n";
-  if (sharded_ != nullptr) {
-    out += sharded_->DumpMetrics();
-  }
-  if (router_ != nullptr) {
-    out += router_->DumpMetrics();
-  }
-  if (mutable_ != nullptr) {
-    // The corpus registry carries both the ingest_* metrics and the
-    // per-shard fetch/eval metrics of every published generation.
-    out += mutable_->metrics()->DumpText();
-    std::vector<ingest::MutableCorpus::ShardStatus> statuses =
-        mutable_->ShardStatuses();
-    for (size_t i = 0; i < statuses.size(); ++i) {
-      const std::string stem = "ingest_shard" + std::to_string(i);
-      out += stem + "_documents " + std::to_string(statuses[i].documents) +
-             "\n";
-      out += stem + "_last_seq " + std::to_string(statuses[i].last_seq) + "\n";
-      out += stem + "_wal_bytes " + std::to_string(statuses[i].wal_bytes) +
-             "\n";
-      out += stem + "_vlog_bytes " + std::to_string(statuses[i].vlog_bytes) +
-             "\n";
-    }
-  }
+  out += backend_.DumpMetrics();
   return out;
 }
 

@@ -413,6 +413,37 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
   return answers;
 }
 
+service::BackendPin ShardedDatabase::Pin() const {
+  return {fingerprint_, epoch_, nullptr};
+}
+
+service::QueryResponse ShardedDatabase::Execute(
+    const service::BackendPin& pin, const query::Query& query,
+    const service::QueryRequest& request, const engine::ExecOptions& exec,
+    std::optional<Clock::time_point> deadline,
+    service::ThreadPool* pool) const {
+  ScatterOptions scatter;
+  scatter.pool = pool;
+  scatter.parallelism = request.parallelism;
+  if (deadline.has_value()) {
+    scatter.cancelled = [at = *deadline] { return Clock::now() >= at; };
+  }
+  ScatterStats stats;
+  auto answers = Execute(query, exec, scatter, &stats);
+  // The service reads the cancelled/k_capped flags through these slots.
+  if (exec.schema_stats_out != nullptr) *exec.schema_stats_out = stats.schema;
+  if (exec.direct_stats_out != nullptr) *exec.direct_stats_out = stats.direct;
+  service::QueryResponse r;
+  if (answers.ok()) {
+    r.answers = std::move(*answers);
+  } else {
+    r.status = answers.status();
+  }
+  r.backend_epoch = pin.epoch;
+  r.backend_snapshot = pin.snapshot;
+  return r;
+}
+
 ShardedDatabase::Stats ShardedDatabase::GetStats() const {
   Stats stats;
   stats.num_shards = shards_.size();

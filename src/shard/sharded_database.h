@@ -36,6 +36,7 @@
 
 #include "engine/database.h"
 #include "index/stored_label_index.h"
+#include "service/backend.h"
 #include "service/metrics.h"
 #include "service/thread_pool.h"
 #include "shard/global_schema.h"
@@ -95,8 +96,11 @@ struct ScatterStats {
 /// engine::Database (Execute / MaterializeXml / GetStats / Save-less).
 /// Thread-safety mirrors Database: immutable after construction; all
 /// const members safe concurrently (per-shard StoredLabelIndex and
-/// metrics lock internally).
-class ShardedDatabase {
+/// metrics lock internally). As a service::Backend it scatters on the
+/// service's pool, `parallelism` shards at a time; its pin fingerprint
+/// is the layout fingerprint, so cached answers never alias across
+/// backends or shard layouts.
+class ShardedDatabase : public service::Backend {
  public:
   ShardedDatabase(ShardedDatabase&&) = default;
   ShardedDatabase& operator=(ShardedDatabase&&) = default;
@@ -161,6 +165,15 @@ class ShardedDatabase {
       const query::Query& query, const engine::ExecOptions& options,
       const ScatterOptions& scatter, ScatterStats* stats_out = nullptr) const;
 
+  // service::Backend.
+  service::BackendPin Pin() const override;
+  service::QueryResponse Execute(const service::BackendPin& pin,
+                                 const query::Query& query,
+                                 const service::QueryRequest& request,
+                                 const engine::ExecOptions& exec,
+                                 std::optional<Clock::time_point> deadline,
+                                 service::ThreadPool* pool) const override;
+
   /// The result subtree of an answer (global id), serialized as XML.
   /// The super-root (id 0) reassembles all documents in global order,
   /// matching Database::MaterializeXml(0) on the unpartitioned corpus.
@@ -170,7 +183,7 @@ class ShardedDatabase {
   /// Global id of the document root containing `global` (0 for the
   /// super-root itself) — the unit answers are grouped by in the wire
   /// protocol.
-  doc::NodeId DocRootOf(doc::NodeId global) const;
+  doc::NodeId DocRootOf(doc::NodeId global) const override;
 
   /// Translates a shard-local node id to the global id space.
   doc::NodeId ToGlobal(size_t shard, doc::NodeId local) const;
@@ -192,7 +205,7 @@ class ShardedDatabase {
     return shards_[i]->spans;
   }
   const GlobalSchema& global_schema() const { return global_schema_; }
-  const cost::CostModel& cost_model() const { return model_; }
+  const cost::CostModel& cost_model() const override { return model_; }
 
   /// Fingerprint of the backend + shard layout: shard count, per-shard
   /// document/node counts. Two layouts answering queries over different
@@ -216,7 +229,7 @@ class ShardedDatabase {
 
   /// Per-shard metrics snapshot: fetch/eval latency histograms, answer
   /// counts, stored-postings lock contention.
-  std::string DumpMetrics() const;
+  std::string DumpMetrics() const override;
 
  private:
   friend class approxql::ingest::MutableCorpus;

@@ -228,6 +228,35 @@ TEST_F(DistRouterTest, UnboundedNAndShardHealthyPathMetrics) {
   for (ShardServer& s : servers) s.Stop();
 }
 
+TEST_F(DistRouterTest, ZeroNAnswersEmptyAndShardsKeepServing) {
+  // n = 0 asks for no answers. A shard server must not try to publish
+  // the n-th answer's cost as a bound when there is no n-th answer.
+  ShardedDatabase sharded = MakeSharded(2);
+  std::vector<ShardServer> servers = StartCluster(sharded);
+  ShardRouter router(sharded, FastFailOptions(servers));
+  ASSERT_TRUE(router.Start().ok());
+  for (Strategy strategy : {Strategy::kSchema, Strategy::kDirect}) {
+    auto routed = router.Execute((*queries_)[0], strategy, /*n=*/0, 2000);
+    ASSERT_TRUE(routed.ok()) << routed.status();
+    EXPECT_TRUE(routed->answers.empty());
+    EXPECT_FALSE(routed->degraded);
+  }
+  // The same servers still answer a normal query.
+  for (Strategy strategy : {Strategy::kSchema, Strategy::kDirect}) {
+    ExecOptions exec;
+    exec.strategy = strategy;
+    exec.n = 10;
+    auto expected = db_->Execute((*queries_)[1], exec);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    auto routed = router.Execute((*queries_)[1], strategy, 10, 2000);
+    ASSERT_TRUE(routed.ok()) << routed.status();
+    EXPECT_FALSE(routed->degraded);
+    EXPECT_EQ(Canonical(routed->answers), Canonical(*expected));
+  }
+  router.Shutdown();
+  for (ShardServer& s : servers) s.Stop();
+}
+
 TEST_F(DistRouterTest, OneShardDownDegradesWithCorrectMissingShards) {
   ShardedDatabase sharded = MakeSharded(4);
   std::vector<ShardServer> servers = StartCluster(sharded);
@@ -302,6 +331,24 @@ TEST_F(DistRouterTest, DegradedResponsesAreNeverCached) {
   EXPECT_FALSE(r2.cache_hit);
   EXPECT_TRUE(r2.degraded);
   EXPECT_EQ(service.GetSnapshot().cache.hits, 0u);
+
+  // A per-request cost model cannot ride the wire: the routed backend
+  // rejects it before any shard is asked, the failure is counted, and
+  // nothing is cached.
+  const cost::CostModel priced_model;
+  for (int i = 0; i < 2; ++i) {
+    QueryRequest priced;
+    priced.query_text = (*queries_)[0];
+    priced.exec.cost_model = &priced_model;
+    QueryResponse r = service.ExecuteNow(std::move(priced));
+    EXPECT_EQ(r.status.code(), util::StatusCode::kInvalidArgument)
+        << r.status;
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_TRUE(r.answers.empty());
+  }
+  EXPECT_EQ(service.GetSnapshot().failed, 2u);
+  EXPECT_EQ(service.GetSnapshot().cache.hits, 0u);
+  EXPECT_EQ(service.GetSnapshot().cache.size, 0u);
   router.Shutdown();
   for (ShardServer& s : servers) s.Stop();
 }

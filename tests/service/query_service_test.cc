@@ -404,10 +404,8 @@ TEST(QueryServiceTest, KCappedOrQueriesIdenticalAtEveryParallelism) {
     ASSERT_TRUE(wide.status.ok()) << wide.status;
     EXPECT_EQ(Canonical(wide), Canonical(serial)) << generated->text;
     EXPECT_EQ(wide_stats.k_capped, serial_stats.k_capped) << generated->text;
-    EXPECT_FALSE(wide.parallel) << generated->text;
   }
   EXPECT_GT(capped, 0u);  // the cap really fired
-  EXPECT_EQ(service.GetSnapshot().parallel_tasks, 0u);
   const std::string counter = "queries_k_capped " + std::to_string(2 * capped);
   EXPECT_NE(service.DumpMetrics().find(counter + "\n"), std::string::npos)
       << service.DumpMetrics();
@@ -490,6 +488,134 @@ TEST(QueryServiceTest, MetricsDumpCoversLifecycle) {
     EXPECT_NE(dump.find(key), std::string::npos)
         << "missing `" << key << "` in:\n"
         << dump;
+  }
+}
+
+// --- Backend seam ----------------------------------------------------------
+
+/// A backend whose pins and responses the test controls, so the
+/// service's cache policy is pinned without sockets or shards. Each
+/// execution answers with a root equal to its own ordinal: a response
+/// served from the cache carries the ordinal of the run that filled it.
+class FakeBackend final : public Backend {
+ public:
+  uint32_t fingerprint = 1;
+  uint64_t epoch = 7;
+  bool is_cacheable = true;
+  bool degraded = false;
+  bool truncated = false;
+  mutable int executions = 0;
+
+  BackendPin Pin() const override { return {fingerprint, epoch, nullptr}; }
+
+  QueryResponse Execute(const BackendPin& pin, const query::Query&,
+                        const QueryRequest&, const ExecOptions& exec,
+                        std::optional<Clock::time_point>,
+                        ThreadPool*) const override {
+    ++executions;
+    QueryResponse r;
+    r.answers.push_back({static_cast<doc::NodeId>(executions), 0});
+    r.degraded = degraded;
+    if (truncated) exec.schema_stats_out->cancelled = true;
+    r.backend_epoch = pin.epoch;
+    return r;
+  }
+
+  const cost::CostModel& cost_model() const override { return model_; }
+  bool cacheable() const override { return is_cacheable; }
+  doc::NodeId DocRootOf(doc::NodeId node) const override { return node; }
+  std::string DumpMetrics() const override { return "fake_backend_line 1\n"; }
+
+ private:
+  cost::CostModel model_;
+};
+
+QueryRequest FakeRequest() {
+  QueryRequest request;
+  request.query_text = kQuery;
+  request.exec.strategy = Strategy::kSchema;
+  return request;
+}
+
+TEST(QueryServiceTest, NewPinFingerprintMissesTheCache) {
+  FakeBackend backend;
+  QueryService service(backend, ServiceOptions{.num_threads = 1});
+  QueryResponse first = service.ExecuteNow(FakeRequest());
+  ASSERT_TRUE(first.status.ok()) << first.status;
+  EXPECT_FALSE(first.cache_hit);
+  QueryResponse warm = service.ExecuteNow(FakeRequest());
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.answers[0].root, 1u);
+  EXPECT_EQ(warm.backend_epoch, 7u);  // a hit is stamped from its pin
+
+  // The backend moved: the old entry must not answer for the new pin.
+  backend.fingerprint = 2;
+  backend.epoch = 8;
+  QueryResponse moved = service.ExecuteNow(FakeRequest());
+  EXPECT_FALSE(moved.cache_hit);
+  EXPECT_EQ(moved.answers[0].root, 2u);
+  EXPECT_EQ(moved.backend_epoch, 8u);
+  EXPECT_EQ(backend.executions, 2);
+
+  // Both states keep their own entries.
+  backend.fingerprint = 1;
+  backend.epoch = 7;
+  QueryResponse back = service.ExecuteNow(FakeRequest());
+  EXPECT_TRUE(back.cache_hit);
+  EXPECT_EQ(back.answers[0].root, 1u);
+  EXPECT_EQ(backend.executions, 2);
+  EXPECT_EQ(service.GetSnapshot().cache.size, 2u);
+}
+
+TEST(QueryServiceTest, DegradedAndTruncatedResponsesAreNeverInserted) {
+  FakeBackend backend;
+  QueryService service(backend, ServiceOptions{.num_threads = 1});
+  backend.degraded = true;
+  for (int i = 0; i < 2; ++i) {
+    QueryResponse r = service.ExecuteNow(FakeRequest());
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    EXPECT_TRUE(r.degraded);
+    EXPECT_FALSE(r.cache_hit);
+  }
+  backend.degraded = false;
+  backend.truncated = true;
+  for (int i = 0; i < 2; ++i) {
+    QueryResponse r = service.ExecuteNow(FakeRequest());
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    EXPECT_TRUE(r.truncated);
+    EXPECT_FALSE(r.cache_hit);
+  }
+  EXPECT_EQ(backend.executions, 4);
+  QueryService::Snapshot snapshot = service.GetSnapshot();
+  EXPECT_EQ(snapshot.cache.hits, 0u);
+  EXPECT_EQ(snapshot.cache.size, 0u);
+  EXPECT_EQ(snapshot.truncated, 2u);
+
+  // A complete answer list from the same backend is cached as usual.
+  backend.truncated = false;
+  EXPECT_FALSE(service.ExecuteNow(FakeRequest()).cache_hit);
+  EXPECT_TRUE(service.ExecuteNow(FakeRequest()).cache_hit);
+  EXPECT_EQ(backend.executions, 5);
+}
+
+TEST(QueryServiceTest, UncacheableBackendNeverConsultsTheCache) {
+  FakeBackend backend;
+  backend.is_cacheable = false;
+  QueryService service(backend, ServiceOptions{.num_threads = 1});
+  for (int i = 0; i < 3; ++i) {
+    QueryResponse r = service.ExecuteNow(FakeRequest());
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    EXPECT_FALSE(r.cache_hit);
+  }
+  EXPECT_EQ(backend.executions, 3);
+  QueryService::Snapshot snapshot = service.GetSnapshot();
+  EXPECT_EQ(snapshot.cache.hits, 0u);
+  EXPECT_EQ(snapshot.cache.misses, 0u);
+  EXPECT_EQ(snapshot.cache.size, 0u);
+  const std::string dump = service.DumpMetrics();
+  for (const char* key : {"cache_hits 0", "cache_misses 0",
+                          "fake_backend_line 1"}) {
+    EXPECT_NE(dump.find(key), std::string::npos) << key << " in:\n" << dump;
   }
 }
 

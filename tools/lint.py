@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Repo invariant linter (fast, dependency-free; runs in CI before the
-compilers do). Four checks, each guarding a discipline the toolchain
+compilers do). Five checks, each guarding a discipline the toolchain
 alone cannot enforce everywhere:
 
 1. no-raw-mutex: raw std::mutex / std::lock_guard / std::unique_lock /
@@ -32,6 +32,12 @@ alone cannot enforce everywhere:
    on or immediately above its declaration. This is what keeps the
    fuzz/ subsystem complete as new wire messages and on-disk formats
    are added (DESIGN.md §15).
+
+5. service-layering: no file under src/service/ may #include a dist/,
+   ingest/, cluster/, net/ or shard/ header. The service layer sits
+   below every backend: those modules implement service::Backend
+   (src/service/backend.h) and include service/, never the reverse
+   (DESIGN.md §6).
 
 Exit status 0 = clean, 1 = violations (one line each on stdout).
 --self-test seeds synthetic violations of every check against an
@@ -75,6 +81,9 @@ DECODER_DECL_RE = re.compile(
 ALLOW_UNFUZZED_RE = re.compile(r"lint:allow-unfuzzed\s*\S")
 MANIFEST_PATH = "fuzz/targets.manifest"
 FUZZ_TARGET_DIR = "fuzz/targets"
+
+SERVICE_UPWARD_INCLUDE_RE = re.compile(
+    r'#\s*include\s*"((?:dist|ingest|cluster|net|shard)/[^"]*)"')
 
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
@@ -149,6 +158,20 @@ def check_test_includes(rel: str, text: str, errors: list[str]) -> None:
                 f"the exported include layout")
 
 
+def check_service_layering(rel: str, text: str, errors: list[str]) -> None:
+    if not rel.startswith("src/service/"):
+        return
+    code = strip_comments(text)
+    for lineno, line in enumerate(code.splitlines(), start=1):
+        match = SERVICE_UPWARD_INCLUDE_RE.search(line)
+        if match:
+            errors.append(
+                f"{rel}:{lineno}: src/service/ includes \"{match.group(1)}\" "
+                f"— the service layer sits below every backend; program "
+                f"against service/backend.h and let the backend module "
+                f"implement it")
+
+
 def parse_manifest(manifest_text: str, target_files: set[str],
                    errors: list[str]) -> set[tuple[str, str]]:
     """Returns the set of (header, function) pairs the manifest covers,
@@ -221,6 +244,7 @@ def run_checks(files: dict[str, str], manifest_text: str | None,
         check_guarded_by(rel, text, errors)
         check_test_includes(rel, text, errors)
         check_decoder_coverage(rel, text, covered, errors)
+        check_service_layering(rel, text, errors)
     return errors
 
 
@@ -245,9 +269,18 @@ def self_test() -> int:
             "// lint:allow-unfuzzed input is CRC-checked upstream\n"
             "util::Status DecodeWaived(std::string_view p);\n"
             "// in a comment: DecodeCommented( does not count\n"),
-        # Clean: guarded mutex and manifest-covered decoder.
+        # Violation: the service layer reaching up into a backend.
+        "src/service/upward.cc": (
+            '#include "service/backend.h"\n#include "dist/shard_router.h"\n'),
+        # Clean: guarded mutex, manifest-covered decoder, a service file
+        # that only names a backend in a comment, and a backend module
+        # including service/.
         "src/good/guarded.h": (
             "class B { util::Mutex mu_; int x GUARDED_BY(mu_); };\n"),
+        "src/service/good_layer.h": (
+            '#include "engine/database.h"\n'
+            '// #include "net/server.h" is what this file must not do\n'),
+        "src/shard/good_backend.h": '#include "service/backend.h"\n',
     }
     errors = run_checks(files, manifest, target_files)
     expected = [
@@ -258,6 +291,7 @@ def self_test() -> int:
         ("'DecodeNaked' has no fuzz target", "src/net/thing.h:2"),
         ("no fuzz/targets/wire_gone_fuzz.cc", "fuzz/targets.manifest:3"),
         ("malformed line", "fuzz/targets.manifest:4"),
+        ("sits below every backend", "src/service/upward.cc:2"),
     ]
     failures = 0
     for needle, location in expected:
@@ -267,7 +301,9 @@ def self_test() -> int:
             failures += 1
     unexpected = [e for e in errors
                   if "DecodeWaived" in e or "DecodeThing'" in e
-                  or "DecodeCommented" in e or "src/good/" in e]
+                  or "DecodeCommented" in e or "src/good/" in e
+                  or "good_layer" in e or "good_backend" in e
+                  or "src/service/upward.cc:1" in e]
     for e in unexpected:
         print(f"self-test: FALSE POSITIVE: {e}")
         failures += 1
