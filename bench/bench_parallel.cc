@@ -1,7 +1,7 @@
 // Inter-query scaling: the same or-heavy workload (eight disjuncts per
 // query once separated) submitted through QueryService::Submit to a
-// pool of 1, 2 and 4 workers, every request at parallelism 1. Cores go
-// to concurrent requests, so qps should grow with the worker count up
+// pool of 1, 2 and 4 workers, each request one serial evaluation. Cores
+// go to concurrent requests, so qps should grow with the worker count up
 // to the host's cores. Results land on stdout and in
 // BENCH_parallel.json for EXPERIMENTS.md.
 //
@@ -75,7 +75,6 @@ QueryRequest MakeRequest(const gen::GeneratedQuery& generated) {
   request.exec.n = 10;
   request.exec.cost_model = &generated.cost_model;
   request.bypass_cache = true;
-  request.parallelism = 1;
   return request;
 }
 
@@ -194,8 +193,7 @@ int Run() {
   std::fprintf(out,
                "{\n  \"benchmark\": \"parallel_inter_query\",\n"
                "  \"config\": {\"elements\": %zu, \"queries\": %zu, "
-               "\"submits_per_burst\": %zu, \"bursts\": %zu, "
-               "\"parallelism\": 1, %s},\n"
+               "\"submits_per_burst\": %zu, \"bursts\": %zu, %s},\n"
                "  \"levels\": [\n",
                gen_options.total_elements, queries.size(), burst, kBursts,
                bench::BenchEnvJson().c_str());

@@ -1,29 +1,21 @@
 // Sharding sweep: partitions the bench collection into 1/2/4/8 shards
 // and measures (a) stored-postings lock contention under concurrent
 // direct-strategy clients, against a single-shared-store baseline, and
-// (b) scatter-gather schema top-k latency with and without the shared
-// cost bound. Results land on stdout and in BENCH_shard.json for
-// EXPERIMENTS.md.
+// (b) single-stream scatter-gather schema top-k latency (shards
+// evaluated one after another) with and without the shared cost bound.
+// Results land on stdout and in BENCH_shard.json for EXPERIMENTS.md.
 //
-// Contention is the headline: with one shared StoredLabelIndex every
-// concurrent fetch serializes on one mutex; with per-shard stores the
-// same workload spreads across N disjoint mutexes, so lock_waits (and
-// the per-shard maximum in particular) should drop well below the
-// baseline once shards >= clients. Full queries spend most of their
-// time in the list algebra *outside* the store mutex, so phase (a)'s
-// counters understate the effect (on a single-core container they sit
-// near zero for both layouts); phase (c) therefore stresses the fetch
-// path itself — every client fetches every posting through a cold
-// StoredLabelIndex each round, so the decode work runs under the lock
-// and the counters measure exactly the serialization the sharded
-// layout removes.
+// With one shared StoredLabelIndex every concurrent fetch serializes on
+// one mutex; with per-shard stores the same workload spreads across N
+// disjoint mutexes. Full queries spend most of their time in the list
+// algebra *outside* the store mutex, so phase (a)'s lock counters stay
+// small for both layouts.
 //
 // Scale with APPROXQL_BENCH_ELEMENTS (default 60000),
 // APPROXQL_BENCH_QUERIES (default 16), APPROXQL_BENCH_CLIENTS
 // (default 4).
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,7 +26,6 @@
 #include "gen/query_generator.h"
 #include "bench/bench_env.h"
 #include "index/stored_label_index.h"
-#include "service/thread_pool.h"
 #include "shard/sharded_database.h"
 #include "storage/mem_kv_store.h"
 #include "util/timer.h"
@@ -45,7 +36,6 @@ namespace {
 using engine::Database;
 using engine::ExecOptions;
 using shard::ScatterOptions;
-using shard::ScatterStats;
 using shard::ShardedDatabase;
 
 // Two renamable labels and a nested term: enough approximation to make
@@ -72,24 +62,6 @@ struct SchemaSample {
   double mean_ms_no_bound = 0;
   size_t answers = 0;
 };
-
-struct StressSample {
-  double total_seconds = 0;
-  LockStats locks;
-};
-
-/// Every (type, label) pair an index holds — the full fetch surface.
-std::vector<std::pair<NodeType, doc::LabelId>> AllLabels(
-    const index::LabelIndex& ix) {
-  std::vector<std::pair<NodeType, doc::LabelId>> labels;
-  for (NodeType type : {NodeType::kStruct, NodeType::kText}) {
-    labels.reserve(labels.size() + ix.postings(type).size());
-    for (const auto& [label, posting] : ix.postings(type)) {
-      labels.emplace_back(type, label);
-    }
-  }
-  return labels;
-}
 
 double Percentile(std::vector<double> sorted, double q) {
   if (sorted.empty()) return 0;
@@ -167,54 +139,19 @@ int Run() {
       static_cast<unsigned long long>(baseline.locks.waits_total),
       static_cast<unsigned long long>(baseline.locks.wait_us_total));
 
-  // --- (c) baseline for the cold fetch-path stress: per round a FRESH
-  // shared StoredLabelIndex (empty cache), so every posting decode
-  // happens under the store mutex while all clients hammer it.
-  const int kStressRounds = 6;
-  StressSample stress_baseline;
-  {
-    storage::MemKvStore store;
-    APPROXQL_CHECK(db.label_index().PersistTo(&store, "ix#").ok());
-    const auto labels = AllLabels(db.label_index());
-    util::WallTimer timer;
-    for (int round = 0; round < kStressRounds; ++round) {
-      index::StoredLabelIndex cold(&store, "ix#");
-      RunClients(kClients, [&](size_t) {
-        for (const auto& [type, label] : labels) {
-          (void)cold.Fetch(type, label);
-        }
-      });
-      stress_baseline.locks.waits_total += cold.lock_waits();
-      stress_baseline.locks.wait_us_total += cold.lock_wait_us();
-    }
-    // One store is one "shard": the per-shard maximum IS the total.
-    stress_baseline.locks.waits_max_shard = stress_baseline.locks.waits_total;
-    stress_baseline.total_seconds = timer.ElapsedSeconds();
-  }
-  std::printf(
-      "stress baseline (cold shared store, %zu clients x %d rounds): "
-      "%llu lock waits, %llu us waiting, %.2fs\n",
-      kClients, kStressRounds,
-      static_cast<unsigned long long>(stress_baseline.locks.waits_total),
-      static_cast<unsigned long long>(stress_baseline.locks.wait_us_total),
-      stress_baseline.total_seconds);
-
   const size_t kLevels[] = {1, 2, 4, 8};
   std::vector<DirectSample> direct_samples;
   std::vector<SchemaSample> schema_samples;
-  std::vector<StressSample> stress_samples;
-  std::printf("%-7s %10s %12s %12s %10s %10s %12s %14s %12s %14s\n",
-              "shards", "dir-qps", "lock-waits", "wait-us", "topk-ms",
-              "p99-ms", "nobound-ms", "stress-waits", "stress-max",
-              "stress-us");
+  std::printf("%-7s %10s %12s %12s %10s %10s %12s\n", "shards", "dir-qps",
+              "lock-waits", "wait-us", "topk-ms", "p99-ms", "nobound-ms");
   for (size_t level : kLevels) {
     auto partitioned =
         ShardedDatabase::Partition(db.tree(), db.cost_model(), level);
     APPROXQL_CHECK(partitioned.ok()) << partitioned.status();
     ShardedDatabase sharded = std::move(partitioned).value();
 
-    // (a) Concurrent direct-strategy clients; scatter runs inline per
-    // client so every lock wait comes from cross-client contention.
+    // (a) Concurrent direct-strategy clients; each client's scatter runs
+    // on its own thread, so every lock wait is cross-client contention.
     DirectSample ds;
     ds.total_seconds = RunClients(kClients, [&](size_t) {
       for (int round = 0; round < kRounds; ++round) {
@@ -238,150 +175,75 @@ int Run() {
     }
     direct_samples.push_back(ds);
 
-    // (b) Scatter-gather schema top-k on a pool, shared bound on/off.
+    // (b) Single-stream scatter-gather schema top-k, shared bound on/off.
     SchemaSample ss;
-    {
-      service::ThreadPool pool({/*num_threads=*/kClients,
-                                /*queue_capacity=*/256});
-      for (bool bound : {true, false}) {
-        std::vector<double> latencies_ms;
-        for (int round = 0; round < kRounds; ++round) {
-          for (const auto& generated : queries) {
-            ExecOptions exec;
-            exec.strategy = engine::Strategy::kSchema;
-            exec.n = 10;
-            exec.cost_model = &generated.cost_model;
-            ScatterOptions scatter;
-            scatter.pool = &pool;
-            scatter.parallelism = kClients;
-            scatter.share_cost_bound = bound;
-            ScatterStats sstats;
-            util::WallTimer timer;
-            auto answers = sharded.Execute(generated.query, exec, scatter,
-                                           &sstats);
-            latencies_ms.push_back(timer.ElapsedSeconds() * 1000.0);
-            APPROXQL_CHECK(answers.ok()) << answers.status();
-            if (bound && round == 0) ss.answers += answers->size();
-          }
+    for (bool bound : {true, false}) {
+      std::vector<double> latencies_ms;
+      for (int round = 0; round < kRounds; ++round) {
+        for (const auto& generated : queries) {
+          ExecOptions exec;
+          exec.strategy = engine::Strategy::kSchema;
+          exec.n = 10;
+          exec.cost_model = &generated.cost_model;
+          ScatterOptions scatter;
+          scatter.share_cost_bound = bound;
+          util::WallTimer timer;
+          auto answers = sharded.Execute(generated.query, exec, scatter);
+          latencies_ms.push_back(timer.ElapsedSeconds() * 1000.0);
+          APPROXQL_CHECK(answers.ok()) << answers.status();
+          if (bound && round == 0) ss.answers += answers->size();
         }
-        double total = 0;
-        for (double ms : latencies_ms) total += ms;
-        double mean = total / static_cast<double>(latencies_ms.size());
-        if (bound) {
-          ss.mean_ms = mean;
-          std::sort(latencies_ms.begin(), latencies_ms.end());
-          ss.p50_ms = Percentile(latencies_ms, 0.50);
-          ss.p99_ms = Percentile(latencies_ms, 0.99);
-        } else {
-          ss.mean_ms_no_bound = mean;
-        }
+      }
+      double total = 0;
+      for (double ms : latencies_ms) total += ms;
+      double mean = total / static_cast<double>(latencies_ms.size());
+      if (bound) {
+        ss.mean_ms = mean;
+        std::sort(latencies_ms.begin(), latencies_ms.end());
+        ss.p50_ms = Percentile(latencies_ms, 0.50);
+        ss.p99_ms = Percentile(latencies_ms, 0.99);
+      } else {
+        ss.mean_ms_no_bound = mean;
       }
     }
     schema_samples.push_back(ss);
 
-    // (c) Cold fetch-path stress: fresh per-shard StoredLabelIndex
-    // wrappers every round so all posting decodes run under the shard
-    // mutexes; clients start on different shards (as the scatter's task
-    // handout staggers them) and sweep the full fetch surface.
-    StressSample stress;
-    {
-      std::vector<std::unique_ptr<storage::MemKvStore>> stores;
-      std::vector<std::vector<std::pair<NodeType, doc::LabelId>>> labels;
-      for (size_t s = 0; s < level; ++s) {
-        stores.push_back(std::make_unique<storage::MemKvStore>());
-        APPROXQL_CHECK(sharded.shard(s)
-                           .label_index()
-                           .PersistTo(stores.back().get(), "ix#")
-                           .ok());
-        labels.push_back(AllLabels(sharded.shard(s).label_index()));
-      }
-      std::vector<uint64_t> waits_per_shard(level, 0);
-      util::WallTimer timer;
-      for (int round = 0; round < kStressRounds; ++round) {
-        std::vector<std::unique_ptr<index::StoredLabelIndex>> cold;
-        for (size_t s = 0; s < level; ++s) {
-          cold.push_back(std::make_unique<index::StoredLabelIndex>(
-              stores[s].get(), "ix#"));
-        }
-        RunClients(kClients, [&](size_t c) {
-          for (size_t off = 0; off < level; ++off) {
-            size_t s = (c + off) % level;
-            for (const auto& [type, label] : labels[s]) {
-              (void)cold[s]->Fetch(type, label);
-            }
-          }
-        });
-        for (size_t s = 0; s < level; ++s) {
-          waits_per_shard[s] += cold[s]->lock_waits();
-          stress.locks.wait_us_total += cold[s]->lock_wait_us();
-        }
-      }
-      stress.total_seconds = timer.ElapsedSeconds();
-      for (uint64_t waits : waits_per_shard) {
-        stress.locks.waits_total += waits;
-        stress.locks.waits_max_shard =
-            std::max(stress.locks.waits_max_shard, waits);
-      }
-    }
-    stress_samples.push_back(stress);
-
-    std::printf(
-        "%-7zu %10.1f %12llu %12llu %10.3f %10.3f %12.3f %14llu %12llu "
-        "%14llu\n",
-        level, ds.qps,
-        static_cast<unsigned long long>(ds.locks.waits_total),
-        static_cast<unsigned long long>(ds.locks.wait_us_total), ss.mean_ms,
-        ss.p99_ms, ss.mean_ms_no_bound,
-        static_cast<unsigned long long>(stress.locks.waits_total),
-        static_cast<unsigned long long>(stress.locks.waits_max_shard),
-        static_cast<unsigned long long>(stress.locks.wait_us_total));
+    std::printf("%-7zu %10.1f %12llu %12llu %10.3f %10.3f %12.3f\n", level,
+                ds.qps, static_cast<unsigned long long>(ds.locks.waits_total),
+                static_cast<unsigned long long>(ds.locks.wait_us_total),
+                ss.mean_ms, ss.p99_ms, ss.mean_ms_no_bound);
   }
 
   std::FILE* out = std::fopen("BENCH_shard.json", "w");
   APPROXQL_CHECK(out != nullptr) << "cannot write BENCH_shard.json";
   std::fprintf(out,
                "{\n  \"benchmark\": \"shard_scatter_gather\",\n"
-               "  \"config\": {\"clients\": %zu, \"parallelism\": %zu, "
-               "\"elements\": %zu, \"queries\": %zu, \"rounds\": %d, "
-               "\"stress_rounds\": %d, %s},\n",
-               kClients, kClients, stats.struct_nodes, queries.size(),
-               kRounds, kStressRounds, bench::BenchEnvJson().c_str());
-  std::fprintf(
-      out,
-      "  \"single_store_baseline\": {\"qps\": %.2f, "
-      "\"lock_waits\": %llu, \"lock_wait_us\": %llu, "
-      "\"stress\": {\"lock_waits\": %llu, \"lock_waits_max_shard\": %llu, "
-      "\"lock_wait_us\": %llu, \"seconds\": %.3f}},\n"
-      "  \"levels\": [\n",
-      baseline.qps,
-      static_cast<unsigned long long>(baseline.locks.waits_total),
-      static_cast<unsigned long long>(baseline.locks.wait_us_total),
-      static_cast<unsigned long long>(stress_baseline.locks.waits_total),
-      static_cast<unsigned long long>(stress_baseline.locks.waits_max_shard),
-      static_cast<unsigned long long>(stress_baseline.locks.wait_us_total),
-      stress_baseline.total_seconds);
+               "  \"config\": {\"clients\": %zu, \"elements\": %zu, "
+               "\"queries\": %zu, \"rounds\": %d, %s},\n",
+               kClients, stats.struct_nodes, queries.size(), kRounds,
+               bench::BenchEnvJson().c_str());
+  std::fprintf(out,
+               "  \"single_store_baseline\": {\"qps\": %.2f, "
+               "\"lock_waits\": %llu, \"lock_wait_us\": %llu},\n"
+               "  \"levels\": [\n",
+               baseline.qps,
+               static_cast<unsigned long long>(baseline.locks.waits_total),
+               static_cast<unsigned long long>(baseline.locks.wait_us_total));
   for (size_t i = 0; i < direct_samples.size(); ++i) {
     const DirectSample& ds = direct_samples[i];
     const SchemaSample& ss = schema_samples[i];
-    const StressSample& st = stress_samples[i];
     std::fprintf(
         out,
         "    {\"shards\": %zu, \"direct\": {\"qps\": %.2f, "
         "\"lock_waits_total\": %llu, \"lock_waits_max_shard\": %llu, "
         "\"lock_wait_us_total\": %llu}, \"schema\": {\"mean_ms\": %.4f, "
         "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"mean_ms_no_bound\": %.4f, "
-        "\"answers_per_pass\": %zu}, \"stress\": {\"lock_waits\": %llu, "
-        "\"lock_waits_max_shard\": %llu, \"lock_wait_us\": %llu, "
-        "\"seconds\": %.3f}}%s\n",
+        "\"answers_per_pass\": %zu}}%s\n",
         kLevels[i], ds.qps,
         static_cast<unsigned long long>(ds.locks.waits_total),
         static_cast<unsigned long long>(ds.locks.waits_max_shard),
         static_cast<unsigned long long>(ds.locks.wait_us_total), ss.mean_ms,
         ss.p50_ms, ss.p99_ms, ss.mean_ms_no_bound, ss.answers,
-        static_cast<unsigned long long>(st.locks.waits_total),
-        static_cast<unsigned long long>(st.locks.waits_max_shard),
-        static_cast<unsigned long long>(st.locks.wait_us_total),
-        st.total_seconds,
         i + 1 == direct_samples.size() ? "" : ",");
   }
   std::fprintf(out, "  ]\n}\n");

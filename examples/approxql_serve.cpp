@@ -97,8 +97,6 @@ int Usage() {
       "  --clients N      concurrent client threads (default 8)\n"
       "  --threads N      service worker threads (default 8)\n"
       "  --queue N        admission queue capacity (default 128)\n"
-      "  --parallelism N  shards evaluated concurrently per request under\n"
-      "                   --shards N; no effect on one database (default 1)\n"
       "  --cache N        result-cache entries, 0 = off (default 256)\n"
       "  --passes N       workload replays; pass 2+ hits a warm cache "
       "(default 2)\n"
@@ -466,11 +464,6 @@ int main(int argc, char** argv) {
       if (!next_num(&service_options.num_threads)) return Usage();
     } else if (arg == "--queue") {
       if (!next_num(&service_options.queue_capacity)) return Usage();
-    } else if (arg == "--parallelism") {
-      if (!next_num(&service_options.parallelism) ||
-          service_options.parallelism == 0) {
-        return Usage();
-      }
     } else if (arg == "--cache") {
       if (!next_num(&service_options.cache_capacity)) return Usage();
     } else if (arg == "--passes") {
@@ -1452,10 +1445,9 @@ int main(int argc, char** argv) {
       std::fprintf(out,
                    "{\n  \"benchmark\": \"wire_replay\",\n"
                    "  \"config\": {\"shards\": %zu, \"clients\": %zu, "
-                   "\"threads\": %zu, \"parallelism\": %zu, %s},\n"
+                   "\"threads\": %zu, %s},\n"
                    "  \"clients\": %zu,\n  \"passes\": [\n",
                    shards, clients, service_options.num_threads,
-                   service_options.parallelism,
                    approxql::bench::BenchEnvJson().c_str(), clients);
       for (size_t p = 0; p < results.size(); ++p) {
         const PassResult& r = results[p];

@@ -317,11 +317,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
   const Clock::time_point overall_deadline =
       deadline_ms > 0 ? started + std::chrono::milliseconds(deadline_ms)
                       : Clock::time_point::max();
-  // Matches the in-process condition (ShardedDatabase::Execute): the
-  // bound is an inclusive skeleton-cost prune, sound only for the
-  // schema strategy's top-n, and pointless for n=all or one shard.
-  const bool share_bound = strategy == engine::Strategy::kSchema &&
-                           num_shards > 1 && n != SIZE_MAX;
+  const bool share_bound = engine::SharesCostBound(strategy, num_shards, n);
 
   auto state = std::make_shared<ScatterState>(num_shards);
   state->query_text = query_text;
@@ -782,7 +778,7 @@ service::BackendPin ShardRouter::Pin() const {
 service::QueryResponse ShardRouter::Execute(
     const service::BackendPin&, const query::Query&,
     const service::QueryRequest& request, const engine::ExecOptions& exec,
-    std::optional<Clock::time_point> deadline, service::ThreadPool*) const {
+    std::optional<Clock::time_point> deadline) const {
   service::QueryResponse r;
   if (exec.cost_model != nullptr) {
     // Shipping an arbitrary per-request model is not supported, and

@@ -182,8 +182,8 @@ class ShardRouter : public service::Backend {
                                  const query::Query& query,
                                  const service::QueryRequest& request,
                                  const engine::ExecOptions& exec,
-                                 std::optional<Clock::time_point> deadline,
-                                 service::ThreadPool* pool) const override;
+                                 std::optional<Clock::time_point> deadline)
+      const override;
   bool cacheable() const override { return !live(); }
 
   /// Routes one ingest mutation and blocks for the ack. Adds go to the

@@ -4,6 +4,7 @@
 #ifndef APPROXQL_ENGINE_DATABASE_H_
 #define APPROXQL_ENGINE_DATABASE_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +49,14 @@ struct ExecOptions {
   SchemaEvalStats* schema_stats_out = nullptr;
   EvalStats* direct_stats_out = nullptr;
 };
+
+/// The one rule for sharing the best known n-th answer cost across the
+/// shards of a scatter (shard::ShardedDatabase and dist::ShardRouter
+/// alike): the bound is an inclusive skeleton-cost prune, sound only for
+/// the schema strategy's top-n, and pointless for n = all or one shard.
+inline bool SharesCostBound(Strategy strategy, size_t num_shards, size_t n) {
+  return strategy == Strategy::kSchema && num_shards > 1 && n != SIZE_MAX;
+}
 
 /// One query answer with its materializable result subtree.
 struct QueryAnswer {

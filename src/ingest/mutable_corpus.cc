@@ -616,9 +616,8 @@ service::BackendPin MutableCorpus::Pin() const {
 service::QueryResponse MutableCorpus::Execute(
     const service::BackendPin& pin, const query::Query& query,
     const service::QueryRequest& request, const engine::ExecOptions& exec,
-    std::optional<Clock::time_point> deadline,
-    service::ThreadPool* pool) const {
-  return pin.snapshot->Execute(pin, query, request, exec, deadline, pool);
+    std::optional<Clock::time_point> deadline) const {
+  return pin.snapshot->Execute(pin, query, request, exec, deadline);
 }
 
 std::string MutableCorpus::DumpMetrics() const {

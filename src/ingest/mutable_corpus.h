@@ -209,8 +209,8 @@ class MutableCorpus : public service::Backend {
                                  const query::Query& query,
                                  const service::QueryRequest& request,
                                  const engine::ExecOptions& exec,
-                                 std::optional<Clock::time_point> deadline,
-                                 service::ThreadPool* pool) const override;
+                                 std::optional<Clock::time_point> deadline)
+      const override;
   const cost::CostModel& cost_model() const override {
     return options_.model;
   }

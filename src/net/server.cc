@@ -559,7 +559,6 @@ void Server::DispatchFrame(const std::shared_ptr<Connection>& conn,
   request.query_text = std::move(wire_request.query);
   request.exec.strategy = wire_request.strategy;
   request.exec.n = static_cast<size_t>(wire_request.n);
-  request.parallelism = wire_request.parallelism;
   request.deadline = std::chrono::milliseconds(wire_request.deadline_ms);
   request.bypass_cache = wire_request.bypass_cache;
   request.min_epochs = std::move(wire_request.min_epochs);

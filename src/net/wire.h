@@ -154,7 +154,9 @@ struct WireRequest {
   engine::Strategy strategy = engine::Strategy::kSchema;
   /// Best-n bound; UINT64_MAX = all results (matches SIZE_MAX in-process).
   uint64_t n = 10;
-  uint32_t parallelism = 0;  // shard-scatter width; 0 = server default
+  /// Decoded and ignored: requests are evaluated serially on one server
+  /// worker. Kept on the frame so requests from older clients parse.
+  uint32_t parallelism = 0;
   /// Per-request deadline; 0 = server default, negative = already
   /// expired (deterministic DEADLINE_EXCEEDED, used by tests).
   int64_t deadline_ms = 0;

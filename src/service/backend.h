@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "service/thread_pool.h"
 #include "util/status.h"
 
 namespace approxql::shard {
@@ -39,8 +38,6 @@ struct QueryRequest {
   std::chrono::milliseconds deadline{0};
   /// Skip cache lookup and insertion for this request.
   bool bypass_cache = false;
-  /// Shard-scatter width override; 0 = ServiceOptions::parallelism.
-  size_t parallelism = 0;
   /// Live-cluster routed backend only: read-your-writes floors.
   /// min_epochs[i] is the minimum ingest epoch cluster shard i's answer
   /// must have been computed under (from WireIngestAck::epoch of the
@@ -97,14 +94,14 @@ class Backend {
 
   /// Evaluates `query` (request.query_text, parsed) against `pin` with
   /// `exec` (request.exec plus the service's deadline hook and stats
-  /// slots, which Execute fills). request.parallelism is resolved; the
-  /// deadline is absolute; `pool` is the service's worker pool.
+  /// slots, which Execute fills) on the calling thread, the service
+  /// worker that admitted the request. The deadline is absolute.
   virtual QueryResponse Execute(const BackendPin& pin,
                                 const query::Query& query,
                                 const QueryRequest& request,
                                 const engine::ExecOptions& exec,
-                                std::optional<Clock::time_point> deadline,
-                                ThreadPool* pool) const = 0;
+                                std::optional<Clock::time_point> deadline)
+      const = 0;
 
   /// The model of requests without their own; immutable.
   virtual const cost::CostModel& cost_model() const = 0;

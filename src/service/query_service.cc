@@ -66,8 +66,7 @@ class DatabaseBackend final : public Backend {
 
   QueryResponse Execute(const BackendPin&, const query::Query& query,
                         const QueryRequest&, const engine::ExecOptions& exec,
-                        std::optional<Clock::time_point>,
-                        ThreadPool*) const override {
+                        std::optional<Clock::time_point>) const override {
     QueryResponse r;
     auto answers = db_.Execute(query, exec);
     if (answers.ok()) {
@@ -285,11 +284,10 @@ QueryResponse QueryService::Run(QueryRequest& request,
     }
   }
 
-  if (request.parallelism == 0) request.parallelism = options_.parallelism;
   QueryResponse r = backend_.Execute(
       pin, query, request, exec,
-      has_deadline ? std::optional<Clock::time_point>(deadline) : std::nullopt,
-      &pool_);
+      has_deadline ? std::optional<Clock::time_point>(deadline)
+                   : std::nullopt);
 
   if (!r.status.ok()) {
     if (r.status.IsDeadlineExceeded()) {

@@ -6,12 +6,11 @@
 // answers found so far, flagged `truncated`), an LRU result cache, and
 // a metrics registry covering the whole request lifecycle.
 //
-// One request runs on one worker: against a single Database it is one
-// serial Database::Execute, which evaluates "or" natively in the
-// expanded DAG (paper Section 6.1). The pool's cores go to concurrent
-// requests. The only intra-request fan-out is the in-process shard
-// scatter of the sharded and mutable-corpus backends, whose width is
-// the request's `parallelism` (see DESIGN.md §7).
+// One request runs on one worker, serially: against a single Database
+// it is one Database::Execute, which evaluates "or" natively in the
+// expanded DAG (paper Section 6.1); against the sharded and
+// mutable-corpus backends it is one loop over the shards. The pool's
+// cores go to concurrent requests (see DESIGN.md §7).
 //
 // Safe because every backend's query path is const and thread-safe
 // (see the contract in engine/database.h): workers share one backend
@@ -44,12 +43,6 @@ struct ServiceOptions {
   size_t cache_capacity = 256;
   /// Deadline applied to requests that don't set one; zero = none.
   std::chrono::milliseconds default_deadline{0};
-  /// Default shard-scatter width of the in-process sharded backends
-  /// (concurrent shard evaluations per request, including the thread
-  /// running the request). 1 = shards run one after another; requests
-  /// can override per-call. No effect on a single Database. Results are
-  /// identical either way.
-  size_t parallelism = 1;
 };
 
 class QueryService {

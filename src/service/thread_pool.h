@@ -4,9 +4,9 @@
 // the pool is shutting down), which is what lets the query service shed
 // load with an explicit rejection instead of buffering unbounded work —
 // overload degrades to fast failures, not OOM. The bound applies to
-// every submitter, pool workers included: a worker that forks through
-// ParallelFor (parallel.h) needs no exemption, because a rejected helper
-// only means the forking caller runs those iterations itself.
+// every submitter, pool workers included. Each task runs to completion
+// on one worker: nothing in the library forks a task into the pool it
+// runs on, so no submitter needs an exemption from the bound.
 #ifndef APPROXQL_SERVICE_THREAD_POOL_H_
 #define APPROXQL_SERVICE_THREAD_POOL_H_
 
@@ -50,8 +50,6 @@ class ThreadPool {
 
   /// Tasks currently waiting (excluding the ones running).
   size_t QueueDepth() const;
-
-  size_t num_threads() const { return workers_.size(); }
 
   /// Stops admission, then either drains or abandons the queue, and
   /// joins workers. Idempotent (later calls find an empty queue); the

@@ -1,13 +1,11 @@
 #include "shard/sharded_database.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 #include "engine/fetch_plan.h"
 #include "engine/list_ops.h"
 #include "query/expanded.h"
-#include "service/parallel.h"
 #include "util/crc32.h"
 
 namespace approxql::shard {
@@ -267,27 +265,38 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
     const query::Query& query, const engine::ExecOptions& options,
     const ScatterOptions& scatter, ScatterStats* stats_out) const {
   const size_t n_shards = shards_.size();
+  ScatterStats stats;
+  stats.shards.resize(n_shards);
   // The shared inclusive skeleton-cost bound (schema strategy): the
-  // cheapest boundary any shard has published so far. A shard that
-  // accumulates n results at crossing cost c proves the global n-th
+  // cheapest boundary any shard evaluated so far has published. A shard
+  // that accumulates n results at crossing cost c proves the global n-th
   // answer costs <= c, so skeletons costing strictly more are globally
-  // useless everywhere.
-  std::atomic<cost::Cost> bound{cost::kInfinite};
-  const bool use_bound = scatter.share_cost_bound && n_shards > 1 &&
-                         options.strategy == engine::Strategy::kSchema &&
-                         options.n != SIZE_MAX;
+  // useless in every later shard.
+  const bool use_bound =
+      scatter.share_cost_bound &&
+      engine::SharesCostBound(options.strategy, n_shards, options.n);
+  // Cancelled and completed runs report the bound and the per-shard work
+  // done so far. A partial scatter is not a correct prefix of the global
+  // ranking, so a cancellation fails the whole request.
+  auto finish = [&] {
+    if (stats_out != nullptr) *stats_out = stats;
+  };
+  auto cancel = [&] {
+    stats.cancelled = true;
+    finish();
+    return Status::DeadlineExceeded(
+        "query cancelled before all shards completed");
+  };
 
   std::vector<std::vector<engine::RootCost>> lists(n_shards);
-  std::vector<Status> statuses(n_shards, Status::OK());
-  std::vector<engine::SchemaEvalStats> schema_stats(n_shards);
-  std::vector<engine::EvalStats> direct_stats(n_shards);
-  std::vector<uint64_t> eval_us(n_shards, 0);
-
-  auto run_shard = [&](size_t i) {
+  for (size_t i = 0; i < n_shards; ++i) {
+    if (scatter.cancelled && scatter.cancelled()) return cancel();
     const Shard& sh = *shards_[i];
+    engine::SchemaEvalStats schema_stats;
+    engine::EvalStats direct_stats;
     engine::ExecOptions local = options;
-    local.schema_stats_out = &schema_stats[i];
-    local.direct_stats_out = &direct_stats[i];
+    local.schema_stats_out = &schema_stats;
+    local.direct_stats_out = &direct_stats;
     local.posting_source = nullptr;
 
     engine::FetchPlan plan;
@@ -320,27 +329,19 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
         };
       }
       if (use_bound) {
-        auto* shared = &bound;
-        local.schema.cost_bound = [shared] {
-          return shared->load(std::memory_order_relaxed);
-        };
-        local.schema.publish_bound = [shared](cost::Cost c) {
-          cost::Cost current = shared->load(std::memory_order_relaxed);
-          while (c < current && !shared->compare_exchange_weak(
-                                    current, c, std::memory_order_relaxed)) {
-          }
+        cost::Cost* bound = &stats.final_bound;
+        local.schema.cost_bound = [bound] { return *bound; };
+        local.schema.publish_bound = [bound](cost::Cost c) {
+          *bound = std::min(*bound, c);
         };
       }
     }
 
     auto eval_started = std::chrono::steady_clock::now();
     auto result = sh.db.Execute(query, local);
-    eval_us[i] = ElapsedUs(eval_started);
-    sh.eval_us->Record(eval_us[i]);
-    if (!result.ok()) {
-      statuses[i] = result.status();
-      return;
-    }
+    const uint64_t eval_us = ElapsedUs(eval_started);
+    sh.eval_us->Record(eval_us);
+    if (!result.ok()) return result.status();
     std::vector<engine::RootCost>& list = lists[i];
     list.reserve(result->size());
     for (const engine::QueryAnswer& answer : *result) {
@@ -350,61 +351,32 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
       list.push_back({ToGlobal(i, answer.root), answer.cost});
     }
     sh.answers->Increment(list.size());
-  };
 
-  service::ParallelForOptions pf_options;
-  pf_options.parallelism = scatter.parallelism;
-  pf_options.cancelled = scatter.cancelled;
-  service::ParallelForResult pf =
-      service::ParallelFor(scatter.pool, n_shards, run_shard, pf_options);
-
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  bool mid_cancel = false;
-  for (const engine::SchemaEvalStats& s : schema_stats) {
-    mid_cancel = mid_cancel || s.cancelled;
-  }
-  // A skipped shard means a hole in the global ranking; a mid-shard
-  // cancellation under a multi-shard layout likewise leaves some shard
-  // short. With one shard, the partial prefix is still the correct
-  // prefix of the global ranking (same contract as engine::Database).
-  if (pf.skipped > 0 || (mid_cancel && n_shards > 1)) {
-    if (stats_out != nullptr) {
-      stats_out->final_bound = bound.load(std::memory_order_relaxed);
-      stats_out->cancelled = true;
+    stats.shards[i] = {list.size(), eval_us};
+    stats.schema.rounds += schema_stats.rounds;
+    stats.schema.final_k += schema_stats.final_k;
+    stats.schema.entries_created += schema_stats.entries_created;
+    stats.schema.second_level_executed += schema_stats.second_level_executed;
+    stats.schema.instances_scanned += schema_stats.instances_scanned;
+    stats.schema.k_capped = stats.schema.k_capped || schema_stats.k_capped;
+    stats.schema.cancelled = stats.schema.cancelled || schema_stats.cancelled;
+    stats.direct.fetches += direct_stats.fetches;
+    stats.direct.entries_fetched += direct_stats.entries_fetched;
+    stats.direct.list_ops += direct_stats.list_ops;
+    stats.direct.cache_hits += direct_stats.cache_hits;
+    stats.direct.cache_misses += direct_stats.cache_misses;
+    stats.direct.and_short_circuits += direct_stats.and_short_circuits;
+    // A mid-shard cancellation leaves this shard short. With one shard
+    // the partial list is still the correct prefix of the global ranking
+    // (same contract as engine::Database).
+    if (schema_stats.cancelled) {
+      if (n_shards > 1) return cancel();
+      stats.cancelled = true;
     }
-    return Status::DeadlineExceeded(
-        "query cancelled before all shards completed");
   }
+  finish();
 
   std::vector<engine::RootCost> merged = engine::MergeTopN(lists, options.n);
-  if (stats_out != nullptr) {
-    stats_out->shards.resize(n_shards);
-    for (size_t i = 0; i < n_shards; ++i) {
-      stats_out->shards[i].answers = lists[i].size();
-      stats_out->shards[i].eval_us = eval_us[i];
-      stats_out->schema.rounds += schema_stats[i].rounds;
-      stats_out->schema.final_k += schema_stats[i].final_k;
-      stats_out->schema.entries_created += schema_stats[i].entries_created;
-      stats_out->schema.second_level_executed +=
-          schema_stats[i].second_level_executed;
-      stats_out->schema.instances_scanned += schema_stats[i].instances_scanned;
-      stats_out->schema.k_capped =
-          stats_out->schema.k_capped || schema_stats[i].k_capped;
-      stats_out->schema.cancelled =
-          stats_out->schema.cancelled || schema_stats[i].cancelled;
-      stats_out->direct.fetches += direct_stats[i].fetches;
-      stats_out->direct.entries_fetched += direct_stats[i].entries_fetched;
-      stats_out->direct.list_ops += direct_stats[i].list_ops;
-      stats_out->direct.cache_hits += direct_stats[i].cache_hits;
-      stats_out->direct.cache_misses += direct_stats[i].cache_misses;
-      stats_out->direct.and_short_circuits +=
-          direct_stats[i].and_short_circuits;
-    }
-    stats_out->final_bound = bound.load(std::memory_order_relaxed);
-    stats_out->cancelled = pf.cancelled || mid_cancel;
-  }
   std::vector<engine::QueryAnswer> answers;
   answers.reserve(merged.size());
   for (const engine::RootCost& rc : merged) {
@@ -419,12 +391,9 @@ service::BackendPin ShardedDatabase::Pin() const {
 
 service::QueryResponse ShardedDatabase::Execute(
     const service::BackendPin& pin, const query::Query& query,
-    const service::QueryRequest& request, const engine::ExecOptions& exec,
-    std::optional<Clock::time_point> deadline,
-    service::ThreadPool* pool) const {
+    const service::QueryRequest&, const engine::ExecOptions& exec,
+    std::optional<Clock::time_point> deadline) const {
   ScatterOptions scatter;
-  scatter.pool = pool;
-  scatter.parallelism = request.parallelism;
   if (deadline.has_value()) {
     scatter.cancelled = [at = *deadline] { return Clock::now() >= at; };
   }

@@ -2,8 +2,10 @@
 // self-contained shards, each owning its own data tree, label postings
 // (persisted into a per-shard store and served through a lazy
 // StoredLabelIndex, so concurrent fetches hit disjoint storage), schema
-// and statistics. A scatter-gather executor fans one query out across
-// the shards and merges the per-shard top-n lists with MergeTopN.
+// and statistics. A scatter-gather executor runs one query on each
+// shard in turn, on the calling thread, and merges the per-shard top-n
+// lists with MergeTopN (DESIGN.md §7: cores go to concurrent requests,
+// not to one request's shards).
 //
 // Equivalence (the subsystem's contract, asserted by tests at 1/2/4/8
 // shards): sharded evaluation is bit-identical to evaluating the same
@@ -22,9 +24,10 @@
 //     rule never fires and the merged list is exactly the single-shard
 //     ranking truncated to n.
 //   - The shared cost bound (schema strategy) prunes only skeletons
-//     whose cost is strictly above a published shard boundary, which is
-//     itself >= the global n-th answer cost — pruning never removes a
-//     global top-n answer and cannot reorder ties.
+//     whose cost is strictly above a boundary published by a shard
+//     evaluated earlier, which is itself >= the global n-th answer cost
+//     — pruning never removes a global top-n answer and cannot reorder
+//     ties.
 #ifndef APPROXQL_SHARD_SHARDED_DATABASE_H_
 #define APPROXQL_SHARD_SHARDED_DATABASE_H_
 
@@ -38,7 +41,6 @@
 #include "index/stored_label_index.h"
 #include "service/backend.h"
 #include "service/metrics.h"
-#include "service/thread_pool.h"
 #include "shard/global_schema.h"
 #include "storage/kv_factory.h"
 #include "storage/mem_kv_store.h"
@@ -61,13 +63,7 @@ struct DocSpan {
 /// Scatter-gather execution knobs (how, not what — the query-level
 /// options stay in engine::ExecOptions).
 struct ScatterOptions {
-  /// Pool for the per-shard fan-out; null runs shards inline on the
-  /// caller (still correct, just serial).
-  service::ThreadPool* pool = nullptr;
-  /// Maximum concurrent shard evaluations including the caller;
-  /// 0 = pool size + 1.
-  size_t parallelism = 0;
-  /// Cooperative cancellation, polled between shards and inside each
+  /// Cooperative cancellation, polled before each shard and inside each
   /// shard's schema evaluation.
   std::function<bool()> cancelled;
   /// Propagate the best known n-th answer cost across shards as an
@@ -96,10 +92,10 @@ struct ScatterStats {
 /// engine::Database (Execute / MaterializeXml / GetStats / Save-less).
 /// Thread-safety mirrors Database: immutable after construction; all
 /// const members safe concurrently (per-shard StoredLabelIndex and
-/// metrics lock internally). As a service::Backend it scatters on the
-/// service's pool, `parallelism` shards at a time; its pin fingerprint
-/// is the layout fingerprint, so cached answers never alias across
-/// backends or shard layouts.
+/// metrics lock internally). As a service::Backend it evaluates the
+/// shards one after another on the service worker running the request;
+/// its pin fingerprint is the layout fingerprint, so cached answers
+/// never alias across backends or shard layouts.
 class ShardedDatabase : public service::Backend {
  public:
   ShardedDatabase(ShardedDatabase&&) = default;
@@ -153,11 +149,14 @@ class ShardedDatabase : public service::Backend {
   /// Scatter-gather execution: runs the query on every shard (direct
   /// strategy against the shard's own stored postings; schema strategy
   /// with the shared cost bound) and merges the per-shard rankings.
-  /// Answer roots are global ids. With a multi-shard layout a fired
-  /// `scatter.cancelled` returns DeadlineExceeded — a partial scatter is
-  /// not a correct prefix of the global ranking; with one shard the
-  /// partial (still correct) prefix is returned, matching Database
-  /// deadline semantics.
+  /// Answer roots are global ids. Shards run one after another on the
+  /// calling thread; a shard publishes its bound for the shards after
+  /// it. `scatter.cancelled` firing before a shard returns
+  /// DeadlineExceeded, as does a mid-shard cancellation with a
+  /// multi-shard layout — a partial scatter is not a correct prefix of
+  /// the global ranking; with one shard a mid-shard cancellation returns
+  /// the partial (still correct) prefix, matching Database deadline
+  /// semantics.
   util::Result<std::vector<engine::QueryAnswer>> Execute(
       std::string_view query_text, const engine::ExecOptions& options,
       const ScatterOptions& scatter, ScatterStats* stats_out = nullptr) const;
@@ -171,8 +170,8 @@ class ShardedDatabase : public service::Backend {
                                  const query::Query& query,
                                  const service::QueryRequest& request,
                                  const engine::ExecOptions& exec,
-                                 std::optional<Clock::time_point> deadline,
-                                 service::ThreadPool* pool) const override;
+                                 std::optional<Clock::time_point> deadline)
+      const override;
 
   /// The result subtree of an answer (global id), serialized as XML.
   /// The super-root (id 0) reassembles all documents in global order,

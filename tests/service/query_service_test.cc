@@ -356,12 +356,13 @@ std::string Canonical(const QueryResponse& response) {
   return out;
 }
 
-TEST(QueryServiceTest, KCappedOrQueriesIdenticalAtEveryParallelism) {
-  // A single-Database request is one serial Execute whatever its
-  // parallelism. Or-heavy schema queries under a small max_k stop at
-  // the cap; evaluating them per disjunct instead would cap each
-  // disjunct later than the whole query and return different answers.
-  // Capped runs are counted, not logged.
+TEST(QueryServiceTest, KCappedOrQueriesIdenticalOnRepeatAndConcurrently) {
+  // A request is one serial Execute on one worker. Or-heavy schema
+  // queries under a small max_k stop at the cap; evaluating them per
+  // disjunct instead would cap each disjunct later than the whole query
+  // and return different answers. A repeat and a concurrent Submit of
+  // each query stop at the same cap with the same answers. Capped runs
+  // are counted, not logged.
   gen::XmlGenOptions gen_options;
   gen_options.seed = 20020314;
   gen_options.total_elements = 4000;
@@ -380,51 +381,61 @@ TEST(QueryServiceTest, KCappedOrQueriesIdenticalAtEveryParallelism) {
   query_options.seed = 99;
   query_options.renamings_per_label = 3;
   gen::QueryGenerator queries(db, query_options);
+  constexpr size_t kQueries = 12;
+  std::vector<gen::GeneratedQuery> generated;
+  std::vector<std::string> expected;
+  std::vector<bool> expected_capped;
   size_t capped = 0;
-  for (int i = 0; i < 12; ++i) {
-    auto generated = queries.Generate(kOrHeavyPattern);
-    ASSERT_TRUE(generated.ok()) << generated.status();
+  auto make_request = [](const gen::GeneratedQuery& query) {
     QueryRequest request;
-    request.query_text = generated->text;
+    request.query_text = query.text;
     request.exec.strategy = Strategy::kSchema;
     request.exec.n = 10;
-    request.exec.cost_model = &generated->cost_model;
+    request.exec.cost_model = &query.cost_model;
     request.exec.schema.max_k = 16;
-    engine::SchemaEvalStats serial_stats;
-    request.exec.schema_stats_out = &serial_stats;
-    request.parallelism = 1;
-    QueryResponse serial = service.ExecuteNow(request);
-    ASSERT_TRUE(serial.status.ok()) << serial.status;
-    capped += serial_stats.k_capped ? 1 : 0;
+    return request;
+  };
+  for (size_t i = 0; i < kQueries; ++i) {
+    auto query = queries.Generate(kOrHeavyPattern);
+    ASSERT_TRUE(query.ok()) << query.status();
+    generated.push_back(std::move(query).value());
+  }
+  for (const gen::GeneratedQuery& query : generated) {
+    QueryRequest request = make_request(query);
+    engine::SchemaEvalStats first_stats;
+    request.exec.schema_stats_out = &first_stats;
+    QueryResponse first = service.ExecuteNow(request);
+    ASSERT_TRUE(first.status.ok()) << first.status;
+    capped += first_stats.k_capped ? 1 : 0;
+    expected.push_back(Canonical(first));
+    expected_capped.push_back(first_stats.k_capped);
 
-    engine::SchemaEvalStats wide_stats;
-    request.exec.schema_stats_out = &wide_stats;
-    request.parallelism = 4;
-    QueryResponse wide = service.ExecuteNow(request);
-    ASSERT_TRUE(wide.status.ok()) << wide.status;
-    EXPECT_EQ(Canonical(wide), Canonical(serial)) << generated->text;
-    EXPECT_EQ(wide_stats.k_capped, serial_stats.k_capped) << generated->text;
+    engine::SchemaEvalStats repeat_stats;
+    request.exec.schema_stats_out = &repeat_stats;
+    QueryResponse repeat = service.ExecuteNow(request);
+    ASSERT_TRUE(repeat.status.ok()) << repeat.status;
+    EXPECT_EQ(Canonical(repeat), expected.back()) << query.text;
+    EXPECT_EQ(repeat_stats.k_capped, first_stats.k_capped) << query.text;
+  }
+
+  std::vector<engine::SchemaEvalStats> submit_stats(kQueries);
+  std::vector<std::future<QueryResponse>> futures;
+  for (size_t i = 0; i < kQueries; ++i) {
+    QueryRequest request = make_request(generated[i]);
+    request.exec.schema_stats_out = &submit_stats[i];
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  for (size_t i = 0; i < kQueries; ++i) {
+    QueryResponse response = futures[i].get();
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    EXPECT_EQ(Canonical(response), expected[i]) << generated[i].text;
+    EXPECT_EQ(submit_stats[i].k_capped, expected_capped[i])
+        << generated[i].text;
   }
   EXPECT_GT(capped, 0u);  // the cap really fired
-  const std::string counter = "queries_k_capped " + std::to_string(2 * capped);
+  const std::string counter = "queries_k_capped " + std::to_string(3 * capped);
   EXPECT_NE(service.DumpMetrics().find(counter + "\n"), std::string::npos)
       << service.DumpMetrics();
-}
-
-TEST(QueryServiceTest, ParallelAndSerialShareCacheEntries) {
-  Database db = MakeDb();
-  QueryService service(db, ServiceOptions{.num_threads = 2});
-  QueryRequest request;
-  request.query_text = R"(cd[title["piano" or "goldberg"]])";
-  request.parallelism = 4;
-  QueryResponse first = service.ExecuteNow(request);
-  ASSERT_TRUE(first.status.ok());
-  EXPECT_FALSE(first.cache_hit);
-  // Parallelism does not affect results, so a serial request may serve
-  // from the parallel run's entry.
-  request.parallelism = 1;
-  QueryResponse second = service.ExecuteNow(request);
-  EXPECT_TRUE(second.cache_hit);
 }
 
 TEST(QueryServiceTest, DestructionResolvesQueuedFuturesUnavailable) {
@@ -510,8 +521,7 @@ class FakeBackend final : public Backend {
 
   QueryResponse Execute(const BackendPin& pin, const query::Query&,
                         const QueryRequest&, const ExecOptions& exec,
-                        std::optional<Clock::time_point>,
-                        ThreadPool*) const override {
+                        std::optional<Clock::time_point>) const override {
     ++executions;
     QueryResponse r;
     r.answers.push_back({static_cast<doc::NodeId>(executions), 0});

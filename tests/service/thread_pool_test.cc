@@ -1,90 +1,144 @@
 // Bounded FIFO scheduler contract: every submitter, pool workers
-// included, is held to queue_capacity, and ParallelFor stays correct on
-// top of that bound because a rejected helper's iterations run inline
-// on the forking caller. parallel_test.cc covers ParallelFor semantics
-// and Shutdown's drain modes.
+// included, is held to queue_capacity, and Shutdown either drains or
+// abandons what is still queued.
 #include "service/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-
-#include "service/parallel.h"
+#include <future>
+#include <latch>
+#include <memory>
+#include <thread>
 
 namespace approxql::service {
 namespace {
 
 TEST(ThreadPoolTest, ExternalSubmissionStillBounded) {
   ThreadPool pool({.num_threads = 1, .queue_capacity = 2});
-  CountDownLatch release(1);
-  CountDownLatch running(1);
+  std::latch release(1);
+  std::latch running(1);
   ASSERT_TRUE(pool.TrySubmit([&] {
-    running.CountDown();
-    release.Wait();
+    running.count_down();
+    release.wait();
   }));
-  running.Wait();  // the only worker is now pinned
+  running.wait();  // the only worker is now pinned
   EXPECT_TRUE(pool.TrySubmit([] {}));
   EXPECT_TRUE(pool.TrySubmit([] {}));
   EXPECT_EQ(pool.QueueDepth(), 2u);
   EXPECT_FALSE(pool.TrySubmit([] {}));  // queue full
-  release.CountDown();
+  release.count_down();
 }
 
-TEST(ThreadPoolTest, WorkerSubmissionIsBoundedAndParallelForStillCompletes) {
+TEST(ThreadPoolTest, WorkerSubmissionIsBounded) {
   // A worker gets no capacity exemption: with the queue full, its own
-  // TrySubmit is refused. A ParallelFor it then runs has every helper
-  // refused the same way, so the worker runs all iterations inline.
+  // TrySubmit is refused.
   ThreadPool pool({.num_threads = 2, .queue_capacity = 1});
-  CountDownLatch release(1);
-  CountDownLatch pinned(1);
+  std::latch release(1);
+  std::latch pinned(1);
   ASSERT_TRUE(pool.TrySubmit([&] {
-    pinned.CountDown();
-    release.Wait();
+    pinned.count_down();
+    release.wait();
   }));
-  pinned.Wait();  // worker A pinned; the queue is empty
+  pinned.wait();  // worker A pinned; the queue is empty
 
-  constexpr size_t kIterations = 40;
-  std::atomic<size_t> ran{0};
   bool worker_submit_refused = false;
-  ParallelForResult result;
-  ParallelForOptions wide;
-  wide.parallelism = 4;
-  CountDownLatch done(1);
+  std::latch done(1);
   ASSERT_TRUE(pool.TrySubmit([&] {
     // Worker B fills the one queue slot with a task no free worker can
-    // take (A is pinned, B is here), then forks.
+    // take (A is pinned, B is here), then submits again.
     EXPECT_TRUE(pool.TrySubmit([] {}));
     worker_submit_refused = !pool.TrySubmit([] {});
-    result = ParallelFor(
-        &pool, kIterations, [&](size_t) { ran.fetch_add(1); }, wide);
-    done.CountDown();
+    done.count_down();
   }));
-  done.Wait();
+  done.wait();
   EXPECT_TRUE(worker_submit_refused);
-  EXPECT_EQ(result.executed, kIterations);
-  EXPECT_EQ(ran.load(), kIterations);
-  release.CountDown();
+  release.count_down();
 }
 
-TEST(ThreadPoolTest, ConcurrentNestedParallelForStress) {
-  // Many admitted tasks each fork on the same pool: exercises nested
-  // submissions against the bound and the park/wake protocol under load
-  // (the interesting run is under TSan).
-  ThreadPool pool({.num_threads = 4, .queue_capacity = 64});
-  constexpr size_t kOuter = 16;
-  constexpr size_t kInner = 50;
-  std::atomic<size_t> total{0};
-  CountDownLatch done(kOuter);
-  for (size_t t = 0; t < kOuter; ++t) {
-    ASSERT_TRUE(pool.TrySubmit([&] {
-      ParallelForResult result =
-          ParallelFor(&pool, kInner, [&](size_t) { total.fetch_add(1); });
-      EXPECT_EQ(result.executed, kInner);
-      done.CountDown();
+// --- ThreadPool::Shutdown(DrainMode) ---------------------------------------
+
+TEST(DrainModeTest, DrainRunsEveryQueuedTask) {
+  ThreadPool pool({.num_threads = 1, .queue_capacity = 8});
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<void> started;
+  ASSERT_TRUE(pool.TrySubmit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  }));
+  started.get_future().wait();
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+  release.set_value();
+  pool.Shutdown(DrainMode::kDrain);
+  EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(DrainModeTest, AbandonDestroysQueuedTasksWithoutRunning) {
+  ThreadPool pool({.num_threads = 1, .queue_capacity = 8});
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<void> started;
+  ASSERT_TRUE(pool.TrySubmit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  }));
+  started.get_future().wait();
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
+  EXPECT_EQ(pool.QueueDepth(), 2u);
+  // Release the blocker only after Shutdown has swapped the queue out
+  // (observable as QueueDepth() == 0), so neither queued task can be
+  // picked up before abandonment — the sequencing is deterministic.
+  std::thread releaser([&] {
+    while (pool.QueueDepth() != 0) std::this_thread::yield();
+    release.set_value();
+  });
+  pool.Shutdown(DrainMode::kAbandon);
+  releaser.join();
+  EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(DrainModeTest, AbandonedTaskDestructorsRun) {
+  // The promise-guard pattern in the query service relies on destroyed-
+  // not-run tasks still discharging obligations from their destructors.
+  struct Marker {
+    explicit Marker(std::atomic<int>* count) : count_(count) {}
+    ~Marker() {
+      if (count_ != nullptr) count_->fetch_add(1);
+    }
+    Marker(Marker&& other) noexcept : count_(other.count_) {
+      other.count_ = nullptr;
+    }
+    Marker(const Marker&) = delete;
+    std::atomic<int>* count_;
+  };
+  std::atomic<int> destroyed{0};
+  {
+    ThreadPool pool({.num_threads = 1, .queue_capacity = 8});
+    std::promise<void> release;
+    std::shared_future<void> gate(release.get_future());
+    std::promise<void> started;
+    ASSERT_TRUE(pool.TrySubmit([&started, gate] {
+      started.set_value();
+      gate.wait();
     }));
+    started.get_future().wait();
+    auto marker = std::make_shared<Marker>(&destroyed);
+    ASSERT_TRUE(pool.TrySubmit([marker] {}));
+    marker.reset();
+    EXPECT_EQ(destroyed.load(), 0);
+    std::thread releaser([&] {
+      while (pool.QueueDepth() != 0) std::this_thread::yield();
+      release.set_value();
+    });
+    pool.Shutdown(DrainMode::kAbandon);
+    releaser.join();
   }
-  done.Wait();
-  EXPECT_EQ(total.load(), kOuter * kInner);
+  EXPECT_EQ(destroyed.load(), 1);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Sharded-corpus invariants and the subsystem's core contract: a
 // document-partitioned corpus answers every query bit-identically to
 // the same corpus in one engine::Database — for both strategies, at
-// 1/2/4/8 shards, with the shared cost bound on and off, inline and on
-// a thread pool.
+// 1/2/4/8 shards, with the shared cost bound on and off, directly and
+// through the query service.
 #include "shard/sharded_database.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "gen/query_generator.h"
 #include "gen/xml_generator.h"
 #include "service/query_service.h"
-#include "service/thread_pool.h"
 #include "shard/layout_manifest.h"
 #include "util/random.h"
 
@@ -261,7 +260,7 @@ TEST_F(ShardedDatabaseTest, LayoutFingerprintDistinguishesLayouts) {
 void CheckScatterEquivalence(const Database& db,
                              const std::vector<gen::GeneratedQuery>& queries,
                              const ShardedDatabase& sharded,
-                             Strategy strategy, service::ThreadPool* pool) {
+                             Strategy strategy) {
   for (const gen::GeneratedQuery& generated : queries) {
     ExecOptions exec;
     exec.strategy = strategy;
@@ -276,7 +275,6 @@ void CheckScatterEquivalence(const Database& db,
 
     for (bool bound : {true, false}) {
       ScatterOptions scatter;
-      scatter.pool = pool;
       scatter.share_cost_bound = bound;
       ScatterStats stats;
       auto answers = sharded.Execute(generated.query, exec, scatter, &stats);
@@ -289,7 +287,7 @@ void CheckScatterEquivalence(const Database& db,
       if (single_stats.k_capped || stats.schema.k_capped) continue;
       EXPECT_EQ(Canonical(*answers), Canonical(*expected))
           << generated.text << " shards=" << sharded.num_shards()
-          << " bound=" << bound << " pooled=" << (pool != nullptr);
+          << " bound=" << bound;
       ASSERT_EQ(stats.shards.size(), sharded.num_shards());
     }
   }
@@ -298,21 +296,8 @@ void CheckScatterEquivalence(const Database& db,
 TEST_F(ShardedDatabaseTest, ScatterGatherBitIdenticalInline) {
   for (size_t num_shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ShardedDatabase sharded = MakeSharded(num_shards);
-    CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kDirect,
-                            nullptr);
-    CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kSchema,
-                            nullptr);
-  }
-}
-
-TEST_F(ShardedDatabaseTest, ScatterGatherBitIdenticalOnPool) {
-  service::ThreadPool pool({/*num_threads=*/4, /*queue_capacity=*/64});
-  for (size_t num_shards : {size_t{2}, size_t{4}, size_t{8}}) {
-    ShardedDatabase sharded = MakeSharded(num_shards);
-    CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kDirect,
-                            &pool);
-    CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kSchema,
-                            &pool);
+    CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kDirect);
+    CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kSchema);
   }
 }
 
@@ -352,17 +337,56 @@ TEST_F(ShardedDatabaseTest, CancellationIsDeadlineExceededAcrossShards) {
   EXPECT_TRUE(stats.cancelled);
 }
 
-TEST_F(ShardedDatabaseTest, QueryServiceShardedBackendMatchesSingle) {
-  // For both strategies and every scatter width: through ExecuteNow
-  // (including a cached repeat) and through admission, where concurrent
-  // Submits run on workers that fork their shard tasks into the pool
-  // they occupy.
+/// How many evaluations shard `shard` has recorded: the count of its
+/// `shardK_eval_us` histogram in the metrics dump.
+uint64_t ShardEvalCount(const ShardedDatabase& sharded, size_t shard) {
+  const std::string dump = sharded.DumpMetrics();
+  const std::string key = "shard" + std::to_string(shard) + "_eval_us count=";
+  const size_t at = dump.find(key);
+  APPROXQL_CHECK(at != std::string::npos) << key << " missing:\n" << dump;
+  return std::stoull(dump.substr(at + key.size()));
+}
+
+TEST_F(ShardedDatabaseTest, DeadlineBetweenShardsSkipsTheRemainingShards) {
+  // The hook turns true only once shard 0 has finished (its evaluation
+  // is recorded), so shard 0 runs to completion and the check before
+  // shard 1 fires: the request fails and shards 1..3 never run.
   ShardedDatabase sharded = MakeSharded(4);
+  const gen::GeneratedQuery& generated = queries_->front();
+  for (Strategy strategy : {Strategy::kSchema, Strategy::kDirect}) {
+    ExecOptions exec;
+    exec.strategy = strategy;
+    exec.n = 10;
+    exec.cost_model = &generated.cost_model;
+    std::vector<uint64_t> before(sharded.num_shards());
+    for (size_t s = 0; s < before.size(); ++s) {
+      before[s] = ShardEvalCount(sharded, s);
+    }
+    ScatterOptions scatter;
+    scatter.cancelled = [&] { return ShardEvalCount(sharded, 0) > before[0]; };
+    ScatterStats stats;
+    auto answers = sharded.Execute(generated.query, exec, scatter, &stats);
+    EXPECT_FALSE(answers.ok());
+    EXPECT_TRUE(answers.status().IsDeadlineExceeded()) << answers.status();
+    EXPECT_TRUE(stats.cancelled);
+    EXPECT_EQ(ShardEvalCount(sharded, 0), before[0] + 1);
+    for (size_t s = 1; s < before.size(); ++s) {
+      EXPECT_EQ(ShardEvalCount(sharded, s), before[s]) << "shard " << s;
+    }
+  }
+}
+
+TEST_F(ShardedDatabaseTest, QueryServiceShardedBackendMatchesSingle) {
+  // For both strategies and every shard count: through ExecuteNow
+  // (including a cached repeat) and through admission, where concurrent
+  // Submits run on different workers. Each request scatters serially on
+  // its worker, so every concurrent answer equals that query's ExecuteNow
+  // answer, k-capped queries included; only the comparison with the
+  // single database skips queries that hit the max_k cap.
   service::ServiceOptions options;
   options.num_threads = 4;
   options.queue_capacity = 64;
   options.cache_capacity = 8;
-  service::QueryService sharded_service(sharded, options);
   service::QueryService single_service(*db_, options);
   const size_t count = queries_->size();
 
@@ -390,27 +414,29 @@ TEST_F(ShardedDatabaseTest, QueryServiceShardedBackendMatchesSingle) {
       single_capped[i] = single_stats.k_capped;
     }
 
-    for (size_t parallelism : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      // Parallelism is not part of the cache key; start each width cold
-      // so every first run below really evaluates.
-      sharded_service.InvalidateCache();
+    for (size_t num_shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      ShardedDatabase sharded = MakeSharded(num_shards);
+      service::QueryService sharded_service(sharded, options);
+      std::vector<std::string> now(count);
+      std::vector<bool> now_capped(count);
       std::vector<engine::SchemaEvalStats> submit_stats(count);
       std::vector<std::future<service::QueryResponse>> futures;
       for (size_t i = 0; i < count; ++i) {
         const gen::GeneratedQuery& generated = (*queries_)[i];
         service::QueryRequest request = make_request(generated, strategy);
-        request.parallelism = parallelism;
         engine::SchemaEvalStats sharded_stats;
         request.exec.schema_stats_out = &sharded_stats;
         service::QueryResponse first = sharded_service.ExecuteNow(request);
         ASSERT_TRUE(first.status.ok()) << first.status;
+        now[i] = Canonical(first.answers);
+        now_capped[i] = sharded_stats.k_capped;
         service::QueryResponse second = sharded_service.ExecuteNow(request);
         ASSERT_TRUE(second.status.ok()) << second.status;
         EXPECT_TRUE(second.cache_hit) << generated.text;
-        EXPECT_EQ(Canonical(second.answers), Canonical(first.answers));
-        if (!single_capped[i] && !sharded_stats.k_capped) {
-          EXPECT_EQ(Canonical(first.answers), expected[i])
-              << generated.text << " @" << parallelism;
+        EXPECT_EQ(Canonical(second.answers), now[i]);
+        if (!single_capped[i] && !now_capped[i]) {
+          EXPECT_EQ(now[i], expected[i])
+              << generated.text << " shards=" << num_shards;
         }
 
         request.exec.schema_stats_out = &submit_stats[i];
@@ -421,14 +447,17 @@ TEST_F(ShardedDatabaseTest, QueryServiceShardedBackendMatchesSingle) {
         service::QueryResponse response = futures[i].get();
         ASSERT_TRUE(response.status.ok())
             << (*queries_)[i].text << ": " << response.status;
-        if (single_capped[i] || submit_stats[i].k_capped) continue;
-        EXPECT_EQ(Canonical(response.answers), expected[i])
-            << (*queries_)[i].text << " submitted @" << parallelism;
+        EXPECT_EQ(Canonical(response.answers), now[i])
+            << (*queries_)[i].text << " submitted, shards=" << num_shards;
+        EXPECT_EQ(submit_stats[i].k_capped, now_capped[i])
+            << (*queries_)[i].text << " submitted, shards=" << num_shards;
       }
+      // The sharded service's metrics dump carries the per-shard
+      // sections.
+      EXPECT_NE(sharded_service.DumpMetrics().find("shard0_"),
+                std::string::npos);
     }
   }
-  // The sharded service's metrics dump carries the per-shard sections.
-  EXPECT_NE(sharded_service.DumpMetrics().find("shard0_"), std::string::npos);
 }
 
 TEST_F(ShardedDatabaseTest, LayoutManifestMirrorsTheLayout) {
