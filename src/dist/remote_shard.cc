@@ -206,12 +206,8 @@ void RemoteShardBackend::CallManifestFetch(bool subscribe, int deadline_ms,
           // The server is alive but declined (e.g. not mutable); alive
           // for health purposes, but the fetch itself failed.
           RecordOutcome(true);
-          util::StatusCode code =
-              slice.status_code >
-                      static_cast<uint32_t>(util::StatusCode::kUnavailable)
-                  ? util::StatusCode::kInternal
-                  : static_cast<util::StatusCode>(slice.status_code);
-          done(util::Status(code, slice.status_message));
+          done(net::StatusFromWire(slice.status_code,
+                                   std::move(slice.status_message)));
           return;
         }
         if (slice.shard_index != shard_index_) {

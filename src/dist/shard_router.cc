@@ -29,15 +29,6 @@ bool TransportTransient(util::StatusCode code) {
          code == util::StatusCode::kIoError;
 }
 
-/// Guarded cast of a wire status code (a newer peer's unknown code
-/// degrades to kInternal instead of an out-of-range enum).
-util::StatusCode CodeOf(uint32_t wire_code) {
-  if (wire_code > static_cast<uint32_t>(util::StatusCode::kUnavailable)) {
-    return util::StatusCode::kInternal;
-  }
-  return static_cast<util::StatusCode>(wire_code);
-}
-
 /// The live-cluster router's stand-in manifest: the right shard count
 /// and cost model under the cluster fingerprint, with no spans — all id
 /// translation happens through the epoch-versioned view instead.
@@ -251,8 +242,9 @@ void ShardRouter::LaunchAttempt(const std::shared_ptr<ScatterState>& state,
           permanent = !TransportTransient(failure.code());
         } else {
           net::WireShardAnswer& answer = *result;
-          const util::StatusCode code = CodeOf(answer.status_code);
-          if (code == util::StatusCode::kOk && !answer.truncated) {
+          const util::Status status =
+              net::StatusFromWire(answer.status_code, answer.status_message);
+          if (status.ok() && !answer.truncated) {
             const cost::Cost achieved = answer.achieved_bound;
             slot.state = ScatterState::SlotState::kDone;
             slot.ok = true;
@@ -270,14 +262,15 @@ void ShardRouter::LaunchAttempt(const std::shared_ptr<ScatterState>& state,
             state->cv.NotifyAll();
             return;
           }
-          if (code == util::StatusCode::kOk) {
+          if (status.ok()) {
             // Truncated: a correct but short prefix is useless for the
             // global merge — a failed attempt, worth retrying with more
             // of the overall budget.
             failure = util::Status::DeadlineExceeded(
                 "shard answer truncated by its server-side deadline");
           } else {
-            failure = util::Status(code, answer.status_message);
+            failure = status;
+            const util::StatusCode code = status.code();
             query_error = code == util::StatusCode::kInvalidArgument ||
                           code == util::StatusCode::kParseError;
             permanent = query_error;
@@ -894,7 +887,7 @@ util::Result<net::WireIngestAck> ShardRouter::IngestLive(
       }
       if (ack->status_code != static_cast<uint32_t>(util::StatusCode::kOk)) {
         ingest_failures_->Increment();
-        return util::Status(CodeOf(ack->status_code), ack->status_message);
+        return net::StatusFromWire(ack->status_code, ack->status_message);
       }
       next_global_ = ack->doc_root + ack->length;
       {
@@ -928,7 +921,7 @@ util::Result<net::WireIngestAck> ShardRouter::IngestLive(
         ack->status_code !=
             static_cast<uint32_t>(util::StatusCode::kNotFound)) {
       ingest_failures_->Increment();
-      return util::Status(CodeOf(ack->status_code), ack->status_message);
+      return net::StatusFromWire(ack->status_code, ack->status_message);
     }
     // NOT_FOUND (stale view) or transport error: probe everything.
   }
@@ -980,7 +973,7 @@ util::Result<net::WireIngestAck> ShardRouter::Ingest(
     }
     if (ack->status_code != static_cast<uint32_t>(util::StatusCode::kOk)) {
       ingest_failures_->Increment();
-      return util::Status(CodeOf(ack->status_code), ack->status_message);
+      return net::StatusFromWire(ack->status_code, ack->status_message);
     }
     {
       util::MutexLock lock(&ingest_mu_);
@@ -1007,7 +1000,7 @@ util::Result<net::WireIngestAck> ShardRouter::Ingest(
     }
     if (ack->status_code != static_cast<uint32_t>(util::StatusCode::kOk)) {
       ingest_failures_->Increment();
-      return util::Status(CodeOf(ack->status_code), ack->status_message);
+      return net::StatusFromWire(ack->status_code, ack->status_message);
     }
     {
       util::MutexLock lock(&ingest_mu_);

@@ -19,6 +19,9 @@
 //
 // Callbacks run on the IO thread. They must not block, but they may
 // submit further Calls (the submit path never waits on the IO thread).
+//
+// Users: dist::RemoteShardBackend (one per shard of the router) and the
+// blocking net::Client, a facade over one AsyncClient.
 #ifndef APPROXQL_NET_ASYNC_CLIENT_H_
 #define APPROXQL_NET_ASYNC_CLIENT_H_
 

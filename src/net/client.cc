@@ -1,241 +1,162 @@
 #include "net/client.h"
 
-#include <errno.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
-#include <thread>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
 
-#include "net/socket.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace approxql::net {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using Frame = std::pair<FrameHeader, std::string>;
 
-/// Remaining milliseconds before `deadline`, clamped for poll();
-/// returns -1 (infinite) when no deadline applies.
-int RemainingMs(bool has_deadline, Clock::time_point deadline) {
-  if (!has_deadline) return -1;
-  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  if (left.count() <= 0) return 0;
-  if (left.count() > 1'000'000) return 1'000'000;
-  return static_cast<int>(left.count());
+/// One call's completion, filled on the AsyncClient's IO thread.
+class Completion {
+ public:
+  void Set(util::Result<Frame> result) {
+    util::MutexLock lock(&mu_);
+    result_.emplace(std::move(result));
+    // Under the lock: once the waiter sees the result it returns and
+    // this object is gone.
+    cv_.NotifyOne();
+  }
+
+  /// Waits up to `timeout` for the result; true once it is in.
+  bool WaitFor(std::chrono::milliseconds timeout) {
+    const auto give_up = std::chrono::steady_clock::now() + timeout;
+    util::MutexLock lock(&mu_);
+    while (!result_.has_value() &&
+           std::chrono::steady_clock::now() < give_up) {
+      cv_.WaitFor(&mu_, give_up - std::chrono::steady_clock::now());
+    }
+    return result_.has_value();
+  }
+
+  util::Result<Frame> Take() {
+    util::MutexLock lock(&mu_);
+    while (!result_.has_value()) cv_.Wait(&mu_);
+    return std::move(*result_);
+  }
+
+ private:
+  util::Mutex mu_;
+  util::CondVar cv_;
+  std::optional<util::Result<Frame>> result_ GUARDED_BY(mu_);
+};
+
+/// The reply step every call shares: check the reply type, decode the
+/// payload, and map a non-OK wire status to an error Status.
+template <typename Reply>
+util::Result<Reply> DecodeReply(util::Result<Frame> frame,
+                                MessageType reply_type,
+                                util::Status (*decode)(std::string_view,
+                                                       Reply*)) {
+  if (!frame.ok()) return frame.status();
+  if (frame->first.type != static_cast<uint32_t>(reply_type)) {
+    return util::Status::Corruption("unexpected response type " +
+                                    std::to_string(frame->first.type));
+  }
+  Reply reply;
+  RETURN_IF_ERROR(decode(frame->second, &reply));
+  if constexpr (requires { reply.status_code; }) {
+    RETURN_IF_ERROR(StatusFromWire(reply.status_code, reply.status_message));
+  }
+  return reply;
 }
 
-std::atomic<uint64_t> g_total_reconnects{0};
+util::Status DecodeMetricsText(std::string_view payload, std::string* out) {
+  out->assign(payload);
+  return util::Status::OK();
+}
 
 }  // namespace
 
-uint64_t TotalClientReconnects() {
-  return g_total_reconnects.load(std::memory_order_relaxed);
-}
-
-Client::Client(ClientOptions options)
-    : options_(std::move(options)),
-      // Jitter must differ across client instances; fold in this
-      // object's address and the clock so a fleet started from one
-      // seed doesn't back off in lockstep.
-      backoff_rng_(reinterpret_cast<uintptr_t>(this) ^
-                   static_cast<uint64_t>(
-                       Clock::now().time_since_epoch().count())),
-      decoder_(options_.max_frame_bytes) {}
+Client::Client(ClientOptions options) : options_(std::move(options)) {}
 
 Client::~Client() { Close(); }
 
-void Client::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  decoder_.Reset();
-}
+void Client::Close() { async_.reset(); }
 
 util::Status Client::Connect() {
   Close();
-  // ConnectTcp returns the fd already blocking (all further waiting is
-  // poll()-driven in ReadFrame; SendFrame relies on blocking send).
-  ASSIGN_OR_RETURN(fd_, ConnectTcp(options_.host, options_.port,
-                                   options_.connect_timeout_ms));
-  return util::Status::OK();
-}
-
-util::Status Client::SendFrame(uint64_t request_id, MessageType type,
-                               const std::string& payload) {
-  FrameHeader header{kProtocolVersion, request_id,
-                     static_cast<uint32_t>(type)};
-  std::string frame;
-  RETURN_IF_ERROR(EncodeFrame(header, payload, &frame,
-                              options_.max_frame_bytes));
-  size_t sent = 0;
-  while (sent < frame.size()) {
-    ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return util::Status::IoError(std::string("send: ") + strerror(errno));
-  }
-  return util::Status::OK();
-}
-
-util::Result<std::pair<FrameHeader, std::string>> Client::ReadFrame(
-    int deadline_ms) {
-  const bool has_deadline = deadline_ms > 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(deadline_ms);
-  char buf[16384];
-  for (;;) {
-    FrameHeader header;
-    std::string payload;
-    util::Status error;
-    switch (decoder_.Take(&header, &payload, &error)) {
-      case FrameDecoder::Next::kFrame:
-        return std::make_pair(header, std::move(payload));
-      case FrameDecoder::Next::kError:
-        Close();
-        return error;
-      case FrameDecoder::Next::kNeedMore:
-        break;
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, RemainingMs(has_deadline, deadline));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      Close();
-      return util::Status::IoError(std::string("poll: ") + strerror(errno));
-    }
-    if (ready == 0) {
-      // The response may still arrive later, but this call's caller has
-      // given up; drop the connection rather than resynchronize.
-      Close();
-      return util::Status::DeadlineExceeded("no response within " +
-                                            std::to_string(deadline_ms) +
-                                            " ms");
-    }
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+  util::Result<Frame> reply =
+      Exchange(MessageType::kPing, std::string(), options_.connect_timeout_ms);
+  if (!reply.ok()) {
     Close();
-    if (n == 0) {
-      return util::Status::Unavailable("server closed the connection");
-    }
-    return util::Status::IoError(std::string("recv: ") + strerror(errno));
+    return util::Status::Unavailable("cannot reach " + options_.host + ":" +
+                                     std::to_string(options_.port) + ": " +
+                                     reply.status().message());
   }
+  return util::Status::OK();
 }
 
-util::Result<std::pair<FrameHeader, std::string>> Client::RoundTrip(
-    MessageType type, const std::string& payload, int deadline_ms) {
-  uint64_t request_id = next_request_id_++;
-  bool reconnected = false;
-  if (fd_ < 0) {
-    RETURN_IF_ERROR(Connect());
-    reconnected = true;
+util::Result<Frame> Client::Exchange(MessageType type, std::string payload,
+                                     int deadline_ms) {
+  if (async_ == nullptr) {
+    AsyncClientOptions transport;
+    transport.host = options_.host;
+    transport.port = options_.port;
+    transport.connect_timeout_ms = options_.connect_timeout_ms;
+    transport.max_frame_bytes = options_.max_frame_bytes;
+    auto started = std::make_unique<AsyncClient>(std::move(transport));
+    RETURN_IF_ERROR(started->Start());
+    async_ = std::move(started);
   }
-  util::Status sent = SendFrame(request_id, type, payload);
-  if (!sent.ok() && !sent.IsResourceExhausted() && !reconnected) {
-    // The server (or an idle timeout) closed under us between calls;
-    // one reconnect covers that without turning errors into loops. A
-    // ResourceExhausted send is an oversized request — retrying it on a
-    // fresh connection cannot help. Jittered pause first: if the server
-    // bounced, every client thread is here at once.
-    if (options_.reconnect_backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          JitteredBackoffMs(0, options_.reconnect_backoff_ms,
-                            options_.reconnect_backoff_ms,
-                            backoff_rng_.Next())));
+
+  Completion done;
+  // This Client is the transport's only caller, so `sent` moving past
+  // this value means our request reached the socket.
+  const uint64_t sent_before = async_->stats().sent;
+  async_->Call(type, std::move(payload), deadline_ms,
+               [&done](util::Result<Frame> result) {
+                 done.Set(std::move(result));
+               });
+  // A request still unwritten after connect_timeout_ms is queued behind
+  // a connection that is not coming up, and AsyncClient would keep
+  // reconnecting forever. Stopping it is the one way to withdraw the
+  // request (Shutdown fails it kUnavailable).
+  const bool unreachable =
+      options_.connect_timeout_ms > 0 &&
+      !done.WaitFor(std::chrono::milliseconds(options_.connect_timeout_ms)) &&
+      async_->stats().sent == sent_before;
+  if (unreachable) Close();
+
+  util::Result<Frame> result = done.Take();
+  if (!result.ok() && result.status().IsUnavailable()) {
+    Close();
+    if (unreachable) {
+      return util::Status::Unavailable(
+          "no connection to " + options_.host + ":" +
+          std::to_string(options_.port) + " within " +
+          std::to_string(options_.connect_timeout_ms) + " ms");
     }
-    RETURN_IF_ERROR(Connect());
-    ++reconnects_;
-    g_total_reconnects.fetch_add(1, std::memory_order_relaxed);
-    sent = SendFrame(request_id, type, payload);
   }
-  RETURN_IF_ERROR(sent);
-  for (;;) {
-    ASSIGN_OR_RETURN(auto frame, ReadFrame(deadline_ms));
-    // A blocking client has exactly one request outstanding, but a
-    // previous deadline-abandoned response may still be queued ahead of
-    // ours; skip stale ids instead of failing.
-    if (frame.first.request_id == request_id) return frame;
-  }
+  return result;
 }
 
 util::Result<WireResponse> Client::Call(const WireRequest& request,
                                         int deadline_ms) {
-  ASSIGN_OR_RETURN(
-      auto frame,
-      RoundTrip(MessageType::kQueryRequest, EncodeQueryRequest(request),
-                deadline_ms));
-  if (frame.first.type != static_cast<uint32_t>(MessageType::kQueryResponse)) {
-    Close();
-    return util::Status::Corruption("unexpected response type " +
-                                    std::to_string(frame.first.type));
-  }
-  WireResponse response;
-  util::Status decoded = DecodeQueryResponse(frame.second, &response);
-  if (!decoded.ok()) {
-    Close();
-    return decoded;
-  }
-  if (response.status_code != static_cast<uint32_t>(util::StatusCode::kOk)) {
-    // Guard the cast: a code outside the known range (newer server?)
-    // degrades to kInternal instead of an out-of-range enum.
-    uint32_t code = response.status_code;
-    if (code > static_cast<uint32_t>(util::StatusCode::kUnavailable)) {
-      code = static_cast<uint32_t>(util::StatusCode::kInternal);
-    }
-    return util::Status(static_cast<util::StatusCode>(code),
-                        response.status_message);
-  }
-  return response;
+  return DecodeReply(Exchange(MessageType::kQueryRequest,
+                              EncodeQueryRequest(request), deadline_ms),
+                     MessageType::kQueryResponse, &DecodeQueryResponse);
 }
 
 util::Result<WireIngestAck> Client::Ingest(const WireIngest& ingest,
                                            int deadline_ms) {
-  ASSIGN_OR_RETURN(auto frame, RoundTrip(MessageType::kIngest,
-                                         EncodeIngest(ingest), deadline_ms));
-  if (frame.first.type != static_cast<uint32_t>(MessageType::kIngestAck)) {
-    Close();
-    return util::Status::Corruption("unexpected response type " +
-                                    std::to_string(frame.first.type));
-  }
-  WireIngestAck ack;
-  util::Status decoded = DecodeIngestAck(frame.second, &ack);
-  if (!decoded.ok()) {
-    Close();
-    return decoded;
-  }
-  if (ack.status_code != static_cast<uint32_t>(util::StatusCode::kOk)) {
-    uint32_t code = ack.status_code;
-    if (code > static_cast<uint32_t>(util::StatusCode::kUnavailable)) {
-      code = static_cast<uint32_t>(util::StatusCode::kInternal);
-    }
-    return util::Status(static_cast<util::StatusCode>(code),
-                        ack.status_message);
-  }
-  return ack;
+  return DecodeReply(
+      Exchange(MessageType::kIngest, EncodeIngest(ingest), deadline_ms),
+      MessageType::kIngestAck, &DecodeIngestAck);
 }
 
 util::Result<std::string> Client::FetchMetrics(int deadline_ms) {
-  ASSIGN_OR_RETURN(auto frame, RoundTrip(MessageType::kMetricsDump,
-                                         std::string(), deadline_ms));
-  if (frame.first.type != static_cast<uint32_t>(MessageType::kMetricsText)) {
-    Close();
-    return util::Status::Corruption("unexpected response type " +
-                                    std::to_string(frame.first.type));
-  }
-  return std::move(frame.second);
+  return DecodeReply(
+      Exchange(MessageType::kMetricsDump, std::string(), deadline_ms),
+      MessageType::kMetricsText, &DecodeMetricsText);
 }
 
 }  // namespace approxql::net

@@ -1,18 +1,29 @@
-// Blocking client for net::Server's wire protocol: one TCP connection,
-// synchronous request/response with a per-call deadline, and automatic
-// reconnect-once when the connection is found dead at send time (safe
-// for this protocol because queries are read-only — a resent request
-// at worst evaluates twice). Not thread-safe; use one Client per
-// thread, as the load driver does.
+// Blocking client for net::Server's wire protocol: a thin facade over
+// one net::AsyncClient (one TCP connection, one IO thread). Each call
+// submits one frame, waits for its completion, then checks the reply
+// type, decodes it and maps its wire status. Not thread-safe; use one
+// Client per thread, as the load driver does.
+//
+// Failure semantics are AsyncClient's (see async_client.h):
+//   - an expired deadline fails that call kDeadlineExceeded and keeps
+//     the connection; the late reply is dropped by request id.
+//   - a connection lost after the request was written fails the call
+//     kUnavailable; it is never resent. The Client then drops its
+//     transport, so the next call connects afresh.
+//   - a call whose request cannot be written within connect_timeout_ms
+//     (nothing listens, or the server went away between calls) fails
+//     kUnavailable instead of waiting for a reconnect that may never
+//     come.
 #ifndef APPROXQL_NET_CLIENT_H_
 #define APPROXQL_NET_CLIENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 
+#include "net/async_client.h"
 #include "net/wire.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace approxql::net {
@@ -20,21 +31,11 @@ namespace approxql::net {
 struct ClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Bound on connection establishment (non-blocking connect +
-  /// poll(POLLOUT)); <= 0 waits forever.
+  /// Bound on reaching the server: Connect()'s round trip, and the wait
+  /// for any call's request to be written; <= 0 waits forever.
   int connect_timeout_ms = 5000;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Base of the jittered backoff slept before a send-time reconnect
-  /// (uniform in [base/2, base]); 0 reconnects immediately. A fleet of
-  /// client threads whose server bounced must not stampede it back
-  /// down the instant it returns.
-  int reconnect_backoff_ms = 20;
 };
-
-/// Process-wide count of Client reconnects (every instance), so load
-/// drivers with hundreds of short-lived client threads can report
-/// transient-failure behavior without threading a registry through.
-uint64_t TotalClientReconnects();
 
 class Client {
  public:
@@ -44,16 +45,20 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Establishes (or re-establishes) the connection. Call() connects
-  /// lazily, so this is only needed to check reachability up front.
+  /// (Re)establishes the connection and proves the server answers: one
+  /// kPing round trip bounded by connect_timeout_ms (a plain server
+  /// replies kUnimplemented, which proves it alive just as well). On
+  /// failure connected() stays false. Calls connect lazily, so this is
+  /// only needed to check reachability up front.
   util::Status Connect();
-  bool connected() const { return fd_ >= 0; }
+  /// True while the client holds a transport: from Connect() or the
+  /// first call until Close(), a lost connection or an unreachable
+  /// server.
+  bool connected() const { return async_ != nullptr; }
   void Close();
 
   /// Sends the request and blocks for its response. `deadline_ms` <= 0
-  /// waits forever; on expiry the call fails with kDeadlineExceeded and
-  /// the connection is closed (the response may still be in flight, and
-  /// matching it up later is not worth the state). A WireResponse whose
+  /// waits forever once the request is written. A WireResponse whose
   /// status_code is non-OK is returned as an error Status carrying the
   /// server's code and message, so transport and server errors read
   /// uniformly; truncated/answers of successful calls come back in the
@@ -67,34 +72,23 @@ class Client {
   /// Sends one ingest mutation and blocks for its ack. A returned ack
   /// means the server made the mutation durable and visible; a non-OK
   /// ack status_code comes back as an error Status (the mutation did
-  /// NOT happen). NOTE: unlike Call(), a transport failure here is
-  /// ambiguous — the mutation may or may not have been applied (the
-  /// reconnect-once resend makes an add at-least-once, not exactly-
-  /// once), so drivers needing an exact acked set must treat transport
-  /// errors as "unknown" and reconcile via a query.
+  /// NOT happen). A transport failure is ambiguous: the mutation may
+  /// or may not have been applied (it is never resent, so an add is at
+  /// most once), and drivers needing an exact acked set must treat it
+  /// as "unknown" and reconcile via a query.
   util::Result<WireIngestAck> Ingest(const WireIngest& ingest,
                                      int deadline_ms = 0);
 
-  /// Times this client re-established a connection found dead at send
-  /// time (the reconnect-once path in Call).
-  uint64_t reconnects() const { return reconnects_; }
-
  private:
-  /// One request/response exchange; reconnects once if the send hits a
-  /// dead connection. Returns the response frame's header and payload.
-  util::Result<std::pair<FrameHeader, std::string>> RoundTrip(
-      MessageType type, const std::string& payload, int deadline_ms);
-  util::Status SendFrame(uint64_t request_id, MessageType type,
-                         const std::string& payload);
-  util::Result<std::pair<FrameHeader, std::string>> ReadFrame(
-      int deadline_ms);
+  using Frame = std::pair<FrameHeader, std::string>;
+
+  /// One frame exchange over the transport (started on demand). A lost
+  /// connection or an unreachable server closes the transport.
+  util::Result<Frame> Exchange(MessageType type, std::string payload,
+                               int deadline_ms);
 
   ClientOptions options_;
-  int fd_ = -1;
-  uint64_t next_request_id_ = 1;
-  uint64_t reconnects_ = 0;
-  util::Rng backoff_rng_;
-  FrameDecoder decoder_;
+  std::unique_ptr<AsyncClient> async_;
 };
 
 }  // namespace approxql::net

@@ -1,99 +1,8 @@
 #include "net/socket.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 
 namespace approxql::net {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int RemainingMs(bool has_deadline, Clock::time_point deadline) {
-  if (!has_deadline) return -1;
-  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  if (left.count() <= 0) return 0;
-  if (left.count() > 1'000'000) return 1'000'000;
-  return static_cast<int>(left.count());
-}
-
-}  // namespace
-
-util::Result<int> ConnectTcp(const std::string& host, uint16_t port,
-                             int timeout_ms) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-  if (fd < 0) {
-    return util::Status::IoError(std::string("socket: ") + strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return util::Status::InvalidArgument("bad host address " + host);
-  }
-  const std::string endpoint = host + ":" + std::to_string(port);
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc < 0 && errno != EINPROGRESS) {
-    util::Status st =
-        util::Status::IoError("connect " + endpoint + ": " + strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (rc < 0) {
-    const bool has_deadline = timeout_ms > 0;
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    int ready;
-    do {
-      pollfd pfd{fd, POLLOUT, 0};
-      ready = ::poll(&pfd, 1, RemainingMs(has_deadline, deadline));
-    } while (ready < 0 && errno == EINTR);
-    if (ready < 0) {
-      util::Status st =
-          util::Status::IoError(std::string("poll: ") + strerror(errno));
-      ::close(fd);
-      return st;
-    }
-    if (ready == 0) {
-      ::close(fd);
-      return util::Status::DeadlineExceeded("connect " + endpoint +
-                                            ": no answer within " +
-                                            std::to_string(timeout_ms) +
-                                            " ms");
-    }
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
-    if (err != 0) {
-      util::Status st =
-          util::Status::IoError("connect " + endpoint + ": " + strerror(err));
-      ::close(fd);
-      return st;
-    }
-  }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) < 0) {
-    util::Status st =
-        util::Status::IoError(std::string("fcntl: ") + strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
 
 int JitteredBackoffMs(int attempt, int base_ms, int cap_ms, uint64_t random) {
   if (base_ms < 1) base_ms = 1;

@@ -1,25 +1,13 @@
-// Small shared socket/retry helpers for the wire clients. Both the
-// blocking net::Client and the poll-driven net::AsyncClient establish
-// connections the same way (non-blocking connect + poll(POLLOUT) +
-// SO_ERROR, bounded by a timeout) and back off the same way when a
-// connection has to be re-established — one implementation, two users,
-// and the router's shard-retry path reuses the backoff arithmetic.
+// Retry arithmetic shared by the network layer: the jittered
+// exponential backoff net::AsyncClient sleeps between reconnection
+// attempts and the shard router applies between retries of a failed
+// shard attempt.
 #ifndef APPROXQL_NET_SOCKET_H_
 #define APPROXQL_NET_SOCKET_H_
 
 #include <cstdint>
-#include <string>
-
-#include "util/status.h"
 
 namespace approxql::net {
-
-/// Opens a TCP connection to host:port. `timeout_ms` bounds
-/// establishment (<= 0 waits forever). On success the returned fd is
-/// *blocking* with TCP_NODELAY set; callers that want non-blocking IO
-/// flip O_NONBLOCK themselves.
-util::Result<int> ConnectTcp(const std::string& host, uint16_t port,
-                             int timeout_ms);
 
 /// Exponential backoff with full jitter for attempt `attempt` (0 = the
 /// first retry): uniform in [base/2, min(cap, base << attempt)].

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "util/crc32.h"
 #include "util/varint.h"
@@ -117,6 +118,16 @@ FrameDecoder::Next FrameDecoder::Take(FrameHeader* header,
   payload->assign(body.substr(reader.position()));
   buffer_.erase(0, kLengthBytes + static_cast<size_t>(length));
   return Next::kFrame;
+}
+
+util::Status StatusFromWire(uint32_t code, std::string message) {
+  if (code > static_cast<uint32_t>(util::StatusCode::kUnavailable)) {
+    code = static_cast<uint32_t>(util::StatusCode::kInternal);
+  }
+  if (code == static_cast<uint32_t>(util::StatusCode::kOk)) {
+    return util::Status::OK();
+  }
+  return util::Status(static_cast<util::StatusCode>(code), std::move(message));
 }
 
 std::string EncodeQueryRequest(const WireRequest& request) {

@@ -322,6 +322,12 @@ struct WireManifestDelta {
   shard::DocSpan span;
 };
 
+/// Maps a reply's wire status (status_code + status_message of a
+/// WireResponse, WireShardAnswer, WireIngestAck or WireManifestSlice)
+/// back to a util::Status. A code beyond the known range (a newer peer)
+/// degrades to kInternal instead of an out-of-range enum.
+util::Status StatusFromWire(uint32_t code, std::string message);
+
 std::string EncodeManifestFetch(const WireManifestFetch& fetch);
 util::Status DecodeManifestFetch(std::string_view payload,
                                  WireManifestFetch* out);

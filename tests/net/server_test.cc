@@ -595,11 +595,124 @@ TEST_F(ServerTest, MetricsDumpIsTruncatedToTheFrameLimit) {
 TEST(ClientConnectTest, RefusedConnectionFailsWithoutHanging) {
   ClientOptions options;
   options.port = 1;  // nothing listens here
-  options.connect_timeout_ms = 2000;
+  options.connect_timeout_ms = 500;
   Client client(options);
   util::Status status = client.Connect();
   EXPECT_FALSE(status.ok());
   EXPECT_FALSE(client.connected());
+
+  // A call without a deadline must not wait out reconnect attempts that
+  // can never succeed: it fails once connect_timeout_ms is spent (the
+  // bound below only adds scheduling slack for sanitizer builds).
+  WireRequest request;
+  request.query = kQuery;
+  const auto start = std::chrono::steady_clock::now();
+  auto response = client.Call(request);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsUnavailable()) << response.status();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(options.connect_timeout_ms +
+                                               1500));
+  EXPECT_FALSE(client.connected());
+}
+
+/// Listening loopback socket on an ephemeral port; -1 on failure.
+int ListenLoopback(uint16_t* port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 8) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+TEST(ClientDeadlineTest, LateReplyIsDroppedAndTheConnectionIsKept) {
+  uint16_t port = 0;
+  const int listener = ListenLoopback(&port);
+  ASSERT_GE(listener, 0);
+  constexpr cost::Cost kLateCost = 1;
+  constexpr cost::Cost kFreshCost = 2;
+  // A peer whose first query is slow: it holds that reply until the
+  // next query arrives (which the client sends only after the first
+  // call's deadline expired), then sends the stale reply ahead of the
+  // fresh one. Anything but a query gets a kUnimplemented reply, as a
+  // plain server answers a ping.
+  std::thread peer([&] {
+    pollfd pfd{listener, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) return;
+    const int conn = ::accept(listener, nullptr, nullptr);
+    if (conn < 0) return;
+    auto reply = [conn](uint64_t id, util::StatusCode code, cost::Cost cost) {
+      WireResponse response;
+      response.status_code = static_cast<uint32_t>(code);
+      if (code == util::StatusCode::kOk) response.answers = {{cost, 1, 1}};
+      std::string wire;
+      if (EncodeFrame(FrameHeader{kProtocolVersion, id,
+                                  static_cast<uint32_t>(
+                                      MessageType::kQueryResponse)},
+                      EncodeQueryResponse(response), &wire)
+              .ok()) {
+        SendAll(conn, wire);
+      }
+    };
+    uint64_t held = 0;
+    bool released = false;
+    for (;;) {
+      auto frames = ReadFrames(conn, 1);
+      if (frames.empty()) break;  // client closed (or 5 s of silence)
+      const FrameHeader& header = frames[0].first;
+      if (header.type != static_cast<uint32_t>(MessageType::kQueryRequest)) {
+        reply(header.request_id, util::StatusCode::kUnimplemented, 0);
+        continue;
+      }
+      if (!released && held == 0) {
+        held = header.request_id;
+        continue;
+      }
+      if (!released) {
+        reply(held, util::StatusCode::kOk, kLateCost);
+        released = true;
+      }
+      reply(header.request_id, util::StatusCode::kOk, kFreshCost);
+    }
+    ::close(conn);
+  });
+
+  // No ASSERT before the join: an early return would leave `peer`
+  // joinable and terminate the whole binary.
+  ClientOptions options;
+  options.port = port;
+  Client client(options);
+  util::Status connected = client.Connect();
+  WireRequest request;
+  request.query = kQuery;
+  auto late = client.Call(request, /*deadline_ms=*/100);
+  const bool kept = client.connected();
+  auto fresh = client.Call(request, /*deadline_ms=*/5000);
+  client.Close();
+  peer.join();
+  // The peer served one connection; a reconnect would be waiting in the
+  // backlog.
+  pollfd pending{listener, POLLIN, 0};
+  const int reconnects = ::poll(&pending, 1, 0);
+  ::close(listener);
+
+  EXPECT_TRUE(connected.ok()) << connected;
+  EXPECT_TRUE(late.status().IsDeadlineExceeded()) << late.status();
+  EXPECT_TRUE(kept) << "the deadline closed the connection";
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  ASSERT_EQ(fresh->answers.size(), 1u);
+  EXPECT_EQ(fresh->answers[0].cost, kFreshCost);  // not the stale reply
+  EXPECT_EQ(reconnects, 0) << "the client reconnected";
 }
 
 TEST_F(ServerTest, ShutdownWithoutDrainIsSafeWithRequestsInFlight) {

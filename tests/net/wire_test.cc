@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/crc32.h"
@@ -281,6 +282,25 @@ TEST(PayloadTest, QueryResponseRoundTrip) {
     EXPECT_EQ(decoded.answers[i].cost, response.answers[i].cost);
     EXPECT_EQ(decoded.answers[i].root, response.answers[i].root);
     EXPECT_EQ(decoded.answers[i].doc, response.answers[i].doc);
+  }
+
+  // The status survives the round trip and maps back to util::Status; a
+  // code from beyond the known range (a newer peer) degrades to kInternal.
+  const std::pair<uint32_t, util::StatusCode> codes[] = {
+      {static_cast<uint32_t>(util::StatusCode::kOk), util::StatusCode::kOk},
+      {static_cast<uint32_t>(util::StatusCode::kUnavailable),
+       util::StatusCode::kUnavailable},
+      {200, util::StatusCode::kInternal},
+  };
+  for (const auto& [wire_code, expected] : codes) {
+    response.status_code = wire_code;
+    response.status_message = "why";
+    ASSERT_TRUE(
+        DecodeQueryResponse(EncodeQueryResponse(response), &decoded).ok());
+    util::Status status =
+        StatusFromWire(decoded.status_code, decoded.status_message);
+    EXPECT_EQ(status.code(), expected) << wire_code;
+    EXPECT_EQ(status.message(), status.ok() ? "" : "why") << wire_code;
   }
 }
 
