@@ -7,7 +7,8 @@
 // verifies it is talking to the layout the manifest describes.
 //
 // Produced by `approxql_serve --save-manifest` next to a sharded
-// corpus; consumed by `approxql_serve --router --manifest`. The
+// corpus (a run that needs no --listen); consumed by a router server,
+// `approxql_serve --router ... --manifest F --listen PORT`. The
 // fingerprint inside is checked against every shard server's reported
 // fingerprint on the wire, so a manifest from layout A pointed at
 // servers of layout B is rejected per call, never mistranslated.

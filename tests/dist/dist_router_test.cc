@@ -432,7 +432,8 @@ TEST_F(DistRouterTest, ManifestOnlyRouterMatchesAndRejectsWrongLayout) {
   std::vector<ShardServer> servers = StartCluster(sharded);
 
   // Round-trip through the serialized form, exactly what
-  // `approxql_serve --save-manifest` / `--manifest` ship on disk.
+  // `approxql_serve --save-manifest` writes and a router server's
+  // `--manifest` reads.
   auto manifest = shard::LayoutManifest::Deserialize(
       shard::LayoutManifest::Of(sharded).Serialize());
   ASSERT_TRUE(manifest.ok()) << manifest.status();
