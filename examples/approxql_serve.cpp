@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
     sharded = std::move(partitioned).value();
   }
   if (!save_manifest_path.empty()) {
-    auto saved = LayoutManifest::Of(*sharded).SaveTo(save_manifest_path);
+    auto saved = sharded->layout().SaveTo(save_manifest_path);
     if (!saved.ok()) return Fail("save-manifest", saved);
     std::fprintf(stderr, "wrote layout manifest (%zu shards) to %s\n",
                  sharded->num_shards(), save_manifest_path.c_str());
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
                  layout->num_shards(), layout->fingerprint(),
                  manifest_path.c_str());
   } else if (router_mode && !common.live) {
-    layout = LayoutManifest::Of(*sharded);
+    layout = sharded->layout();
   }
   // Declared before the service and server that query it, so it outlives
   // them.

@@ -130,22 +130,13 @@ Result<doc::NodeId> ManifestView::ToGlobal(uint32_t shard, uint64_t epoch,
         std::to_string(epoch) + " (view at " +
         std::to_string(state.current.epoch) + ")");
   }
-  if (local == 0) return doc::NodeId{0};  // shard super-root -> global
-  auto it = std::upper_bound(slice->spans.begin(), slice->spans.end(), local,
-                             [](doc::NodeId value, const shard::DocSpan& span) {
-                               return value < span.local_start;
-                             });
-  if (it == slice->spans.begin()) {
-    return Status::InvalidArgument("local id " + std::to_string(local) +
-                                   " precedes every span");
-  }
-  const shard::DocSpan& span = *(it - 1);
-  if (local >= span.local_start + span.length) {
+  std::optional<doc::NodeId> global = shard::SpanToGlobal(slice->spans, local);
+  if (!global.has_value()) {
     return Status::InvalidArgument("local id " + std::to_string(local) +
                                    " outside every span at epoch " +
                                    std::to_string(epoch));
   }
-  return span.global_start + (local - span.local_start);
+  return *global;
 }
 
 bool ManifestView::FindDocument(doc::NodeId global_root, uint32_t* shard_out,

@@ -29,7 +29,7 @@
 
 #include "doc/data_tree.h"
 #include "net/wire.h"
-#include "shard/sharded_database.h"
+#include "shard/layout_manifest.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"

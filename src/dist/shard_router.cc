@@ -62,8 +62,9 @@ struct ShardRouter::ScatterState {
     bool query_error = false;
     util::Status error = util::Status::OK();
     net::WireShardAnswer answer;
-    /// Live-cluster mode: the answer's local ids translated through the
-    /// slice of exactly answer.backend_epoch (reconciliation fills it).
+    /// The answer's roots as global ids: live-cluster reconciliation
+    /// fills it through the slice of exactly answer.backend_epoch, a
+    /// static gather through the manifest.
     std::vector<engine::RootCost> translated;
     bool translated_done = false;
   };
@@ -88,7 +89,7 @@ struct ShardRouter::ScatterState {
 
 ShardRouter::ShardRouter(const shard::ShardedDatabase& layout,
                          RouterOptions options)
-    : ShardRouter(shard::LayoutManifest::Of(layout), std::move(options)) {}
+    : ShardRouter(layout.layout(), std::move(options)) {}
 
 ShardRouter::ShardRouter(shard::LayoutManifest manifest, RouterOptions options)
     : ShardRouter(std::move(manifest), std::move(options), /*live=*/false) {}
@@ -344,21 +345,33 @@ util::Result<RoutedResult> ShardRouter::Execute(
   const auto floor_of = [&min_epochs](size_t i) -> uint64_t {
     return i < min_epochs.size() ? min_epochs[i] : 0;
   };
-  // Live mode: translate one shard answer's local ids through the slice
-  // of exactly the epoch it was computed under. Unavailable = the view
-  // lacks that epoch (retryable by fetching); any other error is a real
-  // inconsistency — the answer must not be guessed onto global ids.
+  // Translates one shard answer's local ids: live mode through the
+  // slice of exactly the epoch it was computed under, static mode
+  // through the manifest. Unavailable = the view lacks that epoch
+  // (retryable by fetching); any other error is a real inconsistency —
+  // the answer must not be guessed onto global ids.
   const auto translate = [this](size_t i, const net::WireShardAnswer& answer)
       -> util::Result<std::vector<engine::RootCost>> {
     std::vector<engine::RootCost> list;
     list.reserve(answer.answers.size());
     for (const net::WireAnswer& a : answer.answers) {
-      util::Result<doc::NodeId> global = view_->ToGlobal(
-          static_cast<uint32_t>(i), answer.backend_epoch, a.root);
-      if (!global.ok()) return global.status();
-      // ToGlobal is strictly increasing in the local id within a slice,
-      // so the shard's (cost, root)-sorted list stays sorted.
-      list.push_back({*global, a.cost});
+      doc::NodeId global = 0;
+      if (view_ != nullptr) {
+        ASSIGN_OR_RETURN(global,
+                         view_->ToGlobal(static_cast<uint32_t>(i),
+                                         answer.backend_epoch, a.root));
+      } else {
+        std::optional<doc::NodeId> mapped = manifest_.ToGlobal(i, a.root);
+        if (!mapped.has_value()) {
+          return util::Status::InvalidArgument(
+              "shard " + std::to_string(i) + " answered local id " +
+              std::to_string(a.root) + " outside every manifest span");
+        }
+        global = *mapped;
+      }
+      // ToGlobal is strictly increasing in the local id within a span
+      // table, so the shard's (cost, root)-sorted list stays sorted.
+      list.push_back({global, a.cost});
     }
     return list;
   };
@@ -581,21 +594,23 @@ util::Result<RoutedResult> ShardRouter::Execute(
   uint64_t min_answer_epoch = UINT64_MAX;
   for (size_t i = 0; i < num_shards; ++i) {
     ScatterState::Slot& slot = state->slots[i];
+    if (slot.ok && view_ == nullptr) {
+      // Live mode's reconciliation already translated every ok slot;
+      // static mode translates here. Either way a root outside the
+      // spans fails the shard, never maps onto a wrong global id.
+      auto list = translate(i, slot.answer);
+      if (list.ok()) {
+        slot.translated = std::move(*list);
+      } else {
+        slot.ok = false;
+        slot.error = list.status();
+      }
+    }
     if (slot.ok) {
+      lists.push_back(std::move(slot.translated));
       if (view_ != nullptr) {
-        // Reconciliation already translated through the epoch-exact
-        // slice; an ok slot always carries its translated list here.
-        lists.push_back(std::move(slot.translated));
         min_answer_epoch =
             std::min(min_answer_epoch, slot.answer.backend_epoch);
-        continue;
-      }
-      std::vector<engine::RootCost>& list = lists.emplace_back();
-      list.reserve(slot.answer.answers.size());
-      // ToGlobal is strictly increasing per shard, so the shard's
-      // (cost, root)-sorted list stays sorted after translation.
-      for (const net::WireAnswer& answer : slot.answer.answers) {
-        list.push_back({manifest_.ToGlobal(i, answer.root), answer.cost});
       }
     } else if (slot.query_error) {
       has_query_error = true;

@@ -146,7 +146,7 @@ class ShardRouter : public service::Backend {
   /// manifest is copied, so nothing must outlive the router.
   ShardRouter(shard::LayoutManifest manifest, RouterOptions options);
   /// Convenience for co-located deployments that already hold the full
-  /// partition: extracts the manifest from it.
+  /// partition: copies its layout().
   ShardRouter(const shard::ShardedDatabase& layout, RouterOptions options);
   /// Live-cluster mode: the shards are mutable servers with no static
   /// layout. The router needs only the cluster's configuration (shared

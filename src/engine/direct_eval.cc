@@ -9,13 +9,6 @@ using query::RepType;
 EntryList DirectEvaluator::FetchLabel(NodeType type, std::string_view label,
                                       bool as_leaf) {
   ++stats_.fetches;
-  if (!options_.full_scan && options_.fetch_plan != nullptr) {
-    const EntryList* planned = options_.fetch_plan->Find(type, label, as_leaf);
-    if (planned != nullptr) {
-      stats_.entries_fetched += planned->size();
-      return *planned;
-    }
-  }
   doc::LabelId id = labels_.Find(label);
   EntryList list;
   if (options_.full_scan) {

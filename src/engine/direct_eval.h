@@ -6,6 +6,10 @@
 //     node/leaf DAG vertex is independent of the ancestor list passed
 //     in, so it is computed once and memoized (renaming loops in
 //     ancestors then only redo the final join/outerjoin).
+// Each label's postings are fetched when the operator that consumes
+// them runs (FetchLabel), from the index the evaluator was given — the
+// database's own or, in a sharded scatter, the shard's stored postings.
+// A conjunct the and short-circuit skips therefore never fetches.
 //
 // The same evaluator runs over a data tree (direct evaluation) — and, in
 // the schema-driven strategy, its adapted sibling in topk_eval.h runs
@@ -18,7 +22,6 @@
 #include <vector>
 
 #include "engine/entry_list.h"
-#include "engine/fetch_plan.h"
 #include "engine/list_ops.h"
 #include "index/label_index.h"
 #include "query/expanded.h"
@@ -44,11 +47,6 @@ class DirectEvaluator {
     /// scanning every tree node, like the matching algorithms the paper
     /// criticizes in Section 2 ("touches every data node").
     bool full_scan = false;
-    /// Optional pre-materialized fetch lists (see fetch_plan.h). Slots
-    /// found in the plan are copied instead of fetched from the index;
-    /// misses fall back to the inline fetch. Ignored under full_scan.
-    /// Must outlive the evaluator and be immutable while it runs.
-    const FetchPlan* fetch_plan = nullptr;
   };
 
   /// `tree`, `index` and `labels` must outlive the evaluator. `labels`

@@ -42,7 +42,7 @@
 
 #include "cost/cost_model.h"
 #include "doc/data_tree.h"
-#include "shard/sharded_database.h"
+#include "shard/layout_manifest.h"
 #include "storage/bptree.h"
 #include "storage/kv_factory.h"
 #include "storage/spilling_store.h"

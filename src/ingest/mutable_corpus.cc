@@ -222,7 +222,6 @@ MutableCorpus::BuildShardView(size_t shard_index) {
   // this snapshot — the store is shared with future generations.
   shard->postings = std::make_unique<index::StoredLabelIndex>(
       shard->store.get(), std::string(kPostingPrefix), node_limit);
-  shard->spans = durable.spans();
   return shard;
 }
 
@@ -244,24 +243,30 @@ Status MutableCorpus::PublishShards(const std::vector<bool>* mutated) {
     previous = current_;
   }
   std::vector<std::shared_ptr<shard::ShardedDatabase::Shard>> shards;
+  std::vector<std::vector<shard::DocSpan>> spans;
   shards.reserve(shards_.size());
+  spans.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     // A poisoned shard's builder may hold applies that were never made
     // durable; keep serving its last good view rather than publishing
-    // phantom documents.
+    // phantom documents. A shared view keeps the spans it was built
+    // with; a rebuilt one takes the durable shard's current spans.
     const bool rebuild = (all || (*mutated)[i]) && !shards_[i]->poisoned();
     if (previous != nullptr && !rebuild) {
       shards.push_back(previous->shards_[i]);
+      spans.push_back(previous->shard_spans(i));
     } else {
       ASSIGN_OR_RETURN(std::shared_ptr<shard::ShardedDatabase::Shard> shard,
                        BuildShardView(i));
       shards.push_back(std::move(shard));
+      spans.push_back(shards_[i]->spans());
     }
   }
   const uint64_t epoch = DurableEpoch();
   ASSIGN_OR_RETURN(shard::ShardedDatabase assembled,
                    shard::ShardedDatabase::AssembleFromShards(
-                       std::move(shards), options_.model, metrics_, epoch));
+                       std::move(shards), std::move(spans), options_.model,
+                       metrics_, epoch));
   auto generation = std::make_shared<const shard::ShardedDatabase>(
       std::move(assembled));
 

@@ -29,7 +29,7 @@
 #include "cost/cost_model.h"
 #include "doc/data_tree.h"
 #include "engine/database.h"
-#include "shard/sharded_database.h"
+#include "shard/layout_manifest.h"
 #include "util/status.h"
 
 namespace approxql::net {

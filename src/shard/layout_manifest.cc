@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "util/crc32.h"
-#include "util/logging.h"
 #include "util/varint.h"
 
 namespace approxql::shard {
@@ -19,26 +18,24 @@ constexpr uint32_t kMagic = 0x41514c4d;
 constexpr uint32_t kVersion = 1;
 }  // namespace
 
+std::optional<doc::NodeId> SpanToGlobal(const std::vector<DocSpan>& spans,
+                                        doc::NodeId local) {
+  if (local == 0) return doc::NodeId{0};  // shard super-root
+  auto it = std::upper_bound(spans.begin(), spans.end(), local,
+                             [](doc::NodeId value, const DocSpan& span) {
+                               return value < span.local_start;
+                             });
+  if (it == spans.begin()) return std::nullopt;
+  const DocSpan& span = *(it - 1);
+  if (local - span.local_start >= span.length) return std::nullopt;
+  return span.global_start + (local - span.local_start);
+}
+
 LayoutManifest::LayoutManifest(uint32_t fingerprint, cost::CostModel model,
                                std::vector<std::vector<DocSpan>> spans)
     : fingerprint_(fingerprint),
       model_(std::move(model)),
       spans_(std::move(spans)) {
-  RebuildDocs();
-}
-
-LayoutManifest LayoutManifest::Of(const ShardedDatabase& layout) {
-  std::vector<std::vector<DocSpan>> spans;
-  spans.reserve(layout.num_shards());
-  for (size_t i = 0; i < layout.num_shards(); ++i) {
-    spans.push_back(layout.shard_spans(i));
-  }
-  return LayoutManifest(layout.LayoutFingerprint(), layout.cost_model(),
-                        std::move(spans));
-}
-
-void LayoutManifest::RebuildDocs() {
-  docs_.clear();
   for (size_t i = 0; i < spans_.size(); ++i) {
     for (const DocSpan& span : spans_[i]) {
       docs_.push_back({span.global_start, span.length,
@@ -51,28 +48,35 @@ void LayoutManifest::RebuildDocs() {
             });
 }
 
-doc::NodeId LayoutManifest::ToGlobal(size_t shard, doc::NodeId local) const {
-  if (local == 0) return 0;  // shard super-root -> global super-root
-  const std::vector<DocSpan>& spans = spans_[shard];
-  auto it = std::upper_bound(spans.begin(), spans.end(), local,
-                             [](doc::NodeId value, const DocSpan& span) {
-                               return value < span.local_start;
-                             });
-  APPROXQL_DCHECK(it != spans.begin());
-  const DocSpan& span = *(it - 1);
-  APPROXQL_DCHECK(local < span.local_start + span.length);
-  return span.global_start + (local - span.local_start);
-}
-
-doc::NodeId LayoutManifest::DocRootOf(doc::NodeId global) const {
-  if (global == 0) return 0;
+const LayoutManifest::GlobalDoc* LayoutManifest::FindDoc(
+    doc::NodeId global) const {
   auto it = std::upper_bound(docs_.begin(), docs_.end(), global,
                              [](doc::NodeId value, const GlobalDoc& d) {
                                return value < d.global_start;
                              });
-  if (it == docs_.begin()) return 0;
+  if (it == docs_.begin()) return nullptr;
   const GlobalDoc& d = *(it - 1);
-  return global < d.global_start + d.length ? d.global_start : 0;
+  return global - d.global_start < d.length ? &d : nullptr;
+}
+
+bool LayoutManifest::ToLocal(doc::NodeId global, uint32_t* shard_out,
+                             doc::NodeId* local_out) const {
+  if (global == 0) {
+    *shard_out = 0;
+    *local_out = 0;
+    return true;
+  }
+  const GlobalDoc* d = FindDoc(global);
+  if (d == nullptr) return false;
+  *shard_out = d->shard;
+  *local_out = d->local_start + (global - d->global_start);
+  return true;
+}
+
+doc::NodeId LayoutManifest::DocRootOf(doc::NodeId global) const {
+  if (global == 0) return 0;
+  const GlobalDoc* d = FindDoc(global);
+  return d != nullptr ? d->global_start : 0;
 }
 
 std::string LayoutManifest::Serialize() const {

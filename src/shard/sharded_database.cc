@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 
-#include "engine/fetch_plan.h"
 #include "engine/list_ops.h"
-#include "query/expanded.h"
 #include "util/crc32.h"
+#include "util/logging.h"
 
 namespace approxql::shard {
 
@@ -120,7 +119,6 @@ Result<ShardedDatabase> ShardedDatabase::Assemble(
   shards.reserve(databases.size());
   for (size_t i = 0; i < databases.size(); ++i) {
     auto shard = std::make_shared<Shard>(std::move(databases[i]));
-    shard->spans = std::move(spans[i]);
     if (store_factory != nullptr) {
       ASSIGN_OR_RETURN(std::unique_ptr<storage::KvStore> store,
                        store_factory("shard" + std::to_string(i)));
@@ -134,124 +132,73 @@ Result<ShardedDatabase> ShardedDatabase::Assemble(
         shard->store.get(), std::string(kPostingPrefix));
     shards.push_back(std::move(shard));
   }
-  return AssembleFromShards(std::move(shards), std::move(model),
+  return AssembleFromShards(std::move(shards), std::move(spans),
+                            std::move(model),
                             std::make_shared<service::MetricsRegistry>(),
                             /*epoch=*/0);
 }
 
 Result<ShardedDatabase> ShardedDatabase::AssembleFromShards(
-    std::vector<std::shared_ptr<Shard>> shards, cost::CostModel model,
+    std::vector<std::shared_ptr<Shard>> shards,
+    std::vector<std::vector<DocSpan>> spans, cost::CostModel model,
     std::shared_ptr<service::MetricsRegistry> metrics, uint64_t epoch) {
   ShardedDatabase sdb;
-  sdb.model_ = std::move(model);
   sdb.metrics_ = std::move(metrics);
   sdb.epoch_ = epoch;
   sdb.shards_ = std::move(shards);
+  std::vector<const engine::Database*> shard_dbs;
+  shard_dbs.reserve(sdb.shards_.size());
+  std::string layout = "backend=sharded-mem;shards=" +
+                       std::to_string(sdb.shards_.size()) + ";";
   for (size_t i = 0; i < sdb.shards_.size(); ++i) {
     Shard& shard = *sdb.shards_[i];
     // Shards shared with a previous corpus generation already carry
     // their handles (and may be serving queries right now — don't touch
     // them); only freshly built shards register. A shard's index never
     // changes across generations, so the stem is stable.
-    if (shard.fetch_us == nullptr) {
+    if (shard.eval_us == nullptr) {
       const std::string stem = "shard" + std::to_string(i);
-      shard.fetch_us = sdb.metrics_->RegisterHistogram(stem + "_fetch_us");
       shard.eval_us = sdb.metrics_->RegisterHistogram(stem + "_eval_us");
       shard.answers = sdb.metrics_->RegisterCounter(stem + "_answers");
     }
-    for (const DocSpan& span : shard.spans) {
-      sdb.docs_.push_back({span.global_start, span.length,
-                           static_cast<uint32_t>(i), span.local_start});
-    }
-  }
-  std::sort(sdb.docs_.begin(), sdb.docs_.end(),
-            [](const GlobalDoc& a, const GlobalDoc& b) {
-              return a.global_start < b.global_start;
-            });
-  std::vector<const engine::Database*> shard_dbs;
-  shard_dbs.reserve(sdb.shards_.size());
-  for (const auto& shard : sdb.shards_) shard_dbs.push_back(&shard->db);
-  sdb.global_schema_ = GlobalSchema::Merge(shard_dbs);
-
-  std::string layout = "backend=sharded-mem;shards=" +
-                       std::to_string(sdb.shards_.size()) + ";";
-  for (size_t i = 0; i < sdb.shards_.size(); ++i) {
-    const Shard& shard = *sdb.shards_[i];
+    shard_dbs.push_back(&shard.db);
     layout += "s" + std::to_string(i) +
-              ":docs=" + std::to_string(shard.spans.size()) +
+              ":docs=" + std::to_string(spans[i].size()) +
               ",nodes=" + std::to_string(shard.db.tree().size()) + ";";
   }
+  sdb.global_schema_ = GlobalSchema::Merge(shard_dbs);
   if (epoch != 0) layout += "epoch=" + std::to_string(epoch) + ";";
-  sdb.fingerprint_ = util::Crc32c(layout);
+  sdb.layout_ =
+      LayoutManifest(util::Crc32c(layout), std::move(model), std::move(spans));
   return sdb;
 }
 
 doc::NodeId ShardedDatabase::ToGlobal(size_t shard, doc::NodeId local) const {
-  if (local == 0) return 0;  // shard super-root -> global super-root
-  const std::vector<DocSpan>& spans = shards_[shard]->spans;
-  auto it = std::upper_bound(spans.begin(), spans.end(), local,
-                             [](doc::NodeId value, const DocSpan& span) {
-                               return value < span.local_start;
-                             });
-  APPROXQL_DCHECK(it != spans.begin());
-  const DocSpan& span = *(it - 1);
-  APPROXQL_DCHECK(local < span.local_start + span.length);
-  return span.global_start + (local - span.local_start);
-}
-
-bool ShardedDatabase::ToLocal(doc::NodeId global, uint32_t* shard_out,
-                              doc::NodeId* local_out) const {
-  if (global == 0) {
-    *shard_out = 0;
-    *local_out = 0;
-    return true;
-  }
-  auto it = std::upper_bound(docs_.begin(), docs_.end(), global,
-                             [](doc::NodeId value, const GlobalDoc& d) {
-                               return value < d.global_start;
-                             });
-  if (it == docs_.begin()) return false;
-  const GlobalDoc& d = *(it - 1);
-  if (global >= d.global_start + d.length) return false;
-  *shard_out = static_cast<uint32_t>(d.shard);
-  *local_out = d.local_start + (global - d.global_start);
-  return true;
-}
-
-doc::NodeId ShardedDatabase::DocRootOf(doc::NodeId global) const {
-  if (global == 0) return 0;
-  auto it = std::upper_bound(docs_.begin(), docs_.end(), global,
-                             [](doc::NodeId value, const GlobalDoc& d) {
-                               return value < d.global_start;
-                             });
-  if (it == docs_.begin()) return 0;
-  const GlobalDoc& d = *(it - 1);
-  return global < d.global_start + d.length ? d.global_start : 0;
+  std::optional<doc::NodeId> global = layout_.ToGlobal(shard, local);
+  APPROXQL_CHECK(global.has_value())
+      << "shard " << shard << " node " << local << " outside every span";
+  return *global;
 }
 
 std::string ShardedDatabase::MaterializeXml(doc::NodeId global_root,
                                             bool pretty) const {
-  xml::WriteOptions options;
-  options.pretty = pretty;
   if (global_root == 0) {
+    xml::WriteOptions options;
+    options.pretty = pretty;
     xml::XmlElement root;
     root.name = std::string(doc::kSuperRootLabel);
-    root.children.reserve(docs_.size());
-    for (const GlobalDoc& d : docs_) {
+    root.children.reserve(layout_.documents().size());
+    for (const LayoutManifest::GlobalDoc& d : layout_.documents()) {
       root.children.push_back(std::make_unique<xml::XmlElement>(
           shards_[d.shard]->db.tree().ToXml(d.local_start)));
     }
     return xml::WriteXml(root, options);
   }
-  auto it = std::upper_bound(docs_.begin(), docs_.end(), global_root,
-                             [](doc::NodeId value, const GlobalDoc& d) {
-                               return value < d.global_start;
-                             });
-  APPROXQL_DCHECK(it != docs_.begin());
-  const GlobalDoc& d = *(it - 1);
-  APPROXQL_DCHECK(global_root < d.global_start + d.length);
-  doc::NodeId local = d.local_start + (global_root - d.global_start);
-  return shards_[d.shard]->db.MaterializeXml(local, pretty);
+  uint32_t shard = 0;
+  doc::NodeId local = 0;
+  APPROXQL_CHECK(layout_.ToLocal(global_root, &shard, &local))
+      << "node " << global_root << " outside every document";
+  return shards_[shard]->db.MaterializeXml(local, pretty);
 }
 
 Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
@@ -297,29 +244,11 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
     engine::ExecOptions local = options;
     local.schema_stats_out = &schema_stats;
     local.direct_stats_out = &direct_stats;
-    local.posting_source = nullptr;
-
-    engine::FetchPlan plan;
-    if (local.strategy == engine::Strategy::kDirect) {
-      // Run against the shard's own stored postings — the partitioned
-      // storage this subsystem exists for — and pre-materialize the
-      // query's fetch set so the storage reads are timed separately
-      // from evaluation.
-      local.posting_source = sh.postings.get();
-      const cost::CostModel& model =
-          options.cost_model != nullptr ? *options.cost_model : model_;
-      auto expanded = query::ExpandedQuery::Build(query, model);
-      if (expanded.ok()) {  // else let Execute surface the error
-        plan = engine::FetchPlan(*expanded);
-        auto fetch_started = std::chrono::steady_clock::now();
-        for (size_t slot = 0; slot < plan.size(); ++slot) {
-          plan.Materialize(slot, engine::EncodedTree::Of(sh.db.tree()),
-                           *sh.postings, sh.db.tree().labels());
-        }
-        sh.fetch_us->Record(ElapsedUs(fetch_started));
-        local.direct.fetch_plan = &plan;
-      }
-    }
+    // Direct evaluation reads the shard's own stored postings — the
+    // partitioned storage this subsystem exists for.
+    local.posting_source = local.strategy == engine::Strategy::kDirect
+                               ? sh.postings.get()
+                               : nullptr;
     if (local.strategy == engine::Strategy::kSchema) {
       if (scatter.cancelled) {
         auto inner = local.schema.cancelled;
@@ -386,7 +315,7 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
 }
 
 service::BackendPin ShardedDatabase::Pin() const {
-  return {fingerprint_, epoch_, nullptr};
+  return {layout_.fingerprint(), epoch_, nullptr};
 }
 
 service::QueryResponse ShardedDatabase::Execute(
@@ -416,9 +345,11 @@ service::QueryResponse ShardedDatabase::Execute(
 ShardedDatabase::Stats ShardedDatabase::GetStats() const {
   Stats stats;
   stats.num_shards = shards_.size();
-  stats.documents = docs_.size();
+  stats.documents = layout_.documents().size();
   stats.nodes = 1;  // the global super-root
-  for (const GlobalDoc& d : docs_) stats.nodes += d.length;
+  for (const LayoutManifest::GlobalDoc& d : layout_.documents()) {
+    stats.nodes += d.length;
+  }
   stats.global_classes = global_schema_.class_count();
   stats.per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {

@@ -1,11 +1,14 @@
-// Sharded corpus: the collection is partitioned by document into N
-// self-contained shards, each owning its own data tree, label postings
-// (persisted into a per-shard store and served through a lazy
-// StoredLabelIndex, so concurrent fetches hit disjoint storage), schema
-// and statistics. A scatter-gather executor runs one query on each
-// shard in turn, on the calling thread, and merges the per-shard top-n
-// lists with MergeTopN (DESIGN.md §7: cores go to concurrent requests,
-// not to one request's shards).
+// Sharded corpus: N engine::Databases plus one LayoutManifest. The
+// collection is partitioned by document into N self-contained shards,
+// each owning its own data tree, label postings (persisted into a
+// per-shard store and served through a lazy StoredLabelIndex, so
+// concurrent fetches hit disjoint storage), schema and statistics; the
+// manifest is the one table mapping shard-local ids to global ids. A
+// scatter-gather executor runs one query on each shard in turn, on the
+// calling thread — each shard's evaluation is the plain
+// engine::Database::Execute — and merges the per-shard top-n lists with
+// MergeTopN (DESIGN.md §7: cores go to concurrent requests, not to one
+// request's shards).
 //
 // Equivalence (the subsystem's contract, asserted by tests at 1/2/4/8
 // shards): sharded evaluation is bit-identical to evaluating the same
@@ -42,6 +45,7 @@
 #include "service/backend.h"
 #include "service/metrics.h"
 #include "shard/global_schema.h"
+#include "shard/layout_manifest.h"
 #include "storage/kv_factory.h"
 #include "storage/mem_kv_store.h"
 
@@ -50,15 +54,6 @@ class MutableCorpus;
 }  // namespace approxql::ingest
 
 namespace approxql::shard {
-
-/// One document's placement: `length` consecutive preorder ids starting
-/// at `local_start` in the shard's tree and `global_start` in the global
-/// (unpartitioned) id space.
-struct DocSpan {
-  doc::NodeId local_start = 0;
-  doc::NodeId global_start = 0;
-  uint32_t length = 0;
-};
 
 /// Scatter-gather execution knobs (how, not what — the query-level
 /// options stay in engine::ExecOptions).
@@ -146,9 +141,11 @@ class ShardedDatabase : public service::Backend {
       const std::string& path, size_t num_shards,
       storage::StoreFactory store_factory = nullptr);
 
-  /// Scatter-gather execution: runs the query on every shard (direct
-  /// strategy against the shard's own stored postings; schema strategy
-  /// with the shared cost bound) and merges the per-shard rankings.
+  /// Scatter-gather execution: runs `shard(i).Execute(query, ...)` on
+  /// every shard (direct strategy with `posting_source` = the shard's
+  /// own stored postings, fetched as the list algebra asks for them;
+  /// schema strategy with the shared cost bound) and merges the
+  /// per-shard rankings.
   /// Answer roots are global ids. Shards run one after another on the
   /// calling thread; a shard publishes its bound for the shards after
   /// it. `scatter.cancelled` firing before a shard returns
@@ -179,19 +176,27 @@ class ShardedDatabase : public service::Backend {
   std::string MaterializeXml(doc::NodeId global_root,
                              bool pretty = false) const;
 
+  /// The corpus layout: per-shard spans, fingerprint, cost model. The
+  /// id translations below forward to it.
+  const LayoutManifest& layout() const { return layout_; }
+
   /// Global id of the document root containing `global` (0 for the
   /// super-root itself) — the unit answers are grouped by in the wire
   /// protocol.
-  doc::NodeId DocRootOf(doc::NodeId global) const override;
+  doc::NodeId DocRootOf(doc::NodeId global) const override {
+    return layout_.DocRootOf(global);
+  }
 
-  /// Translates a shard-local node id to the global id space.
+  /// Translates a node id of shard `shard`'s own tree to the global id
+  /// space (every such id lies in a span; anything else is a CHECK
+  /// failure).
   doc::NodeId ToGlobal(size_t shard, doc::NodeId local) const;
 
-  /// Inverse of ToGlobal: finds the shard + shard-local id of a global
-  /// id. False when no document contains it (global 0 maps to shard 0,
-  /// local 0 — every shard's super-root is the same node).
+  /// Inverse of ToGlobal (LayoutManifest::ToLocal).
   bool ToLocal(doc::NodeId global, uint32_t* shard_out,
-               doc::NodeId* local_out) const;
+               doc::NodeId* local_out) const {
+    return layout_.ToLocal(global, shard_out, local_out);
+  }
 
   size_t num_shards() const { return shards_.size(); }
   const engine::Database& shard(size_t i) const { return shards_[i]->db; }
@@ -201,17 +206,19 @@ class ShardedDatabase : public service::Backend {
     return *shards_[i]->postings;
   }
   const std::vector<DocSpan>& shard_spans(size_t i) const {
-    return shards_[i]->spans;
+    return layout_.shard_spans(i);
   }
   const GlobalSchema& global_schema() const { return global_schema_; }
-  const cost::CostModel& cost_model() const override { return model_; }
+  const cost::CostModel& cost_model() const override {
+    return layout_.cost_model();
+  }
 
   /// Fingerprint of the backend + shard layout: shard count, per-shard
   /// document/node counts. Two layouts answering queries over different
   /// partitions (or a partitioned vs. unpartitioned corpus) never share
   /// it; the result cache folds it into its key. Mutable corpora salt it
   /// with the ingest epoch, so every accepted mutation moves it.
-  uint32_t LayoutFingerprint() const { return fingerprint_; }
+  uint32_t LayoutFingerprint() const { return layout_.fingerprint(); }
 
   /// Ingest epoch this snapshot reflects (sum of per-shard durable
   /// sequence numbers); 0 for corpora built without live ingest.
@@ -226,8 +233,9 @@ class ShardedDatabase : public service::Backend {
   };
   Stats GetStats() const;
 
-  /// Per-shard metrics snapshot: fetch/eval latency histograms, answer
-  /// counts, stored-postings lock contention.
+  /// Per-shard metrics snapshot: evaluation latency histograms (the
+  /// posting fetches included), answer counts, stored-postings lock
+  /// contention.
   std::string DumpMetrics() const override;
 
  private:
@@ -245,43 +253,33 @@ class ShardedDatabase : public service::Backend {
     /// view in front of it changes).
     std::shared_ptr<storage::KvStore> store;
     std::unique_ptr<index::StoredLabelIndex> postings;
-    std::vector<DocSpan> spans;  // increasing local_start AND global_start
-    service::LatencyHistogram* fetch_us = nullptr;  // owned by metrics_
-    service::LatencyHistogram* eval_us = nullptr;
+    service::LatencyHistogram* eval_us = nullptr;  // owned by metrics_
     service::Counter* answers = nullptr;
-  };
-
-  /// One document in the global id space, with its shard placement.
-  struct GlobalDoc {
-    doc::NodeId global_start = 0;
-    uint32_t length = 0;
-    uint32_t shard = 0;
-    doc::NodeId local_start = 0;
   };
 
   ShardedDatabase() = default;
 
   /// Shared tail of all construction paths: per-shard stores/postings,
-  /// metrics, merged schema, global doc table, fingerprint.
+  /// metrics, merged schema, layout.
   static util::Result<ShardedDatabase> Assemble(
       std::vector<engine::Database> databases,
       std::vector<std::vector<DocSpan>> spans, cost::CostModel model,
       const storage::StoreFactory& store_factory = nullptr);
 
   /// Copy-on-write assembly for live ingest: shards arrive ready-made
-  /// (most shared with the previous corpus generation, stores and all)
-  /// and only the derived state — global doc table, merged schema,
-  /// metric handles, epoch-salted fingerprint — is recomputed.
+  /// (most shared with the previous corpus generation, stores and all),
+  /// `spans[i]` describing shard i's tree, and only the derived state —
+  /// layout manifest with its epoch-salted fingerprint, merged schema,
+  /// metric handles — is recomputed.
   static util::Result<ShardedDatabase> AssembleFromShards(
-      std::vector<std::shared_ptr<Shard>> shards, cost::CostModel model,
+      std::vector<std::shared_ptr<Shard>> shards,
+      std::vector<std::vector<DocSpan>> spans, cost::CostModel model,
       std::shared_ptr<service::MetricsRegistry> metrics, uint64_t epoch);
 
-  cost::CostModel model_;
   std::vector<std::shared_ptr<Shard>> shards_;
-  std::vector<GlobalDoc> docs_;  // sorted by global_start
+  LayoutManifest layout_;
   GlobalSchema global_schema_;
   std::shared_ptr<service::MetricsRegistry> metrics_;
-  uint32_t fingerprint_ = 0;
   uint64_t epoch_ = 0;
 };
 

@@ -435,7 +435,7 @@ TEST_F(DistRouterTest, ManifestOnlyRouterMatchesAndRejectsWrongLayout) {
   // `approxql_serve --save-manifest` writes and a router server's
   // `--manifest` reads.
   auto manifest = shard::LayoutManifest::Deserialize(
-      shard::LayoutManifest::Of(sharded).Serialize());
+      sharded.layout().Serialize());
   ASSERT_TRUE(manifest.ok()) << manifest.status();
 
   {
@@ -470,6 +470,63 @@ TEST_F(DistRouterTest, ManifestOnlyRouterMatchesAndRejectsWrongLayout) {
   EXPECT_EQ(routed.status().code(), util::StatusCode::kUnavailable)
       << routed.status();
   router.Shutdown();
+  for (ShardServer& s : servers) s.Stop();
+}
+
+TEST_F(DistRouterTest, AnswerOutsideManifestSpansFailsTheShard) {
+  // A shard whose fingerprint matches but whose answer root lies past
+  // every span the manifest holds for it (here: the manifest lacks
+  // shard 1's last document) must fail that shard. Translating the root
+  // anyway would map it onto a neighbouring document's global id.
+  ShardedDatabase sharded = MakeSharded(2);
+  std::vector<ShardServer> servers = StartCluster(sharded);
+  std::vector<std::vector<shard::DocSpan>> spans = {sharded.shard_spans(0),
+                                                    sharded.shard_spans(1)};
+  const shard::DocSpan dropped = spans[1].back();
+  spans[1].pop_back();
+  const shard::LayoutManifest truncated(sharded.LayoutFingerprint(),
+                                        sharded.cost_model(), std::move(spans));
+
+  // The dropped document's root label as a bare query: its n = all
+  // answers include that root.
+  const doc::DataTree& tree = db_->tree();
+  const std::string query(
+      tree.labels().Get(tree.node(dropped.global_start).label));
+  ExecOptions exec;
+  exec.strategy = Strategy::kDirect;
+  exec.n = SIZE_MAX;
+  auto all = db_->Execute(query, exec);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_TRUE(std::any_of(all->begin(), all->end(), [&](const QueryAnswer& a) {
+    return a.root == dropped.global_start;
+  })) << query;
+
+  for (bool strict : {false, true}) {
+    RouterOptions options = FastFailOptions(servers);
+    options.strict = strict;
+    ShardRouter router(truncated, options);
+    ASSERT_TRUE(router.Start().ok());
+    auto routed = router.Execute(query, Strategy::kDirect, SIZE_MAX, 0);
+    if (strict) {
+      ASSERT_FALSE(routed.ok());
+      EXPECT_EQ(routed.status().code(), util::StatusCode::kUnavailable)
+          << routed.status();
+    } else {
+      ASSERT_TRUE(routed.ok()) << routed.status();
+      EXPECT_TRUE(routed->degraded);
+      EXPECT_EQ(routed->missing_shards, std::vector<uint32_t>{1});
+      for (const QueryAnswer& answer : routed->answers) {
+        EXPECT_TRUE(std::any_of(all->begin(), all->end(),
+                                [&](const QueryAnswer& expected) {
+                                  return expected.root == answer.root &&
+                                         expected.cost == answer.cost;
+                                }))
+            << "root " << answer.root << " cost " << answer.cost
+            << " is no answer of the single database";
+      }
+    }
+    router.Shutdown();
+  }
   for (ShardServer& s : servers) s.Stop();
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <future>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -293,9 +294,52 @@ void CheckScatterEquivalence(const Database& db,
   }
 }
 
+/// The direct-strategy scatter is the plain per-shard engine call and
+/// nothing else: its summed counters equal those of `shard(i).Execute`
+/// over the shard's own postings, and it decodes exactly the postings
+/// those calls decode (none for a conjunct the and short-circuit skips).
+/// `scattered` and `plain` are two fresh copies of one layout.
+void CheckDirectScatterIsThePlainShardCall(
+    const std::vector<gen::GeneratedQuery>& queries,
+    const ShardedDatabase& scattered, const ShardedDatabase& plain) {
+  for (const gen::GeneratedQuery& generated : queries) {
+    ExecOptions exec;
+    exec.strategy = Strategy::kDirect;
+    exec.n = 10;
+    exec.cost_model = &generated.cost_model;
+    ScatterStats stats;
+    ASSERT_TRUE(
+        scattered.Execute(generated.query, exec, ScatterOptions{}, &stats)
+            .ok());
+
+    engine::EvalStats sum;
+    for (size_t i = 0; i < plain.num_shards(); ++i) {
+      engine::EvalStats shard_stats;
+      ExecOptions local = exec;
+      local.posting_source = &plain.shard_postings(i);
+      local.direct_stats_out = &shard_stats;
+      ASSERT_TRUE(plain.shard(i).Execute(generated.query, local).ok());
+      sum.fetches += shard_stats.fetches;
+      sum.entries_fetched += shard_stats.entries_fetched;
+      sum.list_ops += shard_stats.list_ops;
+    }
+    EXPECT_EQ(stats.direct.fetches, sum.fetches) << generated.text;
+    EXPECT_EQ(stats.direct.entries_fetched, sum.entries_fetched)
+        << generated.text;
+    EXPECT_EQ(stats.direct.list_ops, sum.list_ops) << generated.text;
+    for (size_t i = 0; i < plain.num_shards(); ++i) {
+      EXPECT_EQ(scattered.shard_postings(i).CachedCount(),
+                plain.shard_postings(i).CachedCount())
+          << generated.text << " shard " << i;
+    }
+  }
+}
+
 TEST_F(ShardedDatabaseTest, ScatterGatherBitIdenticalInline) {
   for (size_t num_shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ShardedDatabase sharded = MakeSharded(num_shards);
+    CheckDirectScatterIsThePlainShardCall(*queries_, sharded,
+                                          MakeSharded(num_shards));
     CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kDirect);
     CheckScatterEquivalence(*db_, *queries_, sharded, Strategy::kSchema);
   }
@@ -463,23 +507,32 @@ TEST_F(ShardedDatabaseTest, QueryServiceShardedBackendMatchesSingle) {
 TEST_F(ShardedDatabaseTest, LayoutManifestMirrorsTheLayout) {
   for (size_t num_shards : {size_t{1}, size_t{3}, size_t{8}}) {
     ShardedDatabase sharded = MakeSharded(num_shards);
-    LayoutManifest manifest = LayoutManifest::Of(sharded);
+    const LayoutManifest& manifest = sharded.layout();
 
     EXPECT_EQ(manifest.num_shards(), num_shards);
     EXPECT_EQ(manifest.fingerprint(), sharded.LayoutFingerprint());
     EXPECT_EQ(manifest.cost_model().ToConfigString(),
               sharded.cost_model().ToConfigString());
+    EXPECT_EQ(manifest.documents().size(), sharded.GetStats().documents);
 
-    // Every translation the router performs agrees with the full corpus.
+    // Every translation the router performs lands on the same node of
+    // the unpartitioned tree, and ToLocal inverts it.
     for (size_t s = 0; s < num_shards; ++s) {
-      ASSERT_EQ(manifest.shard_spans(s).size(), sharded.shard_spans(s).size());
-      for (const DocSpan& span : manifest.shard_spans(s)) {
-        for (uint32_t off = 0; off < span.length; ++off) {
-          const doc::NodeId local = span.local_start + off;
-          EXPECT_EQ(manifest.ToGlobal(s, local), sharded.ToGlobal(s, local));
-        }
+      const doc::DataTree& shard_tree = sharded.shard(s).tree();
+      for (doc::NodeId local = 1; local < shard_tree.size(); ++local) {
+        std::optional<doc::NodeId> global = manifest.ToGlobal(s, local);
+        ASSERT_TRUE(global.has_value()) << "shard " << s << " node " << local;
+        EXPECT_EQ(shard_tree.labels().Get(shard_tree.node(local).label),
+                  db_->tree().labels().Get(db_->tree().node(*global).label));
+        uint32_t back_shard = 0;
+        doc::NodeId back_local = 0;
+        ASSERT_TRUE(manifest.ToLocal(*global, &back_shard, &back_local));
+        EXPECT_EQ(back_shard, s);
+        EXPECT_EQ(back_local, local);
       }
-      EXPECT_EQ(manifest.ToGlobal(s, 0), 0u);  // shard super-root
+      EXPECT_EQ(manifest.ToGlobal(s, 0), doc::NodeId{0});  // super-root
+      // Past the shard's last span there is no translation, not a guess.
+      EXPECT_FALSE(manifest.ToGlobal(s, shard_tree.size()).has_value());
     }
     util::Rng rng(7 * num_shards + 1);
     for (int i = 0; i < 100; ++i) {
@@ -493,7 +546,7 @@ TEST_F(ShardedDatabaseTest, LayoutManifestMirrorsTheLayout) {
 
 TEST_F(ShardedDatabaseTest, LayoutManifestSerializeRoundTrips) {
   ShardedDatabase sharded = MakeSharded(4);
-  LayoutManifest manifest = LayoutManifest::Of(sharded);
+  LayoutManifest manifest = sharded.layout();
   const std::string blob = manifest.Serialize();
 
   auto restored = LayoutManifest::Deserialize(blob);
@@ -532,7 +585,7 @@ TEST_F(ShardedDatabaseTest, LayoutManifestSerializeRoundTrips) {
 
 TEST_F(ShardedDatabaseTest, LayoutManifestSaveLoadRoundTrips) {
   ShardedDatabase sharded = MakeSharded(2);
-  LayoutManifest manifest = LayoutManifest::Of(sharded);
+  LayoutManifest manifest = sharded.layout();
   const std::string path =
       ::testing::TempDir() + "/approxql_layout_manifest_test.aqlm";
   ASSERT_TRUE(manifest.SaveTo(path).ok());
