@@ -78,7 +78,6 @@ net::WireRequest SampleRequest() {
   net::WireRequest request;
   request.query = "cd[title and 'piano']";
   request.n = 10;
-  request.parallelism = 2;
   request.deadline_ms = 250;
   request.min_epochs = {3, 0, 7};
   return request;

@@ -29,14 +29,27 @@ bool TransportTransient(util::StatusCode code) {
          code == util::StatusCode::kIoError;
 }
 
-/// The live-cluster router's stand-in manifest: the right shard count
-/// and cost model under the cluster fingerprint, with no spans — all id
-/// translation happens through the epoch-versioned view instead.
-shard::LayoutManifest StubManifest(const cluster::ClusterConfig& config) {
+/// Superseded epochs kept translatable per shard (ManifestView).
+constexpr size_t kManifestHistoryDepth = 32;
+/// Bound on post-scatter reconciliation rounds (fetch-retranslate or
+/// re-query) per Execute before a still-unresolvable shard is declared
+/// missing. Each round re-enters the normal retry loop.
+constexpr int kMaxEpochRounds = 3;
+
+/// Deadline for one manifest-slice fetch: the attempt deadline, or 2 s
+/// when attempts are bounded only by the query.
+int SliceFetchDeadlineMs(const RouterOptions& options) {
+  return options.attempt_deadline_ms > 0 ? options.attempt_deadline_ms : 2000;
+}
+
+/// The router's own manifest: the fingerprint every shard reply must
+/// carry, the cost model and the shard count, with no spans — all id
+/// translation happens through the epoch-versioned view.
+shard::LayoutManifest Spanless(uint32_t fingerprint,
+                               const cost::CostModel& model,
+                               size_t num_shards) {
   return shard::LayoutManifest(
-      cluster::ClusterFingerprint(config.model, config.num_shards),
-      config.model,
-      std::vector<std::vector<shard::DocSpan>>(config.num_shards));
+      fingerprint, model, std::vector<std::vector<shard::DocSpan>>(num_shards));
 }
 
 }  // namespace
@@ -62,9 +75,8 @@ struct ShardRouter::ScatterState {
     bool query_error = false;
     util::Status error = util::Status::OK();
     net::WireShardAnswer answer;
-    /// The answer's roots as global ids: live-cluster reconciliation
-    /// fills it through the slice of exactly answer.backend_epoch, a
-    /// static gather through the manifest.
+    /// The answer's roots as global ids, translated by epoch
+    /// reconciliation through the slice of exactly answer.backend_epoch.
     std::vector<engine::RootCost> translated;
     bool translated_done = false;
   };
@@ -91,21 +103,35 @@ ShardRouter::ShardRouter(const shard::ShardedDatabase& layout,
                          RouterOptions options)
     : ShardRouter(layout.layout(), std::move(options)) {}
 
-ShardRouter::ShardRouter(shard::LayoutManifest manifest, RouterOptions options)
-    : ShardRouter(std::move(manifest), std::move(options), /*live=*/false) {}
+ShardRouter::ShardRouter(const shard::LayoutManifest& manifest,
+                         RouterOptions options)
+    : ShardRouter(Spanless(manifest.fingerprint(), manifest.cost_model(),
+                           manifest.num_shards()),
+                  std::move(options), /*live=*/false) {
+  // Immutable shard servers stamp every answer with epoch 0 and never
+  // publish another, so these slices are the only ones the view needs.
+  for (size_t i = 0; i < manifest.num_shards(); ++i) {
+    view_->InstallSlice(static_cast<uint32_t>(i), /*epoch=*/0,
+                        manifest.shard_spans(i));
+  }
+}
 
 ShardRouter::ShardRouter(const cluster::ClusterConfig& config,
                          RouterOptions options)
-    : ShardRouter(StubManifest(config), std::move(options), /*live=*/true) {}
+    : ShardRouter(Spanless(cluster::ClusterFingerprint(config.model,
+                                                       config.num_shards),
+                           config.model, config.num_shards),
+                  std::move(options), /*live=*/true) {}
 
 ShardRouter::ShardRouter(shard::LayoutManifest manifest, RouterOptions options,
                          bool live)
     : manifest_(std::move(manifest)),
       options_(std::move(options)),
-      view_(live ? std::make_unique<cluster::ManifestView>(
-                       manifest_.num_shards(),
-                       options_.manifest_history_depth)
-                 : nullptr),
+      live_(live),
+      view_(std::make_unique<cluster::ManifestView>(manifest_.num_shards(),
+                                                    kManifestHistoryDepth)),
+      refetch_inflight_(
+          std::make_unique<std::atomic<bool>[]>(options_.shards.size())),
       queries_(metrics_.RegisterCounter("dist_queries")),
       degraded_(metrics_.RegisterCounter("dist_degraded")),
       strict_failures_(metrics_.RegisterCounter("dist_strict_failures")),
@@ -130,13 +156,6 @@ ShardRouter::ShardRouter(shard::LayoutManifest manifest, RouterOptions options,
       shards_down_(metrics_.RegisterGauge("dist_shards_down")),
       scatter_us_(metrics_.RegisterHistogram("dist_scatter_us")) {
   backends_.reserve(options_.shards.size());
-  if (view_ != nullptr) {
-    refetch_inflight_ =
-        std::make_unique<std::atomic<bool>[]>(options_.shards.size());
-    for (size_t i = 0; i < options_.shards.size(); ++i) {
-      refetch_inflight_[i].store(false, std::memory_order_relaxed);
-    }
-  }
   for (size_t i = 0; i < options_.shards.size(); ++i) {
     RemoteShardOptions shard;
     shard.host = options_.shards[i].host;
@@ -145,11 +164,9 @@ ShardRouter::ShardRouter(shard::LayoutManifest manifest, RouterOptions options,
     shard.max_frame_bytes = options_.max_frame_bytes;
     shard.failures_to_down = options_.failures_to_down;
     shard.expected_fingerprint = manifest_.fingerprint();
-    if (view_ != nullptr) {
-      shard.on_delta = [this, i](const net::WireManifestDelta& delta) {
-        OnDelta(i, delta);
-      };
-    }
+    shard.on_delta = [this, i](const net::WireManifestDelta& delta) {
+      OnDelta(i, delta);
+    };
     backends_.push_back(std::make_unique<RemoteShardBackend>(
         static_cast<uint32_t>(i), std::move(shard)));
   }
@@ -176,11 +193,11 @@ util::Status ShardRouter::Start() {
     health_thread_ = std::thread([this] { HealthLoop(); });
   }
   started_ = true;
-  if (view_ != nullptr) {
-    // Bootstrap the view (and the delta subscriptions) without blocking
-    // startup: a query racing the fetches just fetches on demand in its
-    // own reconciliation pass.
-    for (size_t i = 0; i < backends_.size(); ++i) RefetchSliceAsync(i);
+  // Bootstrap the slices the view lacks (and their delta subscriptions)
+  // without blocking startup: a query racing the fetches just fetches
+  // on demand in its own reconciliation pass.
+  for (size_t i = 0; i < backends_.size(); ++i) {
+    if (!view_->known(static_cast<uint32_t>(i))) RefetchSliceAsync(i);
   }
   return util::Status::OK();
 }
@@ -345,43 +362,49 @@ util::Result<RoutedResult> ShardRouter::Execute(
   const auto floor_of = [&min_epochs](size_t i) -> uint64_t {
     return i < min_epochs.size() ? min_epochs[i] : 0;
   };
-  // Translates one shard answer's local ids: live mode through the
-  // slice of exactly the epoch it was computed under, static mode
-  // through the manifest. Unavailable = the view lacks that epoch
-  // (retryable by fetching); any other error is a real inconsistency —
-  // the answer must not be guessed onto global ids.
-  const auto translate = [this](size_t i, const net::WireShardAnswer& answer)
-      -> util::Result<std::vector<engine::RootCost>> {
+  // Settles one ok answer if it can. Below the caller's floor it needs
+  // a re-query, and in an epoch the view holds no slice for, a slice
+  // fetch. Otherwise its roots are translated through the slice of
+  // exactly its epoch — or, for a root outside that slice (a real
+  // inconsistency), the shard fails typed: never a guess onto a
+  // neighbouring document's global id.
+  enum class Unsettled { kNo, kNeedsFetch, kNeedsRequery };
+  const auto settle = [&](size_t i, ScatterState::Slot& slot) -> Unsettled {
+    const net::WireShardAnswer& answer = slot.answer;
+    if (answer.backend_epoch < floor_of(i)) {
+      // Read-your-writes: the answer predates the caller's own acked
+      // write on this shard — ask again, never return it.
+      return Unsettled::kNeedsRequery;
+    }
     std::vector<engine::RootCost> list;
     list.reserve(answer.answers.size());
     for (const net::WireAnswer& a : answer.answers) {
-      doc::NodeId global = 0;
-      if (view_ != nullptr) {
-        ASSIGN_OR_RETURN(global,
-                         view_->ToGlobal(static_cast<uint32_t>(i),
-                                         answer.backend_epoch, a.root));
-      } else {
-        std::optional<doc::NodeId> mapped = manifest_.ToGlobal(i, a.root);
-        if (!mapped.has_value()) {
-          return util::Status::InvalidArgument(
-              "shard " + std::to_string(i) + " answered local id " +
-              std::to_string(a.root) + " outside every manifest span");
+      util::Result<doc::NodeId> global = view_->ToGlobal(
+          static_cast<uint32_t>(i), answer.backend_epoch, a.root);
+      if (!global.ok()) {
+        if (global.status().code() == util::StatusCode::kUnavailable) {
+          return Unsettled::kNeedsFetch;
         }
-        global = *mapped;
+        slot.ok = false;
+        slot.error = global.status();
+        return Unsettled::kNo;
       }
       // ToGlobal is strictly increasing in the local id within a span
       // table, so the shard's (cost, root)-sorted list stays sorted.
-      list.push_back({global, a.cost});
+      list.push_back({*global, a.cost});
     }
-    return list;
+    slot.translated = std::move(list);
+    slot.translated_done = true;
+    return Unsettled::kNo;
   };
 
   // Coordinate: wait for callbacks, relaunch retries whose backoff
-  // elapsed, enforce the overall deadline and strict fail-fast. In live
-  // mode the coordinate loop is wrapped in bounded epoch-reconciliation
-  // rounds: answers whose epoch the view cannot translate yet trigger a
-  // slice fetch + retranslation, and answers that still cannot be
-  // translated (or sit below a min-epoch floor) are re-queried.
+  // elapsed, enforce the overall deadline and strict fail-fast. The
+  // coordinate loop is wrapped in bounded epoch-reconciliation rounds:
+  // answers whose epoch the view cannot translate yet trigger a slice
+  // fetch + retranslation, and answers that still cannot be translated
+  // (or sit below a min-epoch floor) are re-queried. Over immutable
+  // shard servers every answer translates at epoch 0 in the first pass.
   std::vector<std::pair<size_t, int>> due;
   int epoch_rounds = 0;
   state->mu.Lock();
@@ -440,37 +463,27 @@ util::Result<RoutedResult> ShardRouter::Execute(
       continue;
     }
     if (all_done) {
-      if (view_ == nullptr) break;
-      // Live-mode epoch reconciliation. Every ok slot must translate
-      // through the slice of exactly its answer's epoch and clear the
-      // caller's min-epoch floor before the scatter may complete.
+      // Epoch reconciliation. Every ok slot must translate through the
+      // slice of exactly its answer's epoch and clear the caller's
+      // min-epoch floor before the scatter may complete.
       std::vector<size_t> need_fetch;
       std::vector<size_t> need_requery;
       for (size_t i = 0; i < num_shards; ++i) {
         ScatterState::Slot& slot = state->slots[i];
         if (!slot.ok || slot.translated_done) continue;
-        if (slot.answer.backend_epoch < floor_of(i)) {
-          // Read-your-writes: the answer predates the caller's own
-          // acked write on this shard — ask again, never return it.
-          need_requery.push_back(i);
-          continue;
-        }
-        auto list = translate(i, slot.answer);
-        if (list.ok()) {
-          slot.translated = std::move(*list);
-          slot.translated_done = true;
-        } else if (list.status().code() == util::StatusCode::kUnavailable) {
-          need_fetch.push_back(i);
-        } else {
-          // The slice of that epoch is held but cannot contain the
-          // answer: a real inconsistency. Fail the shard (typed) —
-          // never translate through a mismatched slice.
-          slot.ok = false;
-          slot.error = list.status();
+        switch (settle(i, slot)) {
+          case Unsettled::kNeedsFetch:
+            need_fetch.push_back(i);
+            break;
+          case Unsettled::kNeedsRequery:
+            need_requery.push_back(i);
+            break;
+          case Unsettled::kNo:
+            break;
         }
       }
       if (need_fetch.empty() && need_requery.empty()) break;
-      if (epoch_rounds >= options_.max_epoch_rounds) {
+      if (epoch_rounds >= kMaxEpochRounds) {
         for (size_t i : need_fetch) {
           ScatterState::Slot& slot = state->slots[i];
           slot.ok = false;
@@ -498,9 +511,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
         // the shard again — a fresh answer comes with a fresh epoch.
         state->mu.Unlock();
         for (size_t i : need_fetch) {
-          int64_t fetch_deadline =
-              options_.attempt_deadline_ms > 0 ? options_.attempt_deadline_ms
-                                               : 2000;
+          int64_t fetch_deadline = SliceFetchDeadlineMs(options_);
           if (overall_deadline != Clock::time_point::max()) {
             int64_t remaining =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -517,17 +528,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
         for (size_t i : need_fetch) {
           ScatterState::Slot& slot = state->slots[i];
           if (!slot.ok || slot.translated_done) continue;
-          auto list = translate(i, slot.answer);
-          if (list.ok()) {
-            slot.translated = std::move(*list);
-            slot.translated_done = true;
-          } else if (list.status().code() ==
-                     util::StatusCode::kUnavailable) {
-            need_requery.push_back(i);
-          } else {
-            slot.ok = false;
-            slot.error = list.status();
-          }
+          if (settle(i, slot) != Unsettled::kNo) need_requery.push_back(i);
         }
       }
       due.clear();
@@ -594,24 +595,19 @@ util::Result<RoutedResult> ShardRouter::Execute(
   uint64_t min_answer_epoch = UINT64_MAX;
   for (size_t i = 0; i < num_shards; ++i) {
     ScatterState::Slot& slot = state->slots[i];
-    if (slot.ok && view_ == nullptr) {
-      // Live mode's reconciliation already translated every ok slot;
-      // static mode translates here. Either way a root outside the
-      // spans fails the shard, never maps onto a wrong global id.
-      auto list = translate(i, slot.answer);
-      if (list.ok()) {
-        slot.translated = std::move(*list);
-      } else {
-        slot.ok = false;
-        slot.error = list.status();
-      }
+    if (slot.ok && !slot.translated_done &&
+        settle(i, slot) != Unsettled::kNo) {
+      // The overall deadline or strict fail-fast ended the scatter
+      // before reconciliation could fetch for or re-query this answer.
+      slot.ok = false;
+      slot.error = util::Status::Unavailable(
+          "shard " + std::to_string(i) + " answered at epoch " +
+          std::to_string(slot.answer.backend_epoch) +
+          ", which the scatter ended before reconciling");
     }
     if (slot.ok) {
       lists.push_back(std::move(slot.translated));
-      if (view_ != nullptr) {
-        min_answer_epoch =
-            std::min(min_answer_epoch, slot.answer.backend_epoch);
-      }
+      min_answer_epoch = std::min(min_answer_epoch, slot.answer.backend_epoch);
     } else if (slot.query_error) {
       has_query_error = true;
       query_error = slot.error;
@@ -622,9 +618,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
   }
   out.final_bound = state->bound.load(std::memory_order_relaxed);
   out.retries = state->retries.load(std::memory_order_relaxed);
-  if (view_ != nullptr && min_answer_epoch != UINT64_MAX) {
-    out.backend_epoch = min_answer_epoch;
-  }
+  if (min_answer_epoch != UINT64_MAX) out.backend_epoch = min_answer_epoch;
   state->mu.Unlock();
 
   scatter_us_->Record(static_cast<uint64_t>(MicrosSince(started)));
@@ -688,13 +682,12 @@ void ShardRouter::HealthLoop() {
           options_.ping_deadline_ms,
           [this, i](util::Result<net::WirePong> pong) {
             // RemoteShardBackend already fed the health machine; only
-            // the counter (and live-mode epoch staleness) is ours.
+            // the counter (and epoch staleness) is ours.
             if (!pong.ok()) {
               health_ping_failures_->Increment();
               return;
             }
-            if (view_ != nullptr && pong->epoch > view_->epoch(
-                                        static_cast<uint32_t>(i))) {
+            if (pong->epoch > view_->epoch(static_cast<uint32_t>(i))) {
               // The shard advanced past our view: deltas were lost
               // (dropped push, or the transport reconnected and the
               // subscription died with the old connection). A full
@@ -713,7 +706,7 @@ void ShardRouter::HealthLoop() {
 }
 
 void ShardRouter::OnDelta(size_t i, const net::WireManifestDelta& delta) {
-  if (view_ == nullptr || delta.shard_index != i) return;
+  if (delta.shard_index != i) return;
   manifest_deltas_->Increment();
   if (!view_->ApplyDelta(delta)) {
     // Gap (missed/reordered deltas) or inconsistency with the held
@@ -730,10 +723,8 @@ void ShardRouter::RefetchSliceAsync(size_t i) {
     return;  // a fetch for this shard is already on the wire
   }
   manifest_fetches_->Increment();
-  const int deadline =
-      options_.attempt_deadline_ms > 0 ? options_.attempt_deadline_ms : 2000;
   backends_[i]->CallManifestFetch(
-      options_.manifest_subscribe, deadline,
+      options_.manifest_subscribe, SliceFetchDeadlineMs(options_),
       [this, i](util::Result<net::WireManifestSlice> slice) {
         refetch_inflight_[i].store(false, std::memory_order_release);
         if (!slice.ok()) {
@@ -771,8 +762,7 @@ util::Status ShardRouter::FetchSliceBlocking(size_t i,
 }
 
 doc::NodeId ShardRouter::DocRootOf(doc::NodeId global) const {
-  return view_ != nullptr ? view_->DocRootOf(global)
-                          : manifest_.DocRootOf(global);
+  return view_->DocRootOf(global);
 }
 
 service::BackendPin ShardRouter::Pin() const {
@@ -844,8 +834,19 @@ util::Status ShardRouter::ResyncGlobals(int deadline_ms) {
   return util::Status::OK();
 }
 
-util::Result<net::WireIngestAck> ShardRouter::IngestLive(
-    const net::WireIngest& ingest, int attempt_deadline_ms) {
+util::Result<net::WireIngestAck> ShardRouter::Ingest(
+    const net::WireIngest& ingest, int64_t deadline_ms) {
+  if (backends_.empty()) {
+    return util::Status::InvalidArgument("router has no shard endpoints");
+  }
+  ingest_calls_->Increment();
+  // Ingest is synchronous end to end (the shard acks only after fsync),
+  // so one blocking round trip per attempt is the honest shape — no
+  // scatter, no retries (a resent add is a duplicate document).
+  const int attempt_deadline = deadline_ms > 0
+                                   ? static_cast<int>(deadline_ms)
+                                   : options_.attempt_deadline_ms;
+
   if (ingest.op == net::WireIngest::Op::kAdd) {
     // The router owns the cluster-global id space: it assigns the add's
     // root id up front so every shard's corpus-global ids ARE cluster-
@@ -857,7 +858,7 @@ util::Result<net::WireIngestAck> ShardRouter::IngestLive(
       if (next_global_ == 0) {
         // Fresh router, or the last add left us in doubt. Rebase on the
         // cluster's actual occupancy before assigning anything.
-        util::Status resynced = ResyncGlobals(attempt_deadline_ms);
+        util::Status resynced = ResyncGlobals(attempt_deadline);
         if (!resynced.ok()) {
           ingest_failures_->Increment();
           return resynced;
@@ -885,7 +886,7 @@ util::Result<net::WireIngestAck> ShardRouter::IngestLive(
       net::WireIngest assigned = ingest;
       assigned.assigned_global = next_global_;
       util::Result<net::WireIngestAck> ack =
-          CallIngestBlocking(target, assigned, attempt_deadline_ms);
+          CallIngestBlocking(target, assigned, attempt_deadline);
       if (!ack.ok()) {
         // In doubt: the add may have landed without us seeing the ack.
         // Never reuse the id — force a resync before the next assign.
@@ -917,15 +918,13 @@ util::Result<net::WireIngestAck> ShardRouter::IngestLive(
         "another writer owns this id space?");
   }
 
-  // Remove: the manifest view usually knows which shard holds the
-  // document, so try that shard directly; fall back to the probe-all
-  // loop (shared with static mode) if the view is stale or the call
-  // fails.
+  // Remove: the view usually knows which shard holds the document, so
+  // try that shard directly.
   uint32_t holder = 0;
   shard::DocSpan span;
   if (view_->FindDocument(ingest.doc_root, &holder, &span)) {
     util::Result<net::WireIngestAck> ack =
-        CallIngestBlocking(holder, ingest, attempt_deadline_ms);
+        CallIngestBlocking(holder, ingest, attempt_deadline);
     if (ack.ok() &&
         ack->status_code == static_cast<uint32_t>(util::StatusCode::kOk)) {
       util::MutexLock docs(&ingest_mu_);
@@ -940,69 +939,14 @@ util::Result<net::WireIngestAck> ShardRouter::IngestLive(
     }
     // NOT_FOUND (stale view) or transport error: probe everything.
   }
-  return util::Status::NotFound("fall through to probe");
-}
 
-util::Result<net::WireIngestAck> ShardRouter::Ingest(
-    const net::WireIngest& ingest, int64_t deadline_ms) {
-  if (backends_.empty()) {
-    return util::Status::InvalidArgument("router has no shard endpoints");
-  }
-  ingest_calls_->Increment();
-  const int attempt_deadline = deadline_ms > 0
-                                   ? static_cast<int>(deadline_ms)
-                                   : options_.attempt_deadline_ms;
-
-  if (view_ != nullptr) {
-    util::Result<net::WireIngestAck> live = IngestLive(ingest, attempt_deadline);
-    // Adds are fully handled by IngestLive; removes fall through to the
-    // probe-all loop below when the view couldn't place the document.
-    if (ingest.op == net::WireIngest::Op::kAdd || live.ok() ||
-        live.status().code() != util::StatusCode::kNotFound) {
-      return live;
-    }
-  }
-
-  // Ingest is synchronous end to end (the shard acks only after fsync),
-  // so one blocking round trip per attempt is the honest shape — no
-  // scatter, no retries (a resent add is a duplicate document).
-  auto call_one = [&](size_t i) -> util::Result<net::WireIngestAck> {
-    return CallIngestBlocking(i, ingest, attempt_deadline);
-  };
-
-  if (ingest.op == net::WireIngest::Op::kAdd) {
-    size_t target;
-    {
-      // Fewest router-acked documents, ties to the lowest index — the
-      // same argmin rule MutableCorpus applies in process, so a single
-      // router driving fresh shards reproduces in-process placement.
-      util::MutexLock lock(&ingest_mu_);
-      target = static_cast<size_t>(
-          std::min_element(ingest_docs_.begin(), ingest_docs_.end()) -
-          ingest_docs_.begin());
-    }
-    util::Result<net::WireIngestAck> ack = call_one(target);
-    if (!ack.ok()) {
-      ingest_failures_->Increment();
-      return ack;
-    }
-    if (ack->status_code != static_cast<uint32_t>(util::StatusCode::kOk)) {
-      ingest_failures_->Increment();
-      return net::StatusFromWire(ack->status_code, ack->status_message);
-    }
-    {
-      util::MutexLock lock(&ingest_mu_);
-      ++ingest_docs_[target];
-    }
-    return ack;
-  }
-
-  // Remove: the router does not track which shard holds which document
-  // (acked roots live with the caller), so probe shards in index order
-  // until one answers anything but NOT_FOUND.
+  // The view could not place the document, or its holder did not
+  // confirm the remove: probe shards in index order until one answers
+  // anything but NOT_FOUND.
   util::Status failure = util::Status::OK();
   for (size_t i = 0; i < backends_.size(); ++i) {
-    util::Result<net::WireIngestAck> ack = call_one(i);
+    util::Result<net::WireIngestAck> ack =
+        CallIngestBlocking(i, ingest, attempt_deadline);
     if (!ack.ok()) {
       // In doubt on this shard (the remove may have landed); keep
       // probing the rest but surface the error instead of NOT_FOUND.

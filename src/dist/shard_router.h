@@ -1,10 +1,9 @@
 // Partial-failure-aware scatter-gather over remote shard servers: the
-// distributed counterpart of shard::ShardedDatabase::Execute. The
-// router holds the SAME partition layout as every shard server (each
-// process builds it independently from identical corpus flags, and the
-// LayoutFingerprint stamped on every reply proves they agree), so it
-// can translate shard-local preorder answers back to global ids through
-// the DocSpan tables without shipping trees over the wire.
+// distributed counterpart of shard::ShardedDatabase::Execute. Shard
+// servers answer in shard-local preorder ids; the router translates
+// them to global ids through a cluster::ManifestView of per-shard
+// DocSpan slices, each tagged with the ingest epoch it describes, so
+// no trees ship over the wire.
 //
 // One query fans out as one kShardQuery per shard, all concurrently
 // (each shard endpoint has its own multiplexed AsyncClient, so queries
@@ -38,23 +37,27 @@
 // (counted missing immediately, no timeout burned) until a ping
 // revives them.
 //
-// LIVE-CLUSTER MODE (the cluster::ClusterConfig constructor): the
-// shards are mutable servers ingesting concurrently, so there is no
-// static layout to agree on. Instead the router keeps a composite
-// cluster::ManifestView of per-shard manifest slices, each tagged with
-// the ingest epoch it describes, synchronized by kManifestDelta pushes
-// with kManifestFetch as bootstrap/gap fallback. Every kShardAnswer
-// carries the epoch of the snapshot that produced it, and its local ids
-// are translated through the slice of EXACTLY that epoch: a missing
-// slice is fetched and the answer retranslated; if the slice still
-// cannot be had (or the answer predates a caller's read-your-writes
-// min-epoch floor) the shard is re-queried inside the normal retry
-// loop; a genuine inconsistency fails that shard rather than guessing.
-// The per-answer stamp becomes cluster::ClusterFingerprint (cost model
-// + shard count), which validates configuration; the epoch validates
-// layout. Ingest in this mode assigns cluster-wide global root ids
-// (WireIngest::assigned_global) from the view's id-space high-water
-// mark, serialized so acked documents get sequential ids.
+// ONE MODE, TWO WAYS TO SEED THE VIEW. Every kShardAnswer carries the
+// epoch of the snapshot that produced it, and its local ids are
+// translated through the slice of EXACTLY that epoch: a missing slice
+// is fetched and the answer retranslated; if the slice still cannot be
+// had (or the answer predates a caller's read-your-writes min-epoch
+// floor) the shard is re-queried inside the normal retry loop; a root
+// outside every span of its slice fails that shard rather than
+// guessing. The constructors differ only in what the view starts with:
+//   - a static LayoutManifest installs one slice per shard at epoch 0,
+//     the epoch every immutable shard server stamps. Nothing advances
+//     it: those servers push no deltas and decline kManifestFetch, and
+//     the per-answer stamp is the layout fingerprint;
+//   - a cluster::ClusterConfig (mutable shard servers ingesting
+//     concurrently) starts the view empty. Start fetches every slice,
+//     kManifestDelta pushes keep it current, and kManifestFetch is the
+//     gap fallback. The stamp is cluster::ClusterFingerprint (cost model
+//     + shard count): it validates configuration, the epoch validates
+//     layout.
+// Ingest assigns cluster-wide global root ids (WireIngest::
+// assigned_global) from the view's id-space high-water mark, serialized
+// so acked documents get sequential ids.
 #ifndef APPROXQL_DIST_SHARD_ROUTER_H_
 #define APPROXQL_DIST_SHARD_ROUTER_H_
 
@@ -106,17 +109,9 @@ struct RouterOptions {
   int ping_deadline_ms = 250;
   int failures_to_down = 3;
 
-  // Live-cluster mode only (the ClusterConfig constructor).
-
   /// Subscribe to kManifestDelta pushes on every manifest fetch. Tests
   /// disable this to force the fetch-on-stale-epoch path.
   bool manifest_subscribe = true;
-  /// Superseded epochs kept translatable per shard (ManifestView).
-  size_t manifest_history_depth = 32;
-  /// Bound on post-scatter reconciliation rounds (fetch-retranslate or
-  /// re-query) per Execute before a still-unresolvable shard is
-  /// declared missing. Each round re-enters the normal retry loop.
-  int max_epoch_rounds = 3;
 };
 
 struct RoutedResult {
@@ -130,8 +125,8 @@ struct RoutedResult {
   cost::Cost final_bound = cost::kInfinite;
   /// Retry attempts this execution spent.
   uint32_t retries = 0;
-  /// Live-cluster mode: the minimum ingest epoch across the shard
-  /// answers merged here (the read-your-writes watermark); 0 otherwise.
+  /// The minimum ingest epoch across the shard answers merged here (the
+  /// read-your-writes watermark); always 0 over immutable shard servers.
   uint64_t backend_epoch = 0;
 };
 
@@ -142,16 +137,17 @@ class ShardRouter : public service::Backend {
  public:
   /// The router needs only the partition's *layout* (DocSpan
   /// translation tables, fingerprint, cost model) — never the data. A
-  /// router host passes a LayoutManifest saved next to the corpus; the
-  /// manifest is copied, so nothing must outlive the router.
-  ShardRouter(shard::LayoutManifest manifest, RouterOptions options);
+  /// router host passes a LayoutManifest saved next to the corpus; its
+  /// spans become the view's epoch-0 slices, so nothing must outlive
+  /// the router.
+  ShardRouter(const shard::LayoutManifest& manifest, RouterOptions options);
   /// Convenience for co-located deployments that already hold the full
   /// partition: copies its layout().
   ShardRouter(const shard::ShardedDatabase& layout, RouterOptions options);
-  /// Live-cluster mode: the shards are mutable servers with no static
+  /// Live cluster: the shards are mutable servers with no static
   /// layout. The router needs only the cluster's configuration (shared
-  /// cost model + shard count); the moving document layout is tracked
-  /// by an epoch-versioned manifest view synchronized over the wire.
+  /// cost model + shard count); the moving document layout is fetched
+  /// into the view and kept current over the wire.
   ShardRouter(const cluster::ClusterConfig& config, RouterOptions options);
   ~ShardRouter();
 
@@ -167,10 +163,10 @@ class ShardRouter : public service::Backend {
   /// deadline (attempts still bound themselves). n == SIZE_MAX asks for
   /// all results (no bound sharing, exactly like in-process). Blocks
   /// the calling thread; safe from many threads concurrently.
-  /// `min_epochs` (live-cluster mode): per-shard read-your-writes
-  /// floors — shard i's answer must have been computed at epoch >=
-  /// min_epochs[i] (shards beyond the vector have no floor); an answer
-  /// below its floor is re-queried, never returned.
+  /// `min_epochs`: per-shard read-your-writes floors — shard i's answer
+  /// must have been computed at epoch >= min_epochs[i] (shards beyond
+  /// the vector have no floor); an answer below its floor is re-queried,
+  /// never returned, and a shard that never reaches it is missing.
   util::Result<RoutedResult> Execute(
       const std::string& query_text, engine::Strategy strategy, size_t n,
       int64_t deadline_ms, const std::vector<uint64_t>& min_epochs = {}) const;
@@ -186,21 +182,22 @@ class ShardRouter : public service::Backend {
       const override;
   bool cacheable() const override { return !live(); }
 
-  /// Routes one ingest mutation and blocks for the ack. Adds go to the
-  /// shard this router has sent the fewest documents (ties to the
-  /// lowest index — matching MutableCorpus's in-process placement when
-  /// one router owns all ingest); removes are tried on each shard in
-  /// index order until one answers anything but NOT_FOUND. No retries:
-  /// a transport failure leaves the mutation in doubt (it may be
-  /// durable on the shard), so the caller must reconcile via a query
-  /// rather than blindly resend. NOTE: ingest acks carry no layout
-  /// fingerprint — the mutable corpus's layout moves with every ingest,
-  /// so this router's static manifest does NOT translate the mutated
-  /// corpus's answers; Ingest is for driving mutable shard servers, not
-  /// for querying them through Execute().
+  /// Routes one ingest mutation and blocks for the ack. An add gets the
+  /// next cluster-global root id and goes to the shard (not known DOWN)
+  /// this router has sent the fewest documents, ties to the lowest
+  /// index. A remove goes to the shard the view places the document on,
+  /// falling back to trying each shard in index order until one answers
+  /// anything but NOT_FOUND. No retries: a transport failure leaves the
+  /// mutation in doubt (it may be durable on the shard), so the caller
+  /// must reconcile via a query rather than blindly resend. Immutable
+  /// shard servers decline both the manifest fetch an add's id
+  /// assignment needs and the mutation itself, so over them Ingest
+  /// fails kUnimplemented.
   util::Result<net::WireIngestAck> Ingest(const net::WireIngest& ingest,
                                           int64_t deadline_ms);
 
+  /// Fingerprint, cost model and shard count; its span tables are
+  /// empty, because every span lives in view().
   const shard::LayoutManifest& manifest() const { return manifest_; }
   const cost::CostModel& cost_model() const override {
     return manifest_.cost_model();
@@ -210,13 +207,13 @@ class ShardRouter : public service::Backend {
   ShardHealth shard_health(size_t i) const { return backends_[i]->health(); }
   const RouterOptions& options() const { return options_; }
 
-  /// True in live-cluster mode: answers move with ingest, so callers
-  /// must never cache routed results.
-  bool live() const { return view_ != nullptr; }
-  /// Live mode: the composite manifest view (tests inspect epochs).
+  /// True for a ClusterConfig router: answers move with ingest, so
+  /// callers must never cache routed results.
+  bool live() const { return live_; }
+  /// The composite manifest view every answer translates through; a
+  /// static router's holds the epoch-0 slices it was built with.
   const cluster::ManifestView* view() const { return view_.get(); }
-  /// Document root containing `global` — through the live view in
-  /// cluster mode, through the static manifest otherwise.
+  /// Document root containing `global`, in the view's current slices.
   doc::NodeId DocRootOf(doc::NodeId global) const override;
 
   /// dist_* counters/gauges plus per-shard health and transport lines.
@@ -236,7 +233,7 @@ class ShardRouter : public service::Backend {
   void HealthLoop();
   void UpdateHealthGauges();
 
-  // Live-cluster manifest synchronization.
+  // Manifest synchronization.
 
   /// A kManifestDelta push from shard `i`'s transport (IO thread).
   /// Applies it to the view; a gap triggers an async full refetch.
@@ -251,22 +248,19 @@ class ShardRouter : public service::Backend {
   /// view's id-space high-water mark (ingest bootstrap / collision
   /// recovery).
   util::Status ResyncGlobals(int deadline_ms) REQUIRES(assign_mu_);
-  /// The live-cluster ingest path (id assignment + epoch-aware acks).
-  util::Result<net::WireIngestAck> IngestLive(const net::WireIngest& ingest,
-                                              int attempt_deadline_ms);
   util::Result<net::WireIngestAck> CallIngestBlocking(
       size_t i, const net::WireIngest& ingest, int deadline_ms);
 
   const shard::LayoutManifest manifest_;
   const RouterOptions options_;
-  /// Non-null exactly in live-cluster mode.
+  const bool live_;
   const std::unique_ptr<cluster::ManifestView> view_;
   std::vector<std::unique_ptr<RemoteShardBackend>> backends_;
-  /// Per-shard refetch-in-flight latch (live mode; sized num_shards).
-  std::unique_ptr<std::atomic<bool>[]> refetch_inflight_;
+  /// Per-shard refetch-in-flight latch (sized num_shards).
+  const std::unique_ptr<std::atomic<bool>[]> refetch_inflight_;
 
-  /// Live mode: serializes global-id assignment with the ack that
-  /// confirms it (the next id depends on the previous ack's length).
+  /// Serializes global-id assignment with the ack that confirms it (the
+  /// next id depends on the previous ack's length).
   util::Mutex assign_mu_;
   /// Next cluster-global root id to assign; 0 = must resync from the
   /// view before assigning (bootstrap, or the last assign ended in

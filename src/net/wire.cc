@@ -135,7 +135,6 @@ std::string EncodeQueryRequest(const WireRequest& request) {
   PutLengthPrefixed(&out, request.query);
   util::PutVarint32(&out, static_cast<uint32_t>(request.strategy));
   util::PutVarint64(&out, request.n);
-  util::PutVarint32(&out, request.parallelism);
   util::PutVarint64(&out, util::ZigZagEncode(request.deadline_ms));
   util::PutVarint32(&out, request.bypass_cache ? 1 : 0);
   util::PutVarint64(&out, request.min_epochs.size());
@@ -161,7 +160,6 @@ util::Status DecodeQueryRequest(std::string_view payload, WireRequest* out) {
                                            std::to_string(strategy));
   }
   RETURN_IF_ERROR(reader.GetVarint64(&out->n));
-  RETURN_IF_ERROR(reader.GetVarint32(&out->parallelism));
   uint64_t deadline = 0;
   RETURN_IF_ERROR(reader.GetVarint64(&deadline));
   out->deadline_ms = util::ZigZagDecode(deadline);

@@ -46,7 +46,8 @@ namespace approxql::net {
 /// the serving snapshot's epoch; WireIngest can carry a router-assigned
 /// global id; WireRequest carries per-shard min-epoch floors
 /// (read-your-writes over a routed cluster).
-inline constexpr uint32_t kProtocolVersion = 4;
+/// v5: WireRequest drops its ignored `parallelism` field.
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Hard ceiling a decoder enforces before buffering a frame; a declared
 /// length beyond this is treated as stream corruption, not a large
@@ -154,9 +155,6 @@ struct WireRequest {
   engine::Strategy strategy = engine::Strategy::kSchema;
   /// Best-n bound; UINT64_MAX = all results (matches SIZE_MAX in-process).
   uint64_t n = 10;
-  /// Decoded and ignored: requests are evaluated serially on one server
-  /// worker. Kept on the frame so requests from older clients parse.
-  uint32_t parallelism = 0;
   /// Per-request deadline; 0 = server default, negative = already
   /// expired (deterministic DEADLINE_EXCEEDED, used by tests).
   int64_t deadline_ms = 0;

@@ -1,11 +1,9 @@
 // ShardRouter::Ingest against real mutable shard servers over TCP
 // loopback: adds are placed on the shard the router has sent the
-// fewest documents (ties to the lowest index), removes probe each
-// shard in index order until one claims the document, and the ingest
-// counters surface in DumpMetrics. The router's manifest only needs a
-// matching shard COUNT for ingest — ingest acks carry no layout
-// fingerprint (the mutable layout moves with every mutation), which is
-// exactly why Execute() over a mutated corpus stays out of scope here.
+// fewest documents (ties to the lowest index), removes reach the shard
+// holding the document, and the ingest counters surface in
+// DumpMetrics. Routed Execute() over a mutating cluster is
+// tests/cluster/cluster_equivalence_test.cc's subject.
 #include "dist/shard_router.h"
 
 #include <gtest/gtest.h>
@@ -17,23 +15,24 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_config.h"
 #include "cost/cost_model.h"
 #include "ingest/mutable_corpus.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "service/query_service.h"
-#include "shard/sharded_database.h"
 
 namespace approxql::dist {
 namespace {
 
+using cluster::ClusterConfig;
+using cluster::ClusterFingerprint;
 using ingest::MutableCorpus;
 using net::Server;
 using net::ServerOptions;
 using net::WireIngest;
 using service::QueryService;
 using service::ServiceOptions;
-using shard::ShardedDatabase;
 
 cost::CostModel TestModel() {
   cost::CostModel model;
@@ -95,18 +94,19 @@ class DistIngestTest : public ::testing::Test {
       node.corpus = std::move(corpus).value();
       node.service = std::make_unique<QueryService>(
           *node.corpus, ServiceOptions{.num_threads = 1});
+      ServerOptions server_options;
+      server_options.shard.enabled = true;
+      server_options.shard.fingerprint =
+          ClusterFingerprint(TestModel(), num_servers);
+      server_options.shard.shard_index = static_cast<uint32_t>(i);
       node.server = std::make_unique<Server>(*node.service, *node.corpus,
-                                             ServerOptions{});
+                                             server_options);
       ASSERT_TRUE(node.server->Start().ok());
       servers_.push_back(std::move(node));
     }
-    // The router only needs a layout with the right shard count to
-    // carry ingest; build a minimal static one.
-    std::vector<std::string> seed_docs;
-    for (size_t i = 0; i < num_servers; ++i) seed_docs.push_back(MakeDoc(i));
-    auto layout =
-        ShardedDatabase::BuildFromXml(seed_docs, TestModel(), num_servers);
-    ASSERT_TRUE(layout.ok()) << layout.status();
+    ClusterConfig config;
+    config.model = TestModel();
+    config.num_shards = num_servers;
     RouterOptions options;
     for (const auto& server : servers_) {
       options.shards.push_back({"127.0.0.1", server.port()});
@@ -115,7 +115,7 @@ class DistIngestTest : public ::testing::Test {
     options.attempt_deadline_ms = 2000;
     options.max_retries = 0;
     options.health_period_ms = 0;
-    router_ = std::make_unique<ShardRouter>(*layout, std::move(options));
+    router_ = std::make_unique<ShardRouter>(config, std::move(options));
     ASSERT_TRUE(router_->Start().ok());
   }
 
@@ -133,9 +133,8 @@ TEST_F(DistIngestTest, AddsBalanceAcrossShardsLeastLoadedFirst) {
     auto ack = router_->Ingest(op, /*deadline_ms=*/5000);
     ASSERT_TRUE(ack.ok()) << ack.status();
   }
-  // Single-shard servers always report shard_index 0 in the ack; the
-  // real placement is which SERVER got the document. Argmin with
-  // ties-to-lowest alternates 0,1,0,1,... so the documents split 4/4.
+  // Argmin with ties-to-lowest alternates servers 0,1,0,1,... so the
+  // documents split 4/4.
   EXPECT_EQ(servers_[0].corpus->document_count(), 4u);
   EXPECT_EQ(servers_[1].corpus->document_count(), 4u);
 
@@ -147,8 +146,8 @@ TEST_F(DistIngestTest, AddsBalanceAcrossShardsLeastLoadedFirst) {
 
 TEST_F(DistIngestTest, RemovesProbeShardsInIndexOrder) {
   StartCluster(2);
-  // Four adds: servers 0 and 1 each hold two documents whose LOCAL
-  // root ids are 1 and (1 + len of the first doc).
+  // Four adds alternate between the servers, each under the next
+  // cluster-global root id.
   std::vector<doc::NodeId> roots;
   std::vector<uint32_t> owners;
   for (size_t i = 0; i < 4; ++i) {
@@ -159,10 +158,9 @@ TEST_F(DistIngestTest, RemovesProbeShardsInIndexOrder) {
     ASSERT_TRUE(ack.ok()) << ack.status();
     roots.push_back(ack->doc_root);
   }
-  // Remove by the SECOND document's root id. Both servers have a
-  // document with that local id — the router probes index order, so
-  // server 0's copy is the one removed (documented try-each semantics:
-  // root ids are per-server on a mutable cluster).
+  // Remove server 0's second document by its root id. Roots are
+  // cluster-global, so exactly one server holds it, and only that
+  // server loses a document.
   WireIngest remove;
   remove.op = WireIngest::Op::kRemove;
   remove.doc_root = roots[2];  // third add = second doc on server 0

@@ -266,6 +266,25 @@ TEST_F(DistRouterTest, OneShardDownDegradesWithCorrectMissingShards) {
 
   ShardRouter router(sharded, options);
   ASSERT_TRUE(router.Start().ok());
+
+  // An overall deadline shorter than the attempt deadline ends the
+  // scatter while the dead shard's attempt is still out, before epoch
+  // reconciliation runs: the live shards' answers must still be
+  // translated and merged, exactly as when the dead shard fails first.
+  // The query is shard 0's first document's root label, so the live
+  // shards answer it.
+  const doc::DataTree& tree = db_->tree();
+  const std::string label(tree.labels().Get(
+      tree.node(sharded.shard_spans(0).front().global_start).label));
+  auto bounded =
+      router.Execute(label, Strategy::kSchema, 10, /*deadline_ms=*/300);
+  ASSERT_TRUE(bounded.ok()) << bounded.status();
+  EXPECT_EQ(bounded->missing_shards, std::vector<uint32_t>{kDead});
+  auto unbounded = router.Execute(label, Strategy::kSchema, 10, 0);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status();
+  ASSERT_FALSE(unbounded->answers.empty());
+  EXPECT_EQ(Canonical(bounded->answers), Canonical(unbounded->answers));
+
   for (const std::string& query : *queries_) {
     auto routed = router.Execute(query, Strategy::kSchema, 10, 0);
     ASSERT_TRUE(routed.ok()) << routed.status();
@@ -451,6 +470,28 @@ TEST_F(DistRouterTest, ManifestOnlyRouterMatchesAndRejectsWrongLayout) {
       EXPECT_FALSE(routed->degraded);
       EXPECT_EQ(Canonical(routed->answers), Canonical(*expected)) << query;
     }
+    // The manifest's spans are the view's epoch-0 slices: nothing is
+    // fetched, before or after the queries.
+    EXPECT_NE(router.DumpMetrics().find("dist_manifest_fetches 0\n"),
+              std::string::npos)
+        << router.DumpMetrics();
+
+    // Immutable shard servers only ever answer at epoch 0, so a floor
+    // above it can never be met: that shard is missing, never returned.
+    auto floored = router.Execute((*queries_)[0], Strategy::kSchema, 10, 0,
+                                  /*min_epochs=*/{1});
+    ASSERT_TRUE(floored.ok()) << floored.status();
+    EXPECT_TRUE(floored->degraded);
+    EXPECT_EQ(floored->missing_shards, std::vector<uint32_t>{0});
+
+    // Ingest needs mutable shard servers; these decline it, typed.
+    net::WireIngest add;
+    add.op = net::WireIngest::Op::kAdd;
+    add.xml = "<a>b</a>";
+    auto added = router.Ingest(add, /*deadline_ms=*/2000);
+    ASSERT_FALSE(added.ok());
+    EXPECT_EQ(added.status().code(), util::StatusCode::kUnimplemented)
+        << added.status();
     router.Shutdown();
   }
 

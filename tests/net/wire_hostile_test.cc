@@ -28,7 +28,6 @@ TEST(WireHostileTest, QueryRequestHugeMinEpochCount) {
   PutString(&payload, "a");                // query
   util::PutVarint32(&payload, 1);          // strategy = kSchema
   util::PutVarint64(&payload, 10);         // n
-  util::PutVarint32(&payload, 1);          // parallelism
   util::PutVarint64(&payload, 0);          // deadline (zigzag 0)
   util::PutVarint32(&payload, 0);          // bypass_cache
   util::PutVarint64(&payload, kHugeCount); // min_epochs count, no elements

@@ -250,7 +250,6 @@ TEST(PayloadTest, QueryRequestRoundTrip) {
   request.query = R"(cd[title["piano" and "concerto"]])";
   request.strategy = engine::Strategy::kDirect;
   request.n = std::numeric_limits<uint64_t>::max();  // "all results"
-  request.parallelism = 8;
   request.deadline_ms = -1;  // negative deadlines must survive (tests)
   request.bypass_cache = true;
 
@@ -259,7 +258,6 @@ TEST(PayloadTest, QueryRequestRoundTrip) {
   EXPECT_EQ(decoded.query, request.query);
   EXPECT_EQ(decoded.strategy, request.strategy);
   EXPECT_EQ(decoded.n, request.n);
-  EXPECT_EQ(decoded.parallelism, request.parallelism);
   EXPECT_EQ(decoded.deadline_ms, request.deadline_ms);
   EXPECT_EQ(decoded.bypass_cache, request.bypass_cache);
 }
@@ -322,7 +320,6 @@ TEST(PayloadTest, BadStrategyRejected) {
   payload += "ab";
   payload.push_back(77);  // strategy 77: not a Strategy
   payload.push_back(1);   // n
-  payload.push_back(0);   // parallelism
   payload.push_back(0);   // deadline
   payload.push_back(0);   // bypass
   WireRequest decoded;
