@@ -7,9 +7,8 @@
 // beyond snapshot-pointer chasing while writes land). Results land on
 // stdout and in BENCH_ingest.json for EXPERIMENTS.md.
 //
-// Scale with APPROXQL_BENCH_INGEST_DOCS (default 300),
-// APPROXQL_BENCH_QUERIES (default 200 timed queries per mode) and
-// APPROXQL_BENCH_STORE (mem | disk, default mem).
+// Scale with APPROXQL_BENCH_INGEST_DOCS (default 300) and
+// APPROXQL_BENCH_QUERIES (default 200 timed queries per mode).
 #include <unistd.h>
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include "cost/cost_model.h"
 #include "ingest/mutable_corpus.h"
 #include "shard/sharded_database.h"
-#include "storage/kv_factory.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -150,7 +148,7 @@ LatencySample TimedQueries(const ingest::MutableCorpus& corpus,
 }
 
 Level RunLevel(const std::string& dir, size_t shards, size_t docs,
-               size_t timed_queries, storage::StoreKind store_kind) {
+               size_t timed_queries) {
   Level level;
   level.shards = shards;
   level.docs = docs;
@@ -159,7 +157,6 @@ Level RunLevel(const std::string& dir, size_t shards, size_t docs,
   ingest::MutableCorpus::Options options;
   options.data_dir = dir;
   options.num_shards = shards;
-  options.store_kind = store_kind;
   options.model = IngestModel();
   auto corpus = ingest::MutableCorpus::Open(std::move(options));
   APPROXQL_CHECK(corpus.ok()) << corpus.status();
@@ -226,11 +223,6 @@ int Run() {
   util::SetLogLevel(util::LogLevel::kError);
   const size_t kDocs = EnvSize("APPROXQL_BENCH_INGEST_DOCS", 300);
   const size_t kTimedQueries = EnvSize("APPROXQL_BENCH_QUERIES", 200);
-  const char* store_env = std::getenv("APPROXQL_BENCH_STORE");
-  const storage::StoreKind store_kind =
-      (store_env != nullptr && std::string_view(store_env) == "disk")
-          ? storage::StoreKind::kDisk
-          : storage::StoreKind::kMem;
   const std::string base =
       (std::filesystem::temp_directory_path() /
        ("approxql_bench_ingest_" + std::to_string(::getpid())))
@@ -239,7 +231,7 @@ int Run() {
   std::vector<Level> levels;
   for (size_t shards : {size_t{1}, size_t{4}}) {
     Level level = RunLevel(base + "_" + std::to_string(shards), shards,
-                           kDocs, kTimedQueries, store_kind);
+                           kDocs, kTimedQueries);
     std::printf(
         "shards=%zu: ingest %.1f docs/s (%.2f ms/doc durable), group "
         "commit x%zu writers %.1f docs/s (mean batch %.2f), query p50 "
@@ -257,10 +249,8 @@ int Run() {
   std::fprintf(out,
                "{\n  \"benchmark\": \"live_ingest\",\n"
                "  \"config\": {\"docs\": %zu, \"timed_queries\": %zu, "
-               "\"store\": \"%s\", %s},\n  \"levels\": [\n",
-               kDocs, kTimedQueries,
-               store_kind == storage::StoreKind::kDisk ? "disk" : "mem",
-               BenchEnvJson().c_str());
+               "%s},\n  \"levels\": [\n",
+               kDocs, kTimedQueries, BenchEnvJson().c_str());
   for (size_t i = 0; i < levels.size(); ++i) {
     const Level& level = levels[i];
     std::fprintf(

@@ -14,7 +14,6 @@
 #include "engine/list_ops.h"
 #include "gen/xml_generator.h"
 #include "index/label_index.h"
-#include "index/stored_label_index.h"
 #include "schema/schema.h"
 #include "service/query_service.h"
 #include "storage/bptree.h"
@@ -189,36 +188,6 @@ void BM_BPlusTreeGet(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_BPlusTreeGet);
-
-void BM_StoredPostingFetch(benchmark::State& state) {
-  // Cost of the paper-style deployment: postings decoded from the
-  // B+tree store on first touch (cache cleared per iteration by
-  // re-creating the source).
-  gen::XmlGenOptions gen_options;
-  gen_options.seed = 23;
-  gen_options.total_elements = 20000;
-  gen::XmlGenerator generator(gen_options);
-  auto tree = generator.GenerateTree(cost::CostModel());
-  APPROXQL_CHECK(tree.ok());
-  index::LabelIndex memory = index::LabelIndex::BuildFromTree(*tree);
-  storage::MemKvStore store;
-  APPROXQL_CHECK(memory.PersistTo(&store, "ix#").ok());
-  std::vector<doc::LabelId> labels;
-  for (const auto& [label, posting] : memory.postings(NodeType::kText)) {
-    (void)posting;
-    labels.push_back(label);
-  }
-  util::Rng rng(3);
-  for (auto _ : state) {
-    index::StoredLabelIndex stored(&store, "ix#");
-    for (int i = 0; i < 16; ++i) {
-      benchmark::DoNotOptimize(
-          stored.Fetch(NodeType::kText, labels[rng.Uniform(labels.size())]));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_StoredPostingFetch);
 
 void BM_MemKvGet(benchmark::State& state) {
   storage::MemKvStore store;

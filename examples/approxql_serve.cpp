@@ -7,7 +7,6 @@
 // verify).
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,7 +25,6 @@ using approxql::serve::Fail;
 using approxql::service::QueryService;
 using approxql::shard::LayoutManifest;
 using approxql::shard::ShardedDatabase;
-using approxql::storage::StoreKind;
 
 namespace {
 
@@ -56,9 +54,7 @@ int Usage() {
       "  --mutable        serve a live-ingest corpus from --data-dir\n"
       "                   (recovering it if it exists): answers kIngest,\n"
       "                   acks only after WAL fsync + visibility\n"
-      "  --store S        mem|disk posting stores (default mem); disk needs\n"
-      "                   --data-dir for the backing files\n"
-      "  --data-dir D     directory for disk stores / the mutable corpus\n"
+      "  --data-dir D     directory of the mutable corpus\n"
       "%s",
       approxql::serve::kCommonFlagsUsage);
   return 2;
@@ -81,7 +77,6 @@ void HandleDrainSignal(int) {
 int main(int argc, char** argv) {
   approxql::serve::CommonFlags common;
   std::string manifest_path, save_manifest_path, data_dir;
-  std::string store_name = "mem";
   size_t shard_server = SIZE_MAX;  // SIZE_MAX = not a shard server
   size_t listen_port = 0;
   bool listening = false, mutable_mode = false, strict = false;
@@ -102,8 +97,6 @@ int main(int argc, char** argv) {
       ok = flags.Str(&save_manifest_path);
     } else if (arg == "--mutable") {
       mutable_mode = true;
-    } else if (arg == "--store") {
-      ok = flags.Str(&store_name);
     } else if (arg == "--data-dir") {
       ok = flags.Str(&data_dir);
     } else {
@@ -111,8 +104,7 @@ int main(int argc, char** argv) {
     }
     if (!ok) return Usage();
   }
-  const auto store_kind = approxql::storage::ParseStoreKind(store_name);
-  if (!store_kind.ok() || !common.ReconcileShards()) return Usage();
+  if (!common.ReconcileShards()) return Usage();
   const bool router_mode = !common.router.empty();
   const bool shard_server_mode = shard_server != SIZE_MAX;
   // Every role but a mutable corpus and a router without a static
@@ -137,9 +129,6 @@ int main(int argc, char** argv) {
   if (!save_manifest_path.empty() && !needs_corpus) {
     return Reject("--save-manifest needs a corpus to partition");
   }
-  if (*store_kind == StoreKind::kDisk && data_dir.empty()) {
-    return Reject("--store disk needs --data-dir");
-  }
 
   std::unique_ptr<Database> db;
   std::unique_ptr<ShardedDatabase> sharded;
@@ -150,25 +139,7 @@ int main(int argc, char** argv) {
   }
   if (db != nullptr && (common.shards > 1 || shard_server_mode ||
                         router_mode || !save_manifest_path.empty())) {
-    // --store disk backs each shard's postings with a B+tree file under
-    // --data-dir; the default keeps them in memory.
-    approxql::storage::StoreFactory stores = nullptr;
-    if (*store_kind == StoreKind::kDisk) {
-      std::error_code ec;
-      std::filesystem::create_directories(data_dir, ec);
-      if (ec) {
-        std::fprintf(stderr, "cannot create %s: %s\n", data_dir.c_str(),
-                     ec.message().c_str());
-        return 1;
-      }
-      stores = [dir = data_dir](const std::string& stem) {
-        return approxql::storage::CreateKvStore(
-            StoreKind::kDisk, dir + "/" + stem + ".kv",
-            /*create_if_missing=*/true);
-      };
-    }
-    auto partitioned = approxql::serve::PartitionDatabase(
-        *db, common.shards, std::move(stores));
+    auto partitioned = approxql::serve::PartitionDatabase(*db, common.shards);
     if (!partitioned.ok()) return Fail("shard", partitioned.status());
     sharded = std::move(partitioned).value();
   }
@@ -213,7 +184,6 @@ int main(int argc, char** argv) {
     // internal shard and --shards describes the cluster, not the corpus
     // (the router owns placement across servers).
     corpus_options.num_shards = shard_server_mode ? 1 : common.shards;
-    corpus_options.store_kind = *store_kind;
     corpus_options.model = approxql::serve::IngestCostModel(common.seed);
     const size_t corpus_shards = corpus_options.num_shards;
     MutableCorpus::OpenStats open_stats;
@@ -223,14 +193,12 @@ int main(int argc, char** argv) {
     corpus = std::move(opened).value();
     std::fprintf(stderr,
                  "mutable corpus: recovered %zu documents "
-                 "(%zu wal records replayed%s%s), epoch %llu, "
-                 "%zu shard%s, store %s, dir %s\n",
+                 "(%zu wal records replayed%s), epoch %llu, "
+                 "%zu shard%s, dir %s\n",
                  open_stats.recovered_documents, open_stats.replayed_records,
                  open_stats.any_tail_truncated ? ", torn tail dropped" : "",
-                 open_stats.any_store_rebuilt ? ", store rebuilt" : "",
                  static_cast<unsigned long long>(corpus->epoch()),
                  corpus_shards, corpus_shards == 1 ? "" : "s",
-                 approxql::storage::StoreKindName(*store_kind),
                  data_dir.c_str());
   }
 

@@ -168,11 +168,10 @@ util::Result<std::unique_ptr<engine::Database>> BuildDatabase(
 }
 
 util::Result<std::unique_ptr<shard::ShardedDatabase>> PartitionDatabase(
-    const engine::Database& db, size_t shards, storage::StoreFactory stores) {
+    const engine::Database& db, size_t shards) {
   ASSIGN_OR_RETURN(
       shard::ShardedDatabase partitioned,
-      shard::ShardedDatabase::Partition(db.tree(), db.cost_model(), shards,
-                                        std::move(stores)));
+      shard::ShardedDatabase::Partition(db.tree(), db.cost_model(), shards));
   auto sharded =
       std::make_unique<shard::ShardedDatabase>(std::move(partitioned));
   const auto stats = sharded->GetStats();

@@ -19,7 +19,6 @@
 #include "service/query_service.h"
 #include "shard/layout_manifest.h"
 #include "shard/sharded_database.h"
-#include "storage/kv_factory.h"
 #include "util/status.h"
 
 namespace approxql::serve {
@@ -81,11 +80,9 @@ extern const char kCommonFlagsUsage[];
 util::Result<std::unique_ptr<engine::Database>> BuildDatabase(
     const CommonFlags& flags);
 
-/// Partitions `db` into `shards` shards with postings in stores from
-/// `stores` (nullptr = memory). Prints the layout to stderr.
+/// Partitions `db` into `shards` shards. Prints the layout to stderr.
 util::Result<std::unique_ptr<shard::ShardedDatabase>> PartitionDatabase(
-    const engine::Database& db, size_t shards,
-    storage::StoreFactory stores = nullptr);
+    const engine::Database& db, size_t shards);
 
 /// Starts a router over `flags.router`. `layout` fixes a static
 /// partition's layout; nullptr means a --live cluster, whose router

@@ -21,7 +21,6 @@ const std::vector<FuzzTarget>& AllTargets() {
       {"data_tree", FuzzDataTree},
       {"posting", FuzzPosting},
       {"wal_replay", FuzzWalReplay},
-      {"vlog_read", FuzzVlogRead},
       {"xml_parser", FuzzXmlParser},
       {"approxql_parser", FuzzApproxqlParser},
   };

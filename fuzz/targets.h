@@ -32,7 +32,6 @@ int FuzzLayoutManifest(const uint8_t* data, size_t size);
 int FuzzDataTree(const uint8_t* data, size_t size);
 int FuzzPosting(const uint8_t* data, size_t size);
 int FuzzWalReplay(const uint8_t* data, size_t size);
-int FuzzVlogRead(const uint8_t* data, size_t size);
 
 // Text parsers fed by users and ingest.
 int FuzzXmlParser(const uint8_t* data, size_t size);

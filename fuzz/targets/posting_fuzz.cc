@@ -1,5 +1,5 @@
 // index::DeserializePosting over hostile bytes — posting lists read back
-// from B+tree leaves and the value log. Contract: clean Result or a
+// from B+tree leaves (engine::Database::Load). Contract: clean Result or a
 // strictly increasing posting that round-trips.
 
 #include <string>

@@ -24,7 +24,6 @@
 #include "index/label_index.h"
 #include "net/wire.h"
 #include "shard/layout_manifest.h"
-#include "storage/vlog/value_log.h"
 #include "storage/wal/wal.h"
 #include "util/varint.h"
 
@@ -351,28 +350,6 @@ int main(int argc, char** argv) {
     WriteSeed(root, "wal_replay", "seed-valid", valid);
     WriteSeed(root, "wal_replay", "seed-torn-tail",
               valid + "\x7f\x01garbage");
-  }
-
-  // --- vlog_read (16-byte fuzz pointer + file bytes) ---
-  {
-    const std::string path = (tmp / "seed.vlog").string();
-    auto opened = storage::ValueLog::Open(path);
-    if (!opened.ok()) return 1;
-    auto first = (*opened)->Append("hello posting bytes");
-    auto second = (*opened)->Append("world");
-    if (!first.ok() || !second.ok() || !(*opened)->Sync().ok()) return 1;
-    opened->reset();
-    const std::string file = ReadFile(path);
-    std::string seed;
-    for (uint64_t v : {first->offset, first->length}) {
-      for (int i = 0; i < 8; ++i) {
-        seed.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-      }
-    }
-    WriteSeed(root, "vlog_read", "seed-valid", seed + file);
-    // Same file, pointer aimed past the end.
-    std::string bogus(16, '\xee');
-    WriteSeed(root, "vlog_read", "seed-bad-pointer", bogus + file);
   }
 
   // --- xml_parser ---

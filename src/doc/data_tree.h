@@ -141,12 +141,6 @@ class DataTreeBuilder {
 
   size_t node_count() const { return tree_.nodes_.size(); }
 
-  /// The tree under construction. Structure (parent/label/type) is valid
-  /// for every node already added; bounds and the cost encoding are NOT
-  /// finalized — callers may only read per-node labels and types (the
-  /// incremental posting maintenance of live ingest does exactly that).
-  const DataTree& pending() const { return tree_; }
-
   /// Finalizes bounds and the encoding. The builder is consumed.
   /// Precondition: every StartElement has a matching EndElement.
   util::Result<DataTree> Build(const cost::CostModel& model) &&;

@@ -39,10 +39,9 @@ struct ExecOptions {
   SchemaEvaluator::Options schema;
   DirectEvaluator::Options direct;
   /// Posting source for the direct strategy instead of the database's
-  /// in-memory label index (e.g. a shard's own stored postings, so
-  /// concurrent fetches hit disjoint storage partitions). Must index the
-  /// same tree — postings are identical, only their storage differs.
-  /// Ignored by kSchema/kFullScan. Must outlive the call.
+  /// own label index. Must index the same tree (the benchmark points it
+  /// at a shard's index, which is the default anyway). Ignored by
+  /// kSchema/kFullScan. Must outlive the call.
   const index::PostingSource* posting_source = nullptr;
   /// Optional out-parameters: filled with the evaluator's counters when
   /// non-null (benchmarks and tests inspect these).
@@ -69,9 +68,8 @@ struct QueryAnswer {
 /// threads concurrently — Execute/ExecuteStream/Explain construct their
 /// evaluator state per call and only read tree_, schema_, label_index_
 /// and model_, none of which have lazy/mutable components (audited:
-/// LabelIndex::Fetch and SecondaryIndex::Fetch are pure map lookups;
-/// the lazily-caching StoredLabelIndex is not used by Database — it
-/// locks internally for callers that do share one). The exceptions:
+/// LabelIndex::Fetch and SecondaryIndex::Fetch are pure map lookups).
+/// The exceptions:
 ///   - Save() is const but writes `path` + ".tmp"; concurrent Saves to
 ///     the same path race on the temp file. Serialize externally.
 ///   - Move assignment/destruction must not overlap any other call.

@@ -7,8 +7,8 @@
 //     in, so it is computed once and memoized (renaming loops in
 //     ancestors then only redo the final join/outerjoin).
 // Each label's postings are fetched when the operator that consumes
-// them runs (FetchLabel), from the index the evaluator was given — the
-// database's own or, in a sharded scatter, the shard's stored postings.
+// them runs (FetchLabel), from the index the evaluator was given (the
+// database's own unless ExecOptions::posting_source names another).
 // A conjunct the and short-circuit skips therefore never fetches.
 //
 // The same evaluator runs over a data tree (direct evaluation) — and, in

@@ -493,9 +493,7 @@ std::vector<RootCost> SchemaEvaluator::BestN(const ExpandedQuery& query,
       stats_.cancelled = true;
       break;
     }
-    ++stats_.rounds;
-    stats_.final_k = k;
-    TopKList queries = TopKQueries(query, k);
+    TopKList queries = RunRound(query, k);
     for (const SkeletonRef& skeleton : queries) {
       // Second-level queries run in ascending cost order, so stopping on
       // a fired deadline between them still leaves a correct (short)
@@ -544,12 +542,22 @@ std::vector<RootCost> SchemaEvaluator::BestN(const ExpandedQuery& query,
       stats_.k_capped = true;
       break;
     }
-    size_t grown = static_cast<size_t>(static_cast<double>(k) *
-                                       std::max(options_.growth, 1.0));
-    k = std::min(std::max(k + options_.delta_k, grown), options_.max_k);
+    k = NextK(k);
   }
   SortTopN(&results, n);
   return results;
+}
+
+TopKList SchemaEvaluator::RunRound(const ExpandedQuery& query, size_t k) {
+  ++stats_.rounds;
+  stats_.final_k = k;
+  return TopKQueries(query, k);
+}
+
+size_t SchemaEvaluator::NextK(size_t k) const {
+  size_t grown = static_cast<size_t>(static_cast<double>(k) *
+                                     std::max(options_.growth, 1.0));
+  return std::min(std::max(k + options_.delta_k, grown), options_.max_k);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,7 +570,7 @@ ResultStream::ResultStream(const schema::Schema& schema,
     : evaluator_(schema, tree, options),
       query_(query),
       k_(options.initial_k) {
-  round_ = evaluator_.TopKQueries(*query_, k_);
+  round_ = evaluator_.RunRound(*query_, k_);
 }
 
 bool ResultStream::Advance() {
@@ -593,11 +601,8 @@ bool ResultStream::Advance() {
       evaluator_.stats_.k_capped = true;
       return false;
     }
-    size_t grown = static_cast<size_t>(
-        static_cast<double>(k_) * std::max(evaluator_.options().growth, 1.0));
-    k_ = std::min(std::max(k_ + evaluator_.options().delta_k, grown),
-                  evaluator_.options().max_k);
-    round_ = evaluator_.TopKQueries(*query_, k_);
+    k_ = evaluator_.NextK(k_);
+    round_ = evaluator_.RunRound(*query_, k_);
     round_index_ = 0;
   }
 }

@@ -142,7 +142,13 @@ class SchemaEvaluator {
   const SchemaEvalStats& stats() const { return stats_; }
 
  private:
-  friend class ResultStream;  // sets stats_.k_capped on cap exhaustion
+  friend class ResultStream;  // shares the round step and the k schedule
+
+  /// One incremental round: counts it (rounds, final_k) and returns the
+  /// best k second-level queries. Both drivers go through it.
+  TopKList RunRound(const query::ExpandedQuery& query, size_t k);
+  /// The k of the round after one at `k` (the growth rule).
+  size_t NextK(size_t k) const;
 
   SkeletonRef NewEntry(const SkeletonEntry& base);
 

@@ -75,10 +75,9 @@ Result<Posting> DeserializePosting(std::string_view data) {
 
 Status LabelIndex::PersistTo(storage::KvStore* store,
                              std::string_view prefix) const {
-  // Deterministic Put order (sorted by type, label): the durable layer
-  // requires that persisting identical logical content produces an
-  // identical store + value-log layout, and unordered_map iteration
-  // order is anything but stable across processes.
+  // Deterministic Put order (sorted by type, label): saving identical
+  // logical content produces an identical store, whereas unordered_map
+  // iteration order is anything but stable across processes.
   for (NodeType type : {NodeType::kStruct, NodeType::kText}) {
     std::vector<doc::LabelId> labels;
     labels.reserve(postings(type).size());

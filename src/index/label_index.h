@@ -24,9 +24,9 @@ namespace approxql::index {
 
 using Posting = std::vector<doc::NodeId>;
 
-/// Where the evaluator gets postings from. Implementations: LabelIndex
-/// (in-memory, the default) and StoredLabelIndex (lazily fetched from a
-/// KvStore, the paper's Berkeley-DB-style deployment).
+/// Where the evaluator gets postings from. LabelIndex is the one
+/// implementation; ExecOptions::posting_source lets a caller point a
+/// Database at another database's index.
 class PostingSource {
  public:
   virtual ~PostingSource() = default;
@@ -50,6 +50,12 @@ class LabelIndex : public PostingSource {
 
   /// The posting for (type, label), or nullptr if the label is unknown.
   const Posting* Fetch(NodeType type, doc::LabelId label) const override;
+
+  /// Number of resident postings (both types). Every posting is built
+  /// up front, so nothing is decoded per query.
+  size_t CachedCount() const {
+    return postings_[0].size() + postings_[1].size();
+  }
 
   /// Number of distinct labels of a type.
   size_t LabelCount(NodeType type) const {

@@ -5,11 +5,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <utility>
 
-#include "index/label_index.h"
-#include "storage/mem_kv_store.h"
 #include "storage/wal/log_format.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -22,17 +19,9 @@ using util::Status;
 
 namespace {
 
-constexpr std::string_view kPostingPrefix = "ix#";
 constexpr uint32_t kSnapMagic = 0x4e535141;  // "AQSN"
-constexpr uint32_t kSnapVersion = 1;
+constexpr uint32_t kSnapVersion = 2;
 constexpr uint32_t kCurrentMagic = 0x52554341;  // "ACUR"
-
-std::string PostingKey(NodeType type, doc::LabelId label) {
-  std::string key(kPostingPrefix);
-  key.push_back(type == NodeType::kStruct ? 's' : 't');
-  util::PutVarint32(&key, label);
-  return key;
-}
 
 Status WriteFileDurably(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
@@ -74,8 +63,7 @@ DurableShard::DurableShard(Options options)
 DurableShard::~DurableShard() {
   if (!recovered_ || abandoned_ || poisoned_ || wal_ == nullptr) return;
   // Clean shutdown = checkpoint: the next open loads the snapshot and
-  // replays nothing, and the B+tree's own destructor flush can never
-  // produce a layout that diverges from the checkpoint image.
+  // replays nothing.
   Status status = Checkpoint();
   if (!status.ok()) {
     APPROXQL_LOG(Error) << stem_
@@ -94,95 +82,19 @@ std::string DurableShard::GenPath(uint64_t gen, std::string_view ext) const {
 
 std::string DurableShard::ConfigString() const {
   return "shard=" + std::to_string(options_.shard_index) +
-         ";store=" + storage::StoreKindName(options_.store_kind) +
-         ";threshold=" + std::to_string(options_.inline_threshold) +
          ";model=" + options_.model.ToConfigString();
 }
 
-uint64_t DurableShard::vlog_size() const {
-  return vlog_ != nullptr ? vlog_->size() : 0;
-}
-
-storage::SpillingStore::Stats DurableShard::spill_stats() const {
-  return spilling_ != nullptr ? spilling_->stats()
-                              : storage::SpillingStore::Stats{};
-}
-
-Result<DurableShard::InnerStore> DurableShard::OpenInner(uint64_t gen,
-                                                         bool start_fresh) {
-  InnerStore inner;
-  if (options_.store_kind == storage::StoreKind::kMem) {
-    inner.store = std::make_unique<storage::MemKvStore>();
-    return inner;
-  }
-  const std::string kv_path = GenPath(gen, ".kv");
-  const std::string vlog_path = GenPath(gen, ".vlog");
-  if (start_fresh) {
-    std::remove(kv_path.c_str());
-    std::remove(vlog_path.c_str());
-  }
-  ASSIGN_OR_RETURN(std::unique_ptr<storage::DiskKvStore> kv,
-                   storage::DiskKvStore::Open(kv_path,
-                                              /*create_if_missing=*/true));
-  ASSIGN_OR_RETURN(std::unique_ptr<storage::ValueLog> vlog,
-                   storage::ValueLog::Open(vlog_path));
-  inner.kv = kv.get();
-  inner.vlog = vlog.get();
-  auto spilling = std::make_unique<storage::SpillingStore>(
-      std::move(kv), std::move(vlog), options_.inline_threshold);
-  inner.spilling = spilling.get();
-  inner.store = std::move(spilling);
-  return inner;
-}
-
-Status DurableShard::PersistAllPostings(storage::KvStore* store) const {
-  ASSIGN_OR_RETURN(doc::DataTree tree, builder_.Snapshot(options_.model));
-  index::LabelIndex index = index::LabelIndex::BuildFromTree(tree);
-  return index.PersistTo(store, kPostingPrefix);
-}
-
-Status DurableShard::ApplyParsedAdd(const xml::XmlElement& root,
-                                    doc::NodeId global_start,
-                                    shard::DocSpan* out) {
-  const doc::NodeId local_start =
-      static_cast<doc::NodeId>(builder_.node_count());
+shard::DocSpan DurableShard::ApplyParsedAdd(const xml::XmlElement& root,
+                                            doc::NodeId global_start) {
+  shard::DocSpan span;
+  span.local_start = static_cast<doc::NodeId>(builder_.node_count());
+  span.global_start = global_start;
   builder_.AddDocument(root);
-  const doc::NodeId local_end = static_cast<doc::NodeId>(builder_.node_count());
-
-  // Group the new nodes' ids by (type, label). std::map gives a
-  // deterministic Put order — required for the replay-reproducible
-  // value-log layout.
-  const doc::DataTree& pending = builder_.pending();
-  std::map<std::pair<int, doc::LabelId>, index::Posting> appended;
-  for (doc::NodeId id = local_start; id < local_end; ++id) {
-    const doc::DataNode& n = pending.node(id);
-    appended[{static_cast<int>(n.type), n.label}].push_back(id);
-  }
-  for (const auto& [key, ids] : appended) {
-    const NodeType type = static_cast<NodeType>(key.first);
-    const std::string store_key = PostingKey(type, key.second);
-    index::Posting posting;
-    auto existing = store_->Get(store_key);
-    if (existing.ok()) {
-      ASSIGN_OR_RETURN(posting, index::DeserializePosting(*existing));
-      // Idempotent replay: a crashed, never-acknowledged apply may have
-      // left entries in this doc's id range; drop them before appending.
-      auto cut = std::lower_bound(posting.begin(), posting.end(), local_start);
-      posting.erase(cut, posting.end());
-    } else if (!existing.status().IsNotFound()) {
-      return existing.status();
-    }
-    posting.insert(posting.end(), ids.begin(), ids.end());
-    std::string value;
-    index::SerializePosting(posting, &value);
-    RETURN_IF_ERROR(store_->Put(store_key, value));
-  }
-
-  out->local_start = local_start;
-  out->global_start = global_start;
-  out->length = local_end - local_start;
-  spans_.push_back(*out);
-  return Status::OK();
+  span.length =
+      static_cast<uint32_t>(builder_.node_count() - span.local_start);
+  spans_.push_back(span);
+  return span;
 }
 
 Status DurableShard::ApplyRemove(doc::NodeId global_start) {
@@ -207,19 +119,6 @@ Status DurableShard::ApplyRemove(doc::NodeId global_start) {
     new_spans.push_back(moved);
   }
 
-  ASSIGN_OR_RETURN(doc::DataTree new_tree, rebuilt.Snapshot(options_.model));
-  index::LabelIndex new_index = index::LabelIndex::BuildFromTree(new_tree);
-  RETURN_IF_ERROR(new_index.PersistTo(store_.get(), kPostingPrefix));
-  // Labels with no surviving occurrence keep a stale key otherwise.
-  index::LabelIndex old_index = index::LabelIndex::BuildFromTree(old_tree);
-  for (NodeType type : {NodeType::kStruct, NodeType::kText}) {
-    for (const auto& [label, posting] : old_index.postings(type)) {
-      if (new_index.Fetch(type, label) == nullptr) {
-        RETURN_IF_ERROR(store_->Delete(PostingKey(type, label)));
-      }
-    }
-  }
-
   builder_ = std::move(rebuilt);
   spans_ = std::move(new_spans);
   return Status::OK();
@@ -239,16 +138,11 @@ Result<DurableShard::AddResult> DurableShard::AddDocumentBuffered(
   }
 
   AddResult result;
-  Status applied = ApplyParsedAdd(*parsed->root, global_start, &result.span);
-  if (!applied.ok()) {
-    poisoned_ = true;
-    return applied;
-  }
+  result.span = ApplyParsedAdd(*parsed->root, global_start);
   std::string body;
   util::PutVarint32(&body, global_start);
   util::PutVarint32(&body, result.span.local_start);
   util::PutVarint32(&body, result.span.length);
-  util::PutVarint64(&body, vlog_size());
   util::PutVarint64(&body, xml.size());
   body.append(xml);
   auto seq = wal_->Append(kWalAddDocument, body);
@@ -288,7 +182,6 @@ Result<uint64_t> DurableShard::RemoveDocument(doc::NodeId global_start) {
   }
   std::string body;
   util::PutVarint32(&body, global_start);
-  util::PutVarint64(&body, vlog_size());
   auto seq = wal_->Append(kWalRemoveDocument, body);
   if (!seq.ok()) {
     poisoned_ = true;
@@ -306,8 +199,8 @@ Result<doc::DataTree> DurableShard::SnapshotTree() const {
   return builder_.Snapshot(options_.model);
 }
 
-Status DurableShard::WriteSnapshotFile(uint64_t gen, uint64_t applied_seq,
-                                       uint64_t vlog_size_value) const {
+Status DurableShard::WriteSnapshotFile(uint64_t gen,
+                                       uint64_t applied_seq) const {
   ASSIGN_OR_RETURN(doc::DataTree tree, builder_.Snapshot(options_.model));
   std::string out;
   util::PutVarint32(&out, kSnapMagic);
@@ -316,7 +209,6 @@ Status DurableShard::WriteSnapshotFile(uint64_t gen, uint64_t applied_seq,
   util::PutVarint64(&out, config.size());
   out.append(config);
   util::PutVarint64(&out, applied_seq);
-  util::PutVarint64(&out, vlog_size_value);
   std::string tree_bytes;
   tree.Serialize(&tree_bytes);
   util::PutVarint64(&out, tree_bytes.size());
@@ -355,7 +247,6 @@ Result<DurableShard::SnapshotFile> DurableShard::ReadSnapshotFile(
   RETURN_IF_ERROR(reader.GetBytes(config_len, &config));
   snap.config = std::string(config);
   RETURN_IF_ERROR(reader.GetVarint64(&snap.applied_seq));
-  RETURN_IF_ERROR(reader.GetVarint64(&snap.vlog_size));
   uint64_t tree_len = 0;
   RETURN_IF_ERROR(reader.GetVarint64(&tree_len));
   std::string_view tree_bytes;
@@ -424,51 +315,12 @@ void DurableShard::DeleteStaleGenerations() const {
 
 Status DurableShard::Recover(bool have_snapshot, const SnapshotFile& snap,
                              const std::vector<storage::WalRecord>& records,
-                             bool force_rebuild, OpenStats* stats_out) {
+                             OpenStats* stats_out) {
   uint64_t applied_seq = 0;
-  uint64_t base_vlog_size = 0;
   if (have_snapshot) {
     builder_ = doc::DataTreeBuilder::FromTree(snap.tree);
     spans_ = snap.spans;
     applied_seq = snap.applied_seq;
-    base_vlog_size = snap.vlog_size;
-  } else {
-    builder_ = doc::DataTreeBuilder();
-    spans_.clear();
-  }
-
-  // Mem stores hold nothing across restarts; they are always rebuilt
-  // from the snapshot tree.
-  const bool rebuild =
-      force_rebuild || options_.store_kind == storage::StoreKind::kMem;
-  ASSIGN_OR_RETURN(InnerStore inner, OpenInner(gen_, rebuild));
-  if (inner.vlog != nullptr && !rebuild) {
-    const uint64_t floor = std::max(base_vlog_size,
-                                    storage::ValueLog::HeaderSize());
-    if (floor > inner.vlog->size()) {
-      return Status::Corruption(stem_ +
-                                ": value log shorter than checkpoint");
-    }
-    // Discard the never-checkpointed tail; replay re-appends it at
-    // byte-identical offsets.
-    RETURN_IF_ERROR(inner.vlog->TruncateTo(floor));
-  }
-  kv_ = inner.kv;
-  vlog_ = inner.vlog;
-  spilling_ = inner.spilling;
-  store_ = std::make_shared<storage::SynchronizedKvStore>(
-      std::move(inner.store));
-  if (rebuild && have_snapshot) {
-    // Deterministic persist: rebuilding from the tree reproduces the
-    // exact checkpoint layout, so the vlog size must land on the
-    // checkpointed value (disk mode).
-    RETURN_IF_ERROR(PersistAllPostings(store_.get()));
-    if (vlog_ != nullptr && options_.store_kind == storage::StoreKind::kDisk &&
-        vlog_->size() != std::max(base_vlog_size,
-                                  storage::ValueLog::HeaderSize())) {
-      return Status::Corruption(stem_ +
-                                ": rebuilt value log diverges from snapshot");
-    }
   }
 
   size_t replayed = 0;
@@ -479,13 +331,11 @@ Status DurableShard::Recover(bool have_snapshot, const SnapshotFile& snap,
       uint32_t global_start = 0;
       uint32_t local_start = 0;
       uint32_t length = 0;
-      uint64_t vlog_after = 0;
       uint64_t xml_len = 0;
       std::string_view xml;
       RETURN_IF_ERROR(reader.GetVarint32(&global_start));
       RETURN_IF_ERROR(reader.GetVarint32(&local_start));
       RETURN_IF_ERROR(reader.GetVarint32(&length));
-      RETURN_IF_ERROR(reader.GetVarint64(&vlog_after));
       RETURN_IF_ERROR(reader.GetVarint64(&xml_len));
       RETURN_IF_ERROR(reader.GetBytes(xml_len, &xml));
       if (local_start != builder_.node_count()) {
@@ -493,30 +343,14 @@ Status DurableShard::Recover(bool have_snapshot, const SnapshotFile& snap,
                                   std::to_string(record.seq));
       }
       ASSIGN_OR_RETURN(xml::XmlDocument parsed, xml::ParseXmlDocument(xml));
-      shard::DocSpan span;
-      RETURN_IF_ERROR(ApplyParsedAdd(*parsed.root, global_start, &span));
-      if (span.length != length) {
+      if (ApplyParsedAdd(*parsed.root, global_start).length != length) {
         return Status::Corruption(stem_ + ": replay length mismatch at seq " +
                                   std::to_string(record.seq));
       }
-      if (options_.store_kind == storage::StoreKind::kDisk &&
-          vlog_size() != vlog_after) {
-        return Status::Corruption(
-            stem_ + ": replay value-log layout diverges at seq " +
-            std::to_string(record.seq));
-      }
     } else if (record.type == kWalRemoveDocument) {
       uint32_t global_start = 0;
-      uint64_t vlog_after = 0;
       RETURN_IF_ERROR(reader.GetVarint32(&global_start));
-      RETURN_IF_ERROR(reader.GetVarint64(&vlog_after));
       RETURN_IF_ERROR(ApplyRemove(global_start));
-      if (options_.store_kind == storage::StoreKind::kDisk &&
-          vlog_size() != vlog_after) {
-        return Status::Corruption(
-            stem_ + ": replay value-log layout diverges at seq " +
-            std::to_string(record.seq));
-      }
     } else {
       return Status::Corruption(stem_ + ": unknown WAL record type " +
                                 std::to_string(record.type));
@@ -524,46 +358,9 @@ Status DurableShard::Recover(bool have_snapshot, const SnapshotFile& snap,
     ++replayed;
   }
 
-  if (!rebuild && options_.store_kind == storage::StoreKind::kDisk) {
-    // The reused kv content is trusted to be exactly checkpoint+replay
-    // state. That fails if a bounded page cache flushed dirty pages from
-    // an un-logged apply before the crash: labels untouched by replay
-    // keep entries past the recovered tree, which would alias real nodes
-    // once the tree grows over them. Detect and fall back to a rebuild.
-    RETURN_IF_ERROR(VerifyNoStalePostings());
-  }
-
   if (stats_out != nullptr) {
     stats_out->recovered_documents = spans_.size();
     stats_out->replayed_records = replayed;
-    stats_out->store_rebuilt =
-        rebuild && options_.store_kind == storage::StoreKind::kDisk;
-  }
-  return Status::OK();
-}
-
-Status DurableShard::VerifyNoStalePostings() const {
-  // Keys first, values after: Get() resolves spilled segment pointers,
-  // and SynchronizedKvStore holds its mutex for the iterator's lifetime.
-  std::vector<std::string> keys;
-  {
-    std::unique_ptr<storage::KvIterator> it = store_->NewIterator();
-    for (it->Seek(kPostingPrefix); it->Valid(); it->Next()) {
-      const std::string_view key = it->key();
-      if (key.substr(0, kPostingPrefix.size()) != kPostingPrefix) break;
-      keys.emplace_back(key);
-    }
-  }
-  const doc::NodeId limit = static_cast<doc::NodeId>(builder_.node_count());
-  for (const std::string& key : keys) {
-    ASSIGN_OR_RETURN(std::string value, store_->Get(key));
-    ASSIGN_OR_RETURN(index::Posting posting, index::DeserializePosting(value));
-    if (!posting.empty() && posting.back() >= limit) {
-      return Status::Corruption(stem_ + ": stale posting entry " +
-                                std::to_string(posting.back()) +
-                                " past recovered node count " +
-                                std::to_string(limit));
-    }
   }
   return Status::OK();
 }
@@ -600,19 +397,8 @@ Result<std::unique_ptr<DurableShard>> DurableShard::Open(Options options,
     stats_out->wal_tail_truncated = wal_open.tail_truncated;
   }
 
-  Status recovered = shard->Recover(have_snapshot, snap, wal_open.records,
-                                    /*force_rebuild=*/false, stats_out);
-  if (!recovered.ok() &&
-      shard->options_.store_kind == storage::StoreKind::kDisk) {
-    // Torn pages past the checkpoint can make the generation's kv file
-    // unreadable; the snapshot tree + WAL carry everything, so rebuild
-    // the store from them instead of failing.
-    APPROXQL_LOG(Warning) << shard->stem_ << ": recovery retrying with store "
-                          << "rebuild: " << recovered.message();
-    recovered = shard->Recover(have_snapshot, snap, wal_open.records,
-                               /*force_rebuild=*/true, stats_out);
-  }
-  RETURN_IF_ERROR(recovered);
+  RETURN_IF_ERROR(
+      shard->Recover(have_snapshot, snap, wal_open.records, stats_out));
   shard->recovered_ = true;
   return shard;
 }
@@ -623,40 +409,20 @@ Status DurableShard::Checkpoint() {
                                       " is poisoned; checkpoint rejected");
   }
   const uint64_t next_gen = gen_ + 1;
-  ASSIGN_OR_RETURN(InnerStore fresh, OpenInner(next_gen, /*start_fresh=*/true));
-  RETURN_IF_ERROR(PersistAllPostings(fresh.store.get()));
-  RETURN_IF_ERROR(fresh.store->Flush());
-  if (fresh.kv != nullptr) RETURN_IF_ERROR(fresh.kv->Sync());
-  const uint64_t new_vlog_size =
-      fresh.vlog != nullptr ? fresh.vlog->size() : 0;
-  RETURN_IF_ERROR(WriteSnapshotFile(next_gen, wal_->last_seq(),
-                                    new_vlog_size));
+  RETURN_IF_ERROR(WriteSnapshotFile(next_gen, wal_->last_seq()));
   // The commit point: after this rename, recovery loads generation G+1.
   RETURN_IF_ERROR(WriteCurrent(next_gen));
   RETURN_IF_ERROR(wal_->Truncate());
 
   const uint64_t old_gen = gen_;
   gen_ = next_gen;
-  kv_ = fresh.kv;
-  vlog_ = fresh.vlog;
-  spilling_ = fresh.spilling;
-  // Readers reach the store only through the synchronized wrapper, so
-  // the swap is atomic from their side; the old inner store (same
-  // logical content) is destroyed here.
-  store_->Swap(std::move(fresh.store));
   std::remove(GenPath(old_gen, ".snap").c_str());
-  if (options_.store_kind == storage::StoreKind::kDisk) {
-    std::remove(GenPath(old_gen, ".kv").c_str());
-    std::remove(GenPath(old_gen, ".vlog").c_str());
-  }
   return Status::OK();
 }
 
 void DurableShard::Abandon() {
   abandoned_ = true;
   if (wal_ != nullptr) wal_->Abandon();
-  if (kv_ != nullptr) kv_->Abandon();
-  if (vlog_ != nullptr) vlog_->Abandon();
 }
 
 }  // namespace approxql::ingest

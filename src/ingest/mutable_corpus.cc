@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -24,7 +23,6 @@ using util::Status;
 
 namespace {
 
-constexpr std::string_view kPostingPrefix = "ix#";
 constexpr uint32_t kMetaMagic = 0x54454d41;  // "AMET"
 
 Status WriteMetaFile(const std::string& path, std::string_view config) {
@@ -92,7 +90,6 @@ MutableCorpus::MutableCorpus(Options options,
   auto_checkpoints_ = metrics_->RegisterCounter("ingest_auto_checkpoints");
   epoch_gauge_ = metrics_->RegisterGauge("ingest_epoch");
   documents_gauge_ = metrics_->RegisterGauge("ingest_documents");
-  vlog_garbage_gauge_ = metrics_->RegisterGauge("vlog_garbage_bytes");
   ingest_latency_us_ = metrics_->RegisterHistogram("ingest_latency_us");
   group_commit_batch_ =
       metrics_->RegisterHistogram("ingest_group_commit_batch");
@@ -111,8 +108,6 @@ MutableCorpus::~MutableCorpus() {
 
 std::string MutableCorpus::ConfigString() const {
   return "shards=" + std::to_string(options_.num_shards) +
-         ";store=" + storage::StoreKindName(options_.store_kind) +
-         ";threshold=" + std::to_string(options_.inline_threshold) +
          ";model=" + options_.model.ToConfigString();
 }
 
@@ -163,9 +158,7 @@ Result<std::unique_ptr<MutableCorpus>> MutableCorpus::Open(
         DurableShard::Options shard_options;
         shard_options.data_dir = corpus->options_.data_dir;
         shard_options.shard_index = i;
-        shard_options.store_kind = corpus->options_.store_kind;
         shard_options.model = corpus->options_.model;
-        shard_options.inline_threshold = corpus->options_.inline_threshold;
         auto result =
             DurableShard::Open(std::move(shard_options), &shard_stats[i]);
         if (result.ok()) {
@@ -194,14 +187,12 @@ Result<std::unique_ptr<MutableCorpus>> MutableCorpus::Open(
         stats_out->recovered_documents += s.recovered_documents;
         stats_out->replayed_records += s.replayed_records;
         stats_out->any_tail_truncated |= s.wal_tail_truncated;
-        stats_out->any_store_rebuilt |= s.store_rebuilt;
       }
     }
     RETURN_IF_ERROR(corpus->PublishGeneration(SIZE_MAX));
   }
   if (corpus->options_.checkpoint_wal_bytes > 0 ||
-      corpus->options_.checkpoint_wal_records > 0 ||
-      corpus->options_.checkpoint_vlog_garbage_bytes > 0) {
+      corpus->options_.checkpoint_wal_records > 0) {
     corpus->ckpt_thread_ =
         std::thread([raw = corpus.get()] { raw->CheckpointLoop(); });
   }
@@ -210,19 +201,10 @@ Result<std::unique_ptr<MutableCorpus>> MutableCorpus::Open(
 
 Result<std::shared_ptr<shard::ShardedDatabase::Shard>>
 MutableCorpus::BuildShardView(size_t shard_index) {
-  DurableShard& durable = *shards_[shard_index];
-  ASSIGN_OR_RETURN(doc::DataTree tree, durable.SnapshotTree());
-  const doc::NodeId node_limit = static_cast<doc::NodeId>(tree.size());
+  ASSIGN_OR_RETURN(doc::DataTree tree, shards_[shard_index]->SnapshotTree());
   ASSIGN_OR_RETURN(engine::Database db, engine::Database::FromDataTree(
                                             std::move(tree), options_.model));
-  auto shard =
-      std::make_shared<shard::ShardedDatabase::Shard>(std::move(db));
-  shard->store = durable.store();
-  // The node limit hides postings appended by documents ingested after
-  // this snapshot — the store is shared with future generations.
-  shard->postings = std::make_unique<index::StoredLabelIndex>(
-      shard->store.get(), std::string(kPostingPrefix), node_limit);
-  return shard;
+  return std::make_shared<shard::ShardedDatabase::Shard>(std::move(db));
 }
 
 Status MutableCorpus::PublishGeneration(size_t mutated_shard) {
@@ -270,11 +252,6 @@ Status MutableCorpus::PublishShards(const std::vector<bool>* mutated) {
   auto generation = std::make_shared<const shard::ShardedDatabase>(
       std::move(assembled));
 
-  // Compact the live-generation list while registering the new one.
-  live_.erase(std::remove_if(live_.begin(), live_.end(),
-                             [](const auto& weak) { return weak.expired(); }),
-              live_.end());
-  live_.push_back(generation);
   {
     util::MutexLock lock(&snap_mu_);
     current_ = std::move(generation);
@@ -283,13 +260,8 @@ Status MutableCorpus::PublishShards(const std::vector<bool>* mutated) {
   generations_published_->Increment();
   epoch_gauge_->Set(static_cast<int64_t>(epoch));
   size_t documents = 0;
-  uint64_t garbage = 0;
-  for (const auto& shard : shards_) {
-    documents += shard->spans().size();
-    garbage += shard->spill_stats().garbage_bytes;
-  }
+  for (const auto& shard : shards_) documents += shard->spans().size();
   documents_gauge_->Set(static_cast<int64_t>(documents));
-  vlog_garbage_gauge_->Set(static_cast<int64_t>(garbage));
   return Status::OK();
 }
 
@@ -311,18 +283,6 @@ void MutableCorpus::NotifyPublish(uint64_t epoch,
 void MutableCorpus::SetPublishListener(PublishListener listener) {
   util::MutexLock lock(&ingest_mu_);
   listener_ = std::move(listener);
-}
-
-void MutableCorpus::PreloadLiveGenerations(size_t shard_index) {
-  std::set<shard::ShardedDatabase::Shard*> sealed;
-  for (const auto& weak : live_) {
-    std::shared_ptr<const shard::ShardedDatabase> generation = weak.lock();
-    if (generation == nullptr) continue;
-    shard::ShardedDatabase::Shard* shard =
-        generation->shards_[shard_index].get();
-    if (!sealed.insert(shard).second) continue;  // shared across generations
-    shard->postings->Preload(shard->db.label_index());
-  }
 }
 
 Result<MutableCorpus::IngestResult> MutableCorpus::AddDocument(
@@ -522,9 +482,6 @@ Result<MutableCorpus::IngestResult> MutableCorpus::RemoveDocument(
     return Status::NotFound("no document with global root " +
                             std::to_string(doc_root));
   }
-  // The remove rewrites the shard's postings in place; live snapshots
-  // must stop reading the store for this shard first.
-  PreloadLiveGenerations(target);
   const uint64_t epoch_before = DurableEpoch();
   auto removed = shards_[target]->RemoveDocument(doc_root);
   if (!removed.ok()) {
@@ -603,8 +560,6 @@ std::vector<MutableCorpus::ShardStatus> MutableCorpus::ShardStatuses() const {
     status.last_seq = shard->last_seq();
     status.wal_bytes = shard->wal_size_bytes();
     status.wal_records = shard->wal_records();
-    status.vlog_bytes = shard->vlog_size();
-    status.vlog_garbage_bytes = shard->spill_stats().garbage_bytes;
     status.generation = shard->generation();
     status.poisoned = shard->poisoned();
     statuses.push_back(status);
@@ -633,8 +588,6 @@ std::string MutableCorpus::DumpMetrics() const {
     out += stem + "_documents " + std::to_string(statuses[i].documents) + "\n";
     out += stem + "_last_seq " + std::to_string(statuses[i].last_seq) + "\n";
     out += stem + "_wal_bytes " + std::to_string(statuses[i].wal_bytes) + "\n";
-    out += stem + "_vlog_bytes " + std::to_string(statuses[i].vlog_bytes) +
-           "\n";
   }
   return out;
 }
@@ -645,16 +598,8 @@ bool MutableCorpus::ShardOverThreshold(const DurableShard& shard) const {
       shard.wal_size_bytes() > options_.checkpoint_wal_bytes) {
     return true;
   }
-  if (options_.checkpoint_wal_records > 0 &&
-      shard.wal_records() > options_.checkpoint_wal_records) {
-    return true;
-  }
-  if (options_.checkpoint_vlog_garbage_bytes > 0 &&
-      shard.spill_stats().garbage_bytes >
-          options_.checkpoint_vlog_garbage_bytes) {
-    return true;
-  }
-  return false;
+  return options_.checkpoint_wal_records > 0 &&
+         shard.wal_records() > options_.checkpoint_wal_records;
 }
 
 void MutableCorpus::MaybeKickCheckpointer() {

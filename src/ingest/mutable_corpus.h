@@ -5,11 +5,9 @@
 // generation for as long as they like; every accepted mutation builds a
 // new generation copy-on-write (only the mutated shards' engine state
 // is rebuilt — unmutated shards are shared by pointer) and swaps it in.
-// Snapshot isolation is enforced by the StoredLabelIndex node limit on
-// the read side: postings appended by later documents are invisible to
-// older generations. Removals rewrite postings in place, so before a
-// remove every still-live generation's view of the affected shard is
-// preloaded into its cache and sealed.
+// Snapshot isolation is structural: a generation's shard is an
+// engine::Database built from a finalized copy of the durable shard's
+// tree, label indexes included, and nothing later mutates it.
 //
 // Write path (group commit): concurrent AddDocument calls join a writer
 // queue. The writer at the front becomes the batch leader: it takes the
@@ -53,7 +51,7 @@
 #include "ingest/durable_shard.h"
 #include "service/metrics.h"
 #include "shard/sharded_database.h"
-#include "storage/kv_factory.h"
+#include "storage/kv_store.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -68,9 +66,10 @@ class MutableCorpus : public service::Backend {
   struct Options {
     std::string data_dir;
     size_t num_shards = 1;
+    /// Not a knob: kMem is the only value. Kept because the repository
+    /// benchmark (perfbench/live_ingest.cc) assigns it.
     storage::StoreKind store_kind = storage::StoreKind::kMem;
     cost::CostModel model;
-    size_t inline_threshold = storage::kDefaultInlineThreshold;
 
     // Runtime tuning below — deliberately NOT part of corpus.meta, so a
     // directory can be reopened with different knobs.
@@ -82,18 +81,16 @@ class MutableCorpus : public service::Backend {
     uint32_t group_commit_window_us = 0;
     /// Auto-checkpoint thresholds (0 disables each). When any shard
     /// exceeds one after a publish, a background thread checkpoints it,
-    /// bounding crash-recovery replay (records/bytes) and value-log
-    /// garbage without blocking the ingest path.
+    /// bounding crash-recovery replay (records/bytes) without blocking
+    /// the ingest path.
     uint64_t checkpoint_wal_bytes = 0;
     uint64_t checkpoint_wal_records = 0;
-    uint64_t checkpoint_vlog_garbage_bytes = 0;
   };
 
   struct OpenStats {
     size_t recovered_documents = 0;
     size_t replayed_records = 0;
     bool any_tail_truncated = false;
-    bool any_store_rebuilt = false;
   };
 
   /// Opens (or creates) the corpus under `data_dir`, recovering every
@@ -178,7 +175,7 @@ class MutableCorpus : public service::Backend {
   /// Documents across all shards.
   size_t document_count() const;
 
-  /// Checkpoints every shard: postings rebuilt as fresh store
+  /// Checkpoints every shard: tree snapshots written as fresh
   /// generations, WALs truncated. Queries keep running throughout.
   util::Status Checkpoint();
 
@@ -191,8 +188,6 @@ class MutableCorpus : public service::Backend {
     uint64_t last_seq = 0;
     uint64_t wal_bytes = 0;
     uint64_t wal_records = 0;
-    uint64_t vlog_bytes = 0;
-    uint64_t vlog_garbage_bytes = 0;
     uint64_t generation = 0;
     bool poisoned = false;
   };
@@ -219,7 +214,7 @@ class MutableCorpus : public service::Backend {
   doc::NodeId DocRootOf(doc::NodeId node) const override {
     return snapshot()->DocRootOf(node);
   }
-  /// metrics() (ingest_* plus every generation's per-shard fetch/eval
+  /// metrics() (ingest_* plus every generation's per-shard eval
   /// metrics) and per-shard status lines.
   std::string DumpMetrics() const override;
 
@@ -261,15 +256,9 @@ class MutableCorpus : public service::Backend {
       REQUIRES(ingest_mu_);
 
   /// Builds one reader-side Shard from the durable shard's current
-  /// state (tree snapshot + store view limited to the snapshot size).
+  /// tree (SnapshotTree + Database::FromDataTree).
   util::Result<std::shared_ptr<shard::ShardedDatabase::Shard>> BuildShardView(
       size_t shard_index) REQUIRES(ingest_mu_);
-
-  /// Seals the view of shard `shard_index` in every still-live
-  /// generation by preloading its posting cache (removals rewrite
-  /// postings in place; see StoredLabelIndex::Preload).
-  void PreloadLiveGenerations(size_t shard_index)
-      REQUIRES(ingest_mu_);
 
   uint64_t DurableEpoch() const REQUIRES(ingest_mu_);
   /// Fires the publish listener (if any) for a successful publish.
@@ -296,8 +285,6 @@ class MutableCorpus : public service::Backend {
   mutable util::Mutex ingest_mu_;
   std::vector<std::unique_ptr<DurableShard>> shards_ GUARDED_BY(ingest_mu_);
   doc::NodeId next_global_ GUARDED_BY(ingest_mu_) = 1;  // super-root is 0
-  std::vector<std::weak_ptr<const shard::ShardedDatabase>> live_
-      GUARDED_BY(ingest_mu_);
   bool abandoned_ GUARDED_BY(ingest_mu_) = false;
   /// Set when a generation publish failed after a durable apply (the
   /// mutation was acked anyway — see AddDocument). The read snapshot is
@@ -327,7 +314,6 @@ class MutableCorpus : public service::Backend {
   service::Counter* auto_checkpoints_ = nullptr;
   service::Gauge* epoch_gauge_ = nullptr;
   service::Gauge* documents_gauge_ = nullptr;
-  service::Gauge* vlog_garbage_gauge_ = nullptr;
   service::LatencyHistogram* ingest_latency_us_ = nullptr;
   service::LatencyHistogram* group_commit_batch_ = nullptr;
 };

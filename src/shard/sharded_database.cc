@@ -14,8 +14,6 @@ using util::Status;
 
 namespace {
 
-constexpr std::string_view kPostingPrefix = "ix#";
-
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -25,11 +23,8 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-ShardedDatabase::Builder::Builder(size_t num_shards,
-                                  storage::StoreFactory store_factory)
-    : builders_(std::max<size_t>(1, num_shards)),
-      spans_(builders_.size()),
-      store_factory_(std::move(store_factory)) {}
+ShardedDatabase::Builder::Builder(size_t num_shards)
+    : builders_(std::max<size_t>(1, num_shards)), spans_(builders_.size()) {}
 
 Status ShardedDatabase::Builder::AddDocumentXml(std::string_view xml) {
   size_t shard = next_doc_ % builders_.size();
@@ -56,13 +51,12 @@ Result<ShardedDatabase> ShardedDatabase::Builder::Build(
                      engine::Database::FromDataTree(std::move(tree), model));
     databases.push_back(std::move(db));
   }
-  return Assemble(std::move(databases), std::move(spans_), std::move(model),
-                  store_factory_);
+  return Assemble(std::move(databases), std::move(spans_), std::move(model));
 }
 
 Result<ShardedDatabase> ShardedDatabase::Partition(
-    const doc::DataTree& tree, const cost::CostModel& model, size_t num_shards,
-    storage::StoreFactory store_factory) {
+    const doc::DataTree& tree, const cost::CostModel& model,
+    size_t num_shards) {
   size_t n = std::max<size_t>(1, num_shards);
   std::vector<doc::DataTreeBuilder> builders(n);
   std::vector<std::vector<DocSpan>> spans(n);
@@ -89,8 +83,7 @@ Result<ShardedDatabase> ShardedDatabase::Partition(
         engine::Database::FromDataTree(std::move(shard_tree), model));
     databases.push_back(std::move(db));
   }
-  return Assemble(std::move(databases), std::move(spans), model,
-                  store_factory);
+  return Assemble(std::move(databases), std::move(spans), model);
 }
 
 Result<ShardedDatabase> ShardedDatabase::BuildFromXml(
@@ -103,34 +96,19 @@ Result<ShardedDatabase> ShardedDatabase::BuildFromXml(
   return std::move(builder).Build(std::move(model));
 }
 
-Result<ShardedDatabase> ShardedDatabase::Load(
-    const std::string& path, size_t num_shards,
-    storage::StoreFactory store_factory) {
+Result<ShardedDatabase> ShardedDatabase::Load(const std::string& path,
+                                              size_t num_shards) {
   ASSIGN_OR_RETURN(engine::Database db, engine::Database::Load(path));
-  return Partition(db.tree(), db.cost_model(), num_shards,
-                   std::move(store_factory));
+  return Partition(db.tree(), db.cost_model(), num_shards);
 }
 
 Result<ShardedDatabase> ShardedDatabase::Assemble(
     std::vector<engine::Database> databases,
-    std::vector<std::vector<DocSpan>> spans, cost::CostModel model,
-    const storage::StoreFactory& store_factory) {
+    std::vector<std::vector<DocSpan>> spans, cost::CostModel model) {
   std::vector<std::shared_ptr<Shard>> shards;
   shards.reserve(databases.size());
-  for (size_t i = 0; i < databases.size(); ++i) {
-    auto shard = std::make_shared<Shard>(std::move(databases[i]));
-    if (store_factory != nullptr) {
-      ASSIGN_OR_RETURN(std::unique_ptr<storage::KvStore> store,
-                       store_factory("shard" + std::to_string(i)));
-      shard->store = std::move(store);
-    } else {
-      shard->store = std::make_shared<storage::MemKvStore>();
-    }
-    RETURN_IF_ERROR(
-        shard->db.label_index().PersistTo(shard->store.get(), kPostingPrefix));
-    shard->postings = std::make_unique<index::StoredLabelIndex>(
-        shard->store.get(), std::string(kPostingPrefix));
-    shards.push_back(std::move(shard));
+  for (engine::Database& db : databases) {
+    shards.push_back(std::make_shared<Shard>(std::move(db)));
   }
   return AssembleFromShards(std::move(shards), std::move(spans),
                             std::move(model),
@@ -244,11 +222,6 @@ Result<std::vector<engine::QueryAnswer>> ShardedDatabase::Execute(
     engine::ExecOptions local = options;
     local.schema_stats_out = &schema_stats;
     local.direct_stats_out = &direct_stats;
-    // Direct evaluation reads the shard's own stored postings — the
-    // partitioned storage this subsystem exists for.
-    local.posting_source = local.strategy == engine::Strategy::kDirect
-                               ? sh.postings.get()
-                               : nullptr;
     if (local.strategy == engine::Strategy::kSchema) {
       if (scatter.cancelled) {
         auto inner = local.schema.cancelled;
@@ -359,15 +332,7 @@ ShardedDatabase::Stats ShardedDatabase::GetStats() const {
 }
 
 std::string ShardedDatabase::DumpMetrics() const {
-  std::string out = metrics_->DumpText();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string stem = "shard" + std::to_string(i);
-    out += stem + "_lock_waits " +
-           std::to_string(shards_[i]->postings->lock_waits()) + "\n";
-    out += stem + "_lock_wait_us " +
-           std::to_string(shards_[i]->postings->lock_wait_us()) + "\n";
-  }
-  return out;
+  return metrics_->DumpText();
 }
 
 }  // namespace approxql::shard

@@ -1,14 +1,12 @@
 // Sharded corpus: N engine::Databases plus one LayoutManifest. The
 // collection is partitioned by document into N self-contained shards,
-// each owning its own data tree, label postings (persisted into a
-// per-shard store and served through a lazy StoredLabelIndex, so
-// concurrent fetches hit disjoint storage), schema and statistics; the
-// manifest is the one table mapping shard-local ids to global ids. A
-// scatter-gather executor runs one query on each shard in turn, on the
-// calling thread — each shard's evaluation is the plain
-// engine::Database::Execute — and merges the per-shard top-n lists with
-// MergeTopN (DESIGN.md §7: cores go to concurrent requests, not to one
-// request's shards).
+// each owning its own data tree, label index, schema and statistics (an
+// engine::Database); the manifest is the one table mapping shard-local
+// ids to global ids. A scatter-gather executor runs one query on each
+// shard in turn, on the calling thread — each shard's evaluation is the
+// plain engine::Database::Execute — and merges the per-shard top-n lists
+// with MergeTopN (DESIGN.md §7: cores go to concurrent requests, not to
+// one request's shards).
 //
 // Equivalence (the subsystem's contract, asserted by tests at 1/2/4/8
 // shards): sharded evaluation is bit-identical to evaluating the same
@@ -41,13 +39,10 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "index/stored_label_index.h"
 #include "service/backend.h"
 #include "service/metrics.h"
 #include "shard/global_schema.h"
 #include "shard/layout_manifest.h"
-#include "storage/kv_factory.h"
-#include "storage/mem_kv_store.h"
 
 namespace approxql::ingest {
 class MutableCorpus;
@@ -86,11 +81,11 @@ struct ScatterStats {
 /// A document-partitioned corpus exposing the same read surface as
 /// engine::Database (Execute / MaterializeXml / GetStats / Save-less).
 /// Thread-safety mirrors Database: immutable after construction; all
-/// const members safe concurrently (per-shard StoredLabelIndex and
-/// metrics lock internally). As a service::Backend it evaluates the
-/// shards one after another on the service worker running the request;
-/// its pin fingerprint is the layout fingerprint, so cached answers
-/// never alias across backends or shard layouts.
+/// const members safe concurrently (only the metrics lock internally).
+/// As a service::Backend it evaluates the shards one after another on
+/// the service worker running the request; its pin fingerprint is the
+/// layout fingerprint, so cached answers never alias across backends or
+/// shard layouts.
 class ShardedDatabase : public service::Backend {
  public:
   ShardedDatabase(ShardedDatabase&&) = default;
@@ -101,11 +96,7 @@ class ShardedDatabase : public service::Backend {
   /// assigned exactly as DataTreeBuilder would in one tree.
   class Builder {
    public:
-    /// `store_factory` produces each shard's posting store, invoked with
-    /// the shard stem ("shard0", "shard1", ...); null means in-memory
-    /// stores. Callers wanting files map the stem to a path.
-    explicit Builder(size_t num_shards,
-                     storage::StoreFactory store_factory = nullptr);
+    explicit Builder(size_t num_shards);
 
     /// Parses `xml` and adds it as the next document.
     util::Status AddDocumentXml(std::string_view xml);
@@ -118,7 +109,6 @@ class ShardedDatabase : public service::Backend {
    private:
     std::vector<doc::DataTreeBuilder> builders_;
     std::vector<std::vector<DocSpan>> spans_;
-    storage::StoreFactory store_factory_;
     size_t next_doc_ = 0;
     doc::NodeId next_global_ = 1;  // 0 is the super-root
   };
@@ -128,7 +118,7 @@ class ShardedDatabase : public service::Backend {
   /// ids of `tree` itself.
   static util::Result<ShardedDatabase> Partition(
       const doc::DataTree& tree, const cost::CostModel& model,
-      size_t num_shards, storage::StoreFactory store_factory = nullptr);
+      size_t num_shards);
 
   /// Builds from XML document strings (round-robin assignment).
   static util::Result<ShardedDatabase> BuildFromXml(
@@ -137,15 +127,12 @@ class ShardedDatabase : public service::Backend {
 
   /// Loads a single-file database (engine::Database::Save format) and
   /// partitions it.
-  static util::Result<ShardedDatabase> Load(
-      const std::string& path, size_t num_shards,
-      storage::StoreFactory store_factory = nullptr);
+  static util::Result<ShardedDatabase> Load(const std::string& path,
+                                            size_t num_shards);
 
   /// Scatter-gather execution: runs `shard(i).Execute(query, ...)` on
-  /// every shard (direct strategy with `posting_source` = the shard's
-  /// own stored postings, fetched as the list algebra asks for them;
-  /// schema strategy with the shared cost bound) and merges the
-  /// per-shard rankings.
+  /// every shard (schema strategy with the shared cost bound) and merges
+  /// the per-shard rankings.
   /// Answer roots are global ids. Shards run one after another on the
   /// calling thread; a shard publishes its bound for the shards after
   /// it. `scatter.cancelled` firing before a shard returns
@@ -200,10 +187,9 @@ class ShardedDatabase : public service::Backend {
 
   size_t num_shards() const { return shards_.size(); }
   const engine::Database& shard(size_t i) const { return shards_[i]->db; }
-  /// The shard's own stored postings (what direct-strategy scatters fetch
-  /// from). Exposed for the contention benchmark's lock-wait counters.
-  const index::StoredLabelIndex& shard_postings(size_t i) const {
-    return *shards_[i]->postings;
+  /// The shard's label index (what its direct evaluation fetches from).
+  const index::LabelIndex& shard_postings(size_t i) const {
+    return shards_[i]->db.label_index();
   }
   const std::vector<DocSpan>& shard_spans(size_t i) const {
     return layout_.shard_spans(i);
@@ -233,9 +219,8 @@ class ShardedDatabase : public service::Backend {
   };
   Stats GetStats() const;
 
-  /// Per-shard metrics snapshot: evaluation latency histograms (the
-  /// posting fetches included), answer counts, stored-postings lock
-  /// contention.
+  /// Per-shard metrics snapshot: evaluation latency histograms and
+  /// answer counts.
   std::string DumpMetrics() const override;
 
  private:
@@ -245,29 +230,20 @@ class ShardedDatabase : public service::Backend {
     explicit Shard(engine::Database database) : db(std::move(database)) {}
 
     engine::Database db;
-    /// The shard's own posting storage: label postings persisted into a
-    /// private store and fetched lazily — the partitioned counterpart of
-    /// one shared StoredLabelIndex, so concurrent queries contend (if at
-    /// all) only within a shard. Shared: a mutable corpus carries the
-    /// same store across corpus generations (only the StoredLabelIndex
-    /// view in front of it changes).
-    std::shared_ptr<storage::KvStore> store;
-    std::unique_ptr<index::StoredLabelIndex> postings;
     service::LatencyHistogram* eval_us = nullptr;  // owned by metrics_
     service::Counter* answers = nullptr;
   };
 
   ShardedDatabase() = default;
 
-  /// Shared tail of all construction paths: per-shard stores/postings,
-  /// metrics, merged schema, layout.
+  /// Shared tail of all construction paths: metrics, merged schema,
+  /// layout.
   static util::Result<ShardedDatabase> Assemble(
       std::vector<engine::Database> databases,
-      std::vector<std::vector<DocSpan>> spans, cost::CostModel model,
-      const storage::StoreFactory& store_factory = nullptr);
+      std::vector<std::vector<DocSpan>> spans, cost::CostModel model);
 
   /// Copy-on-write assembly for live ingest: shards arrive ready-made
-  /// (most shared with the previous corpus generation, stores and all),
+  /// (most shared with the previous corpus generation),
   /// `spans[i]` describing shard i's tree, and only the derived state —
   /// layout manifest with its epoch-salted fingerprint, merged schema,
   /// metric handles — is recomputed.

@@ -526,12 +526,6 @@ Status BPlusTree::Sync() {
   return pager_->Sync();
 }
 
-void BPlusTree::Abandon() {
-  nodes_.clear();
-  pager_->Abandon();
-  abandoned_ = true;
-}
-
 int BPlusTree::Height() const {
   int height = 1;
   auto node = FetchNode(root_);
@@ -629,7 +623,6 @@ Status BPlusTree::CheckInvariants() const {
 }
 
 BPlusTree::~BPlusTree() {
-  if (abandoned_) return;
   Status s = Flush();
   if (!s.ok()) {
     APPROXQL_LOG(Error) << "B+tree flush on close failed: " << s;

@@ -48,12 +48,6 @@ class BPlusTree {
   /// Flush plus fsync — durable on media, not just in the OS cache.
   util::Status Sync();
 
-  /// Discards all in-memory state (dirty nodes and pages included) and
-  /// closes the file without writing: the on-disk image stays whatever
-  /// the last Flush/Sync produced. Crash simulation for recovery tests;
-  /// the tree is unusable afterwards.
-  void Abandon();
-
   /// Bounds the decoded-node and raw-page caches (0 = unbounded, the
   /// default). Enforced between public operations: clean entries beyond
   /// the limit are dropped LRU-first, dirty nodes are serialized first.
@@ -104,8 +98,7 @@ class BPlusTree {
   util::Result<Node*> NewNode(bool is_leaf);
   util::Status SerializeNode(const Node& node) const;
   // lint:allow-unfuzzed pages reach DecodeNode only after the Pager's
-  // per-page CRC check, so raw-disk corruption cannot hit this parser;
-  // the on-disk byte boundary itself is fuzzed by wal_replay/vlog_read.
+  // per-page CRC check, so raw-disk corruption cannot hit this parser.
   util::Result<Node> DecodeNode(PageId id, const Page& page) const;
 
   /// Descends to the leaf responsible for `key`; fills `path` with the
@@ -133,7 +126,6 @@ class BPlusTree {
 
   std::unique_ptr<Pager> pager_;
   PageId root_ = kInvalidPage;
-  bool abandoned_ = false;
   size_t key_count_ = 0;
   size_t max_cached_nodes_ = 0;
   mutable uint64_t node_clock_ = 0;
@@ -155,7 +147,6 @@ class DiskKvStore : public KvStore {
   size_t KeyCount() const override;
   util::Status Flush() override;
   util::Status Sync() { return tree_->Sync(); }
-  void Abandon() { tree_->Abandon(); }
 
   BPlusTree* tree() { return tree_.get(); }
 

@@ -1,8 +1,10 @@
 // Ordered key-value store interface. The paper's implementation stores
 // its indexes in Berkeley DB; this interface is our substitute seam with
-// two implementations: MemKvStore (std::map, used by default and in
-// benchmarks) and DiskKvStore (single-file page-based B+tree, used for
-// persistence).
+// two implementations: MemKvStore (std::map, for tests and tools) and
+// DiskKvStore (single-file page-based B+tree), which engine::Database
+// Save/Load use to persist a whole database. Queries never read a store:
+// every engine::Database, sharded and live-ingest shards included,
+// evaluates over its in-memory label indexes.
 #ifndef APPROXQL_STORAGE_KV_STORE_H_
 #define APPROXQL_STORAGE_KV_STORE_H_
 
@@ -13,6 +15,13 @@
 #include "util/status.h"
 
 namespace approxql::storage {
+
+/// Where a live-ingest corpus keeps its postings. Only in memory: the
+/// postings are derived from the data tree, which the snapshot + WAL
+/// make durable.
+enum class StoreKind {
+  kMem,
+};
 
 /// Forward iteration over key order. Invalidated by writes to the store.
 class KvIterator {

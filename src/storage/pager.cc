@@ -248,15 +248,6 @@ Status Pager::Sync() {
   return Status::OK();
 }
 
-void Pager::Abandon() {
-  cache_.clear();
-  meta_dirty_ = false;
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
 uint32_t Pager::GetMetaSlot(int slot) const {
   APPROXQL_DCHECK(slot >= 0 && slot < 4);
   return meta_slots_[slot];

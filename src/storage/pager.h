@@ -61,15 +61,8 @@ class Pager {
   util::Status Flush();
 
   /// Flush() plus fsync: the pages are durable on media when this
-  /// returns, not merely in the OS buffer cache. The WAL checkpoint
-  /// protocol depends on this ordering point.
+  /// returns, not merely in the OS buffer cache.
   util::Status Sync();
-
-  /// Drops every cached page (dirty ones included) and closes the file
-  /// WITHOUT writing anything — the on-disk state stays exactly as the
-  /// last Flush left it. Simulates `kill -9` in crash-recovery tests.
-  /// The pager is unusable afterwards; destroy it.
-  void Abandon();
 
   /// Caps the number of cached pages; 0 (default) = unbounded.
   void set_cache_limit(size_t pages) { cache_limit_ = pages; }

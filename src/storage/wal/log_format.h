@@ -1,4 +1,5 @@
-// Byte-level helpers shared by the write-ahead log and the value log:
+// Byte-level helpers of the write-ahead log, shared with the ingest
+// layer's snapshot, CURRENT and corpus.meta files:
 // little-endian fixed32 (the CRC trailer convention the wire protocol
 // and LayoutManifest already use) on top of the varint codec.
 #ifndef APPROXQL_STORAGE_WAL_LOG_FORMAT_H_

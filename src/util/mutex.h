@@ -6,10 +6,8 @@
 // analysis and DESIGN.md §10 documents each module's locking model.
 //
 // The wrappers are deliberately thin — zero overhead beyond the std
-// types they wrap — and deliberately small: Lock/TryLock/Unlock,
-// RAII MutexLock (with an adopting constructor for the try-lock-then-
-// lock contention probe in index::StoredLabelIndex), and a CondVar
-// whose Wait REQUIRES the mutex. Predicate waits are written as
+// types they wrap — and deliberately small: Lock/Unlock, RAII
+// MutexLock, and a CondVar whose Wait REQUIRES the mutex. Predicate waits are written as
 // explicit `while (!pred) cv.Wait(&mu);` loops rather than a
 // lambda-predicate overload: the analysis checks guarded accesses in
 // the loop body directly, whereas a lambda would be analyzed as a
@@ -38,21 +36,16 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  /// Non-blocking acquisition; true = now held.
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
   std::mutex mu_;
 };
 
-/// RAII lock. The default constructor acquires; the std::adopt_lock
-/// flavor takes ownership of a mutex the caller already holds (so a
-/// manual TryLock/Lock sequence can still end in scoped release).
+/// RAII lock: acquires on construction, releases on scope exit.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
-  MutexLock(Mutex* mu, std::adopt_lock_t) REQUIRES(mu) : mu_(mu) {}
   ~MutexLock() RELEASE() { mu_->Unlock(); }
 
   MutexLock(const MutexLock&) = delete;

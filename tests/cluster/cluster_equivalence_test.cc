@@ -128,7 +128,6 @@ class ClusterEquivalenceTest : public ::testing::Test {
     options.data_dir = dir_ + "/node" + std::to_string(index);
     options.num_shards = 1;
     options.model = TestModel();
-    options.store_kind = storage::StoreKind::kDisk;
     auto corpus = MutableCorpus::Open(std::move(options));
     EXPECT_TRUE(corpus.ok()) << corpus.status();
     ClusterNode node;

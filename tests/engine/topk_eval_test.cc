@@ -294,5 +294,27 @@ TEST(SchemaEvalTest, StatsReportWork) {
   EXPECT_GT(stats.second_level_executed, 0u);
 }
 
+TEST(SchemaEvalTest, ResultStreamCountsRoundsLikeBestN) {
+  Fixture fx(kCatalogXml, PaperCosts());
+  SchemaEvaluator::Options options;
+  options.initial_k = 1;
+  options.delta_k = 1;
+  options.growth = 1.0;
+  const std::string text = R"(cd[title["piano"]])";
+  SchemaEvalStats batch;
+  const std::vector<RootCost> all = fx.Schema(text, SIZE_MAX, options, &batch);
+
+  query::ExpandedQuery expanded = fx.Expand(text);
+  ResultStream stream(*fx.schema, *fx.tree, &expanded, options);
+  size_t drained = 0;
+  while (stream.Next().has_value()) ++drained;
+  EXPECT_EQ(drained, all.size());
+  // Draining the stream runs the same rounds as BestN over all results.
+  EXPECT_GE(stream.stats().rounds, 2u);
+  EXPECT_EQ(stream.stats().rounds, batch.rounds);
+  EXPECT_EQ(stream.stats().final_k, batch.final_k);
+  EXPECT_GE(stream.stats().final_k, 2u);
+}
+
 }  // namespace
 }  // namespace approxql::engine

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -105,15 +106,11 @@ class MutableCorpusTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  MutableCorpus::Options Opts(size_t num_shards,
-                              storage::StoreKind kind =
-                                  storage::StoreKind::kMem) {
+  MutableCorpus::Options Opts(size_t num_shards) {
     MutableCorpus::Options options;
     options.data_dir = dir_;
     options.num_shards = num_shards;
-    options.store_kind = kind;
     options.model = TestModel();
-    options.inline_threshold = 16;  // force value-log spills early
     return options;
   }
 
@@ -160,9 +157,14 @@ TEST_F(MutableCorpusTest, HeldSnapshotsAreIsolatedFromLaterMutations) {
     ASSERT_TRUE((*corpus)->AddDocument(MakeDoc(i)).ok());
   }
   auto old_snap = (*corpus)->snapshot();
-  std::vector<std::vector<QueryAnswer>> before;
+  // Schema top-10 and every direct answer: the direct strategy reads
+  // each shard's postings, so n = all sees any posting a later mutation
+  // could leak into the held generation.
+  std::vector<std::vector<QueryAnswer>> before, before_direct;
   for (const char* query : kQueries) {
     before.push_back(CorpusAnswers(*old_snap, query, Strategy::kSchema, 10));
+    before_direct.push_back(
+        CorpusAnswers(*old_snap, query, Strategy::kDirect, SIZE_MAX));
   }
   const uint32_t old_fingerprint = old_snap->LayoutFingerprint();
 
@@ -178,6 +180,9 @@ TEST_F(MutableCorpusTest, HeldSnapshotsAreIsolatedFromLaterMutations) {
     ExpectSameAnswers(
         CorpusAnswers(*old_snap, kQueries[q], Strategy::kSchema, 10),
         before[q], std::string("held ") + kQueries[q]);
+    ExpectSameAnswers(
+        CorpusAnswers(*old_snap, kQueries[q], Strategy::kDirect, SIZE_MAX),
+        before_direct[q], std::string("held direct ") + kQueries[q]);
   }
   // The new generation is a different corpus state under a different
   // fingerprint.
@@ -246,7 +251,7 @@ TEST_F(MutableCorpusTest, EpochAndStatusesTrackDurableSequenceNumbers) {
 }
 
 TEST_F(MutableCorpusTest, CheckpointPreservesAnswersAndTruncatesWals) {
-  auto corpus = MutableCorpus::Open(Opts(2, storage::StoreKind::kDisk));
+  auto corpus = MutableCorpus::Open(Opts(2));
   ASSERT_TRUE(corpus.ok()) << corpus.status();
   std::vector<std::string> acked;
   for (size_t i = 0; i < 8; ++i) {
@@ -293,10 +298,6 @@ TEST_F(MutableCorpusTest, DirectoryPinsItsConfiguration) {
   auto wrong_shards = MutableCorpus::Open(Opts(4));
   ASSERT_FALSE(wrong_shards.ok());
   EXPECT_TRUE(wrong_shards.status().IsCorruption()) << wrong_shards.status();
-
-  auto wrong_store = MutableCorpus::Open(Opts(2, storage::StoreKind::kDisk));
-  ASSERT_FALSE(wrong_store.ok());
-  EXPECT_TRUE(wrong_store.status().IsCorruption()) << wrong_store.status();
 
   auto same = MutableCorpus::Open(Opts(2));
   ASSERT_TRUE(same.ok()) << same.status();

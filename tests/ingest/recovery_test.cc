@@ -3,9 +3,7 @@
 // and a reopen with WAL replay, every durably-acked document is
 // present, no partial document is visible, and answers are
 // bit-identical to an oracle Database built from exactly the acked
-// document set — for both strategies, at 1, 2 and 4 shards, over both
-// store kinds. The inline threshold is set low so every run exercises
-// value-log spill replay, not just inline postings.
+// document set — for both strategies, at 1, 2 and 4 shards.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,12 +17,8 @@
 
 #include "cost/cost_model.h"
 #include "engine/database.h"
-#include "index/label_index.h"
 #include "ingest/mutable_corpus.h"
 #include "shard/sharded_database.h"
-#include "storage/bptree.h"
-#include "storage/spilling_store.h"
-#include "storage/vlog/value_log.h"
 #include "storage/wal/log_format.h"
 #include "util/crc32.h"
 #include "util/status.h"
@@ -58,8 +52,6 @@ std::string MakeDoc(size_t i) {
   const std::string a = "elem" + std::to_string(i % 5);
   const std::string b = "elem" + std::to_string((i + 2) % 6);
   const std::string c = "elem" + std::to_string((i + 4) % 7);
-  // Pad one text child past any reasonable inline threshold so most
-  // documents carry at least one spilled posting.
   const std::string t1 = "term" + std::to_string(i % 7);
   const std::string t2 = "term" + std::to_string((i + 3) % 8);
   return "<" + a + "><" + b + ">" + t1 + "</" + b + "><" + c + ">" + t2 +
@@ -109,12 +101,7 @@ void ExpectMatchesOracle(const MutableCorpus& corpus,
   }
 }
 
-struct RecoveryParam {
-  size_t num_shards;
-  storage::StoreKind store_kind;
-};
-
-class RecoveryTest : public ::testing::TestWithParam<RecoveryParam> {
+class RecoveryTest : public ::testing::TestWithParam<size_t> {
  protected:
   void SetUp() override {
     dir_ = (std::filesystem::temp_directory_path() /
@@ -127,10 +114,8 @@ class RecoveryTest : public ::testing::TestWithParam<RecoveryParam> {
   MutableCorpus::Options Opts() {
     MutableCorpus::Options options;
     options.data_dir = dir_;
-    options.num_shards = GetParam().num_shards;
-    options.store_kind = GetParam().store_kind;
+    options.num_shards = GetParam();
     options.model = TestModel();
-    options.inline_threshold = 16;  // force value-log spills
     return options;
   }
 
@@ -301,13 +286,11 @@ class RecoveryFaultTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  MutableCorpus::Options Opts(storage::StoreKind kind) {
+  MutableCorpus::Options Opts() {
     MutableCorpus::Options options;
     options.data_dir = dir_;
     options.num_shards = 1;
-    options.store_kind = kind;
     options.model = TestModel();
-    options.inline_threshold = 16;
     return options;
   }
 
@@ -317,7 +300,7 @@ class RecoveryFaultTest : public ::testing::Test {
 TEST_F(RecoveryFaultTest, FailedRecoveryMustNotCheckpointOrTruncateTheWal) {
   std::vector<std::string> acked;
   {
-    auto corpus = MutableCorpus::Open(Opts(storage::StoreKind::kMem));
+    auto corpus = MutableCorpus::Open(Opts());
     ASSERT_TRUE(corpus.ok()) << corpus.status();
     for (size_t i = 0; i < 5; ++i) {
       ASSERT_TRUE((*corpus)->AddDocument(MakeDoc(i)).ok());
@@ -344,7 +327,7 @@ TEST_F(RecoveryFaultTest, FailedRecoveryMustNotCheckpointOrTruncateTheWal) {
   }
   const auto poisoned_size = std::filesystem::file_size(wal_path);
 
-  auto failed = MutableCorpus::Open(Opts(storage::StoreKind::kMem));
+  auto failed = MutableCorpus::Open(Opts());
   ASSERT_FALSE(failed.ok());
   // The failed open must leave durable state untouched: no checkpoint
   // published from the partially replayed tree, every WAL byte kept.
@@ -354,58 +337,15 @@ TEST_F(RecoveryFaultTest, FailedRecoveryMustNotCheckpointOrTruncateTheWal) {
   // Strip the bad record (as an operator would) and reopen: every
   // acked document is still there.
   std::filesystem::resize_file(wal_path, clean_size);
-  auto recovered = MutableCorpus::Open(Opts(storage::StoreKind::kMem));
+  auto recovered = MutableCorpus::Open(Opts());
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ExpectMatchesOracle(**recovered, acked, "repaired");
 }
 
-TEST_F(RecoveryFaultTest, StalePostingEntriesForceAStoreRebuild) {
-  std::vector<std::string> acked;
-  {
-    auto corpus = MutableCorpus::Open(Opts(storage::StoreKind::kDisk));
-    ASSERT_TRUE(corpus.ok()) << corpus.status();
-    for (size_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE((*corpus)->AddDocument(MakeDoc(i)).ok());
-      acked.push_back(MakeDoc(i));
-    }
-  }  // clean close: the destructor checkpoint publishes generation 1
-
-  // Plant a posting entry far past the checkpointed tree under a label
-  // replay will never touch — what a bounded page cache could have
-  // flushed mid-apply for a document that was never logged or acked.
-  {
-    auto kv = storage::DiskKvStore::Open(dir_ + "/shard0-1.kv",
-                                         /*create_if_missing=*/false);
-    ASSERT_TRUE(kv.ok()) << kv.status();
-    auto vlog = storage::ValueLog::Open(dir_ + "/shard0-1.vlog");
-    ASSERT_TRUE(vlog.ok()) << vlog.status();
-    storage::SpillingStore store(std::move(*kv), std::move(*vlog), 16);
-    std::string key = "ix#s";
-    util::PutVarint32(&key, 200);  // a label no document uses
-    std::string value;
-    index::SerializePosting(index::Posting{1000000}, &value);
-    ASSERT_TRUE(store.Put(key, value).ok());
-    ASSERT_TRUE(store.Flush().ok());
-  }
-
-  MutableCorpus::OpenStats stats;
-  auto recovered =
-      MutableCorpus::Open(Opts(storage::StoreKind::kDisk), nullptr, &stats);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_TRUE(stats.any_store_rebuilt);
-  ExpectMatchesOracle(**recovered, acked, "rebuilt");
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    ShardsAndStores, RecoveryTest,
-    ::testing::Values(RecoveryParam{1, storage::StoreKind::kMem},
-                      RecoveryParam{2, storage::StoreKind::kMem},
-                      RecoveryParam{2, storage::StoreKind::kDisk},
-                      RecoveryParam{4, storage::StoreKind::kDisk}),
-    [](const ::testing::TestParamInfo<RecoveryParam>& info) {
-      return std::to_string(info.param.num_shards) + "shard_" +
-             (info.param.store_kind == storage::StoreKind::kMem ? "mem"
-                                                                : "disk");
+    Shards, RecoveryTest, ::testing::Values(size_t{1}, size_t{2}, size_t{4}),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return std::to_string(info.param) + "shard";
     });
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "engine/database.h"
 #include "ingest/mutable_corpus.h"
 #include "shard/sharded_database.h"
-#include "storage/kv_factory.h"
 
 namespace approxql::ingest {
 namespace {
@@ -134,7 +133,6 @@ TEST_F(IngestTuningTest, AutoCheckpointBoundsCrashRecoveryReplay) {
     options.data_dir = dir_;
     options.num_shards = 1;
     options.model = TestModel();
-    options.store_kind = storage::StoreKind::kDisk;
     // Trip a background checkpoint every ~8 WAL records.
     options.checkpoint_wal_records = 8;
     auto corpus = MutableCorpus::Open(std::move(options));
@@ -166,7 +164,6 @@ TEST_F(IngestTuningTest, AutoCheckpointBoundsCrashRecoveryReplay) {
   reopen_options.data_dir = dir_;
   reopen_options.num_shards = 1;
   reopen_options.model = TestModel();
-  reopen_options.store_kind = storage::StoreKind::kDisk;
   MutableCorpus::OpenStats stats;
   auto reopened = MutableCorpus::Open(std::move(reopen_options), nullptr,
                                       &stats);

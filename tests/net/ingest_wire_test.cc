@@ -8,8 +8,6 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -22,7 +20,6 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "service/query_service.h"
-#include "storage/kv_factory.h"
 
 namespace approxql::net {
 namespace {
@@ -205,51 +202,6 @@ TEST_F(IngestWireTest, MetricsDumpCarriesIngestCounters) {
   ASSERT_TRUE(dump.ok()) << dump.status();
   EXPECT_NE(dump->find("ingest_docs_added"), std::string::npos) << *dump;
   EXPECT_NE(dump->find("ingest_epoch"), std::string::npos);
-}
-
-TEST_F(IngestWireTest, MetricsDumpCarriesVlogGarbageGauge) {
-  // A disk-backed corpus with a tiny inline threshold spills every
-  // document payload to the value log; removing a document strands its
-  // spilled bytes as garbage, and the published gauge must surface that
-  // over the wire so an operator can see compaction debt remotely.
-  MutableCorpus::Options options;
-  options.data_dir = dir_;
-  options.num_shards = 1;
-  options.model = TestModel();
-  options.store_kind = storage::StoreKind::kDisk;
-  options.inline_threshold = 16;
-  auto corpus = MutableCorpus::Open(std::move(options));
-  ASSERT_TRUE(corpus.ok()) << corpus.status();
-  QueryService service(**corpus, ServiceOptions{.num_threads = 1});
-  Server server(service, **corpus, ServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-  ClientOptions client_options;
-  client_options.port = server.port();
-  Client client(client_options);
-
-  // A posting list long enough to cross the 16-byte inline threshold
-  // and spill; removing its document strands those vlog bytes.
-  WireIngest add;
-  add.op = WireIngest::Op::kAdd;
-  add.xml = "<elem1>";
-  for (int i = 0; i < 40; ++i) add.xml += "term1 ";
-  add.xml += "</elem1>";
-  auto ack = client.Ingest(add);
-  ASSERT_TRUE(ack.ok()) << ack.status();
-  WireIngest remove;
-  remove.op = WireIngest::Op::kRemove;
-  remove.doc_root = ack->doc_root;
-  ASSERT_TRUE(client.Ingest(remove).ok());
-
-  auto dump = client.FetchMetrics();
-  ASSERT_TRUE(dump.ok()) << dump.status();
-  const auto pos = dump->find("vlog_garbage_bytes ");
-  ASSERT_NE(pos, std::string::npos) << *dump;
-  const long long garbage =
-      std::strtoll(dump->c_str() + pos + std::strlen("vlog_garbage_bytes "),
-                   nullptr, 10);
-  EXPECT_GT(garbage, 0) << *dump;
-  server.Shutdown(/*drain=*/true);
 }
 
 TEST_F(IngestWireTest, ImmutableServerNacksIngest) {

@@ -1,5 +1,5 @@
-// Randomized robustness of WAL replay and value-log reads — the
-// storage counterpart of tests/net/wire_fuzz_test.cc. Whatever a crash
+// Randomized robustness of WAL replay — the storage counterpart of
+// tests/net/wire_fuzz_test.cc. Whatever a crash
 // (or bad disk) leaves in the files — truncated tails at every byte
 // boundary, flipped bits anywhere including CRCs and the header,
 // records spliced in from another log, duplicated or regressed
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "fuzz/targets.h"
-#include "storage/vlog/value_log.h"
 #include "storage/wal/wal.h"
 #include "util/random.h"
 
@@ -35,22 +34,6 @@ constexpr std::string_view kWalConfig = "fuzz-config";
 void ReplayThroughWalFuzzTarget(std::string_view bytes) {
   EXPECT_EQ(fuzz::FuzzWalReplay(
                 reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()),
-            0);
-}
-
-// Likewise for the value log: the target input is a 16-byte pointer
-// (offset, length; little-endian) followed by the file image.
-void ReplayThroughVlogFuzzTarget(const SegmentPointer& pointer,
-                                 std::string_view file) {
-  std::string input;
-  for (uint64_t v : {pointer.offset, pointer.length}) {
-    for (int i = 0; i < 8; ++i) {
-      input.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  input += file;
-  EXPECT_EQ(fuzz::FuzzVlogRead(
-                reinterpret_cast<const uint8_t*>(input.data()), input.size()),
             0);
 }
 
@@ -241,51 +224,6 @@ TEST(WalFuzzTest, ReplayThenAppendHealsTheFile) {
     EXPECT_FALSE(reopened->tail_truncated);
     ASSERT_EQ(reopened->records.size(), kept + 1);
     EXPECT_EQ(reopened->records.back().payload, "healed");
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(VlogFuzzTest, ReadsNeverCrashOnDamage) {
-  util::Rng rng(0x71a6);
-  const std::string path = FuzzPath("vlog");
-  std::filesystem::remove(path);
-  std::vector<SegmentPointer> pointers;
-  std::vector<std::string> values;
-  {
-    auto opened = ValueLog::Open(path);
-    ASSERT_TRUE(opened.ok());
-    for (int i = 0; i < 12; ++i) {
-      std::string value(static_cast<size_t>(rng.UniformInt(1, 600)), ' ');
-      for (char& c : value) c = static_cast<char>(rng.UniformInt(0, 255));
-      pointers.push_back(*(*opened)->Append(value));
-      values.push_back(std::move(value));
-    }
-    ASSERT_TRUE((*opened)->Sync().ok());
-  }
-  const std::string full = ReadFile(path);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = full;
-    const size_t pos = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(full.size()) - 1));
-    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x40);
-    WriteFile(path, mutated);
-    ReplayThroughVlogFuzzTarget(pointers[static_cast<size_t>(
-                                    trial % static_cast<int>(pointers.size()))],
-                                mutated);
-    auto opened = ValueLog::Open(path);
-    if (!opened.ok()) continue;
-    for (size_t i = 0; i < pointers.size(); ++i) {
-      auto read = (*opened)->Read(pointers[i]);
-      // Either the undamaged value, or a typed corruption — never a
-      // crash, never silently wrong bytes.
-      if (read.ok()) {
-        EXPECT_EQ(*read, values[i]) << "segment " << i;
-      } else {
-        EXPECT_TRUE(read.status().IsCorruption() ||
-                    read.status().code() == util::StatusCode::kIoError)
-            << read.status();
-      }
-    }
   }
   std::filesystem::remove(path);
 }
