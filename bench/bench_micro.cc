@@ -1,13 +1,11 @@
 // Ablation A3: micro-benchmarks of the building blocks — list algebra
-// throughput (join/intersect/union over synthetic postings), varint
-// posting codec, B+tree point operations, XML parse throughput, Zipf
-// sampling, index construction. These are the costs the paper's O(s*l)
-// analysis is made of. Plus one serving-layer guard: the per-request
+// throughput (join/intersect/union over synthetic postings), XML parse
+// throughput, Zipf sampling, index construction. These are the costs
+// the paper's O(s*l) analysis is made of. Plus one serving-layer guard: the per-request
 // overhead QueryService adds around a cheap query under a large cost
 // model.
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
 #include <string>
 
 #include "engine/database.h"
@@ -16,10 +14,7 @@
 #include "index/label_index.h"
 #include "schema/schema.h"
 #include "service/query_service.h"
-#include "storage/bptree.h"
-#include "storage/mem_kv_store.h"
 #include "util/random.h"
-#include "util/varint.h"
 #include "util/zipf.h"
 #include "xml/xml_dom.h"
 
@@ -108,100 +103,6 @@ void BM_Union(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Union)->Range(1 << 10, 1 << 18);
-
-// --- posting codec ---------------------------------------------------------
-
-void BM_PostingSerialize(benchmark::State& state) {
-  index::Posting posting;
-  util::Rng rng(7);
-  doc::NodeId id = 0;
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    id += 1 + static_cast<doc::NodeId>(rng.Uniform(100));
-    posting.push_back(id);
-  }
-  for (auto _ : state) {
-    std::string out;
-    index::SerializePosting(posting, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PostingSerialize)->Range(1 << 10, 1 << 16);
-
-void BM_PostingDeserialize(benchmark::State& state) {
-  index::Posting posting;
-  util::Rng rng(7);
-  doc::NodeId id = 0;
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    id += 1 + static_cast<doc::NodeId>(rng.Uniform(100));
-    posting.push_back(id);
-  }
-  std::string blob;
-  index::SerializePosting(posting, &blob);
-  for (auto _ : state) {
-    auto decoded = index::DeserializePosting(blob);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PostingDeserialize)->Range(1 << 10, 1 << 16);
-
-// --- storage ---------------------------------------------------------------
-
-void BM_BPlusTreePut(benchmark::State& state) {
-  std::string path = (std::filesystem::temp_directory_path() /
-                      "approxql_bench_bptree.db")
-                         .string();
-  std::filesystem::remove(path);
-  auto store = storage::DiskKvStore::Open(path, true);
-  APPROXQL_CHECK(store.ok());
-  util::Rng rng(13);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    std::string key = "key" + std::to_string(rng.Next() % 1000000);
-    std::string value = "value" + std::to_string(i++);
-    benchmark::DoNotOptimize((*store)->Put(key, value));
-  }
-  state.SetItemsProcessed(state.iterations());
-  (*store).reset();
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_BPlusTreePut);
-
-void BM_BPlusTreeGet(benchmark::State& state) {
-  std::string path = (std::filesystem::temp_directory_path() /
-                      "approxql_bench_bptree_get.db")
-                         .string();
-  std::filesystem::remove(path);
-  auto store = storage::DiskKvStore::Open(path, true);
-  APPROXQL_CHECK(store.ok());
-  for (int i = 0; i < 100000; ++i) {
-    APPROXQL_CHECK((*store)->Put("key" + std::to_string(i), "v").ok());
-  }
-  util::Rng rng(17);
-  for (auto _ : state) {
-    std::string key = "key" + std::to_string(rng.Uniform(100000));
-    benchmark::DoNotOptimize((*store)->Get(key));
-  }
-  state.SetItemsProcessed(state.iterations());
-  (*store).reset();
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_BPlusTreeGet);
-
-void BM_MemKvGet(benchmark::State& state) {
-  storage::MemKvStore store;
-  for (int i = 0; i < 100000; ++i) {
-    APPROXQL_CHECK(store.Put("key" + std::to_string(i), "v").ok());
-  }
-  util::Rng rng(17);
-  for (auto _ : state) {
-    std::string key = "key" + std::to_string(rng.Uniform(100000));
-    benchmark::DoNotOptimize(store.Get(key));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MemKvGet);
 
 // --- XML & generators ------------------------------------------------------
 

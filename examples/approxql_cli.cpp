@@ -11,15 +11,14 @@
 // how many results each retrieves) instead of the results.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine/database.h"
 #include "gen/query_file.h"
+#include "storage/file.h"
 #include "util/timer.h"
 
 using approxql::cost::CostModel;
@@ -28,15 +27,6 @@ using approxql::engine::ExecOptions;
 using approxql::engine::Strategy;
 
 namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
 
 int Usage() {
   std::fprintf(
@@ -155,12 +145,12 @@ int main(int argc, char** argv) {
   } else if (!xml_paths.empty()) {
     CostModel model;
     if (!costs_path.empty()) {
-      std::string config;
-      if (!ReadFile(costs_path, &config)) {
-        std::fprintf(stderr, "cannot read %s\n", costs_path.c_str());
+      auto config = approxql::storage::ReadWholeFile(costs_path);
+      if (!config.ok()) {
+        std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
         return 1;
       }
-      auto parsed = CostModel::ParseConfig(config);
+      auto parsed = CostModel::ParseConfig(*config);
       if (!parsed.ok()) {
         std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
         return 1;
@@ -193,12 +183,12 @@ int main(int argc, char** argv) {
   // A query file carries both the query and its transformation costs.
   approxql::gen::GeneratedQuery from_file;
   if (!query_file_path.empty()) {
-    std::string content;
-    if (!ReadFile(query_file_path, &content)) {
-      std::fprintf(stderr, "cannot read %s\n", query_file_path.c_str());
+    auto content = approxql::storage::ReadWholeFile(query_file_path);
+    if (!content.ok()) {
+      std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
       return 1;
     }
-    auto parsed = approxql::gen::ParseQueryFile(content);
+    auto parsed = approxql::gen::ParseQueryFile(*content);
     if (!parsed.ok()) {
       std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
       return 1;

@@ -19,7 +19,7 @@ const std::vector<FuzzTarget>& AllTargets() {
       {"wire_manifest_delta", FuzzWireManifestDelta},
       {"layout_manifest", FuzzLayoutManifest},
       {"data_tree", FuzzDataTree},
-      {"posting", FuzzPosting},
+      {"database_file", FuzzDatabaseFile},
       {"wal_replay", FuzzWalReplay},
       {"xml_parser", FuzzXmlParser},
       {"approxql_parser", FuzzApproxqlParser},

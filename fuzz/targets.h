@@ -30,7 +30,7 @@ int FuzzWireManifestDelta(const uint8_t* data, size_t size);
 // Persistence formats parsed off disk.
 int FuzzLayoutManifest(const uint8_t* data, size_t size);
 int FuzzDataTree(const uint8_t* data, size_t size);
-int FuzzPosting(const uint8_t* data, size_t size);
+int FuzzDatabaseFile(const uint8_t* data, size_t size);
 int FuzzWalReplay(const uint8_t* data, size_t size);
 
 // Text parsers fed by users and ingest.

@@ -1,5 +1,5 @@
-// doc::DataTree::Deserialize over hostile bytes — the per-document blob
-// read back from the durable store. Contract: clean Result or a tree
+// doc::DataTree::Deserialize over hostile bytes — the tree section of a
+// saved database or a live-ingest snapshot. Contract: clean Result or a tree
 // whose structure invariants hold (parents precede children, bounds
 // nest) and whose re-serialization reaches a fixed point.
 

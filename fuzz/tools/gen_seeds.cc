@@ -21,7 +21,7 @@
 
 #include "cost/cost_model.h"
 #include "doc/data_tree.h"
-#include "index/label_index.h"
+#include "engine/database.h"
 #include "net/wire.h"
 #include "shard/layout_manifest.h"
 #include "storage/wal/wal.h"
@@ -318,22 +318,29 @@ int main(int argc, char** argv) {
     WriteSeed(root, "data_tree", "crash-huge-node-count", huge_nodes);
   }
 
-  // --- posting ---
+  // --- database_file ---
   {
-    std::string bytes;
-    index::SerializePosting({1, 5, 9, 100}, &bytes);
-    WriteSeed(root, "posting", "seed-basic", bytes);
+    auto db = engine::Database::BuildFromXml(
+        {"<catalog><cd><title>Piano Concerto</title>"
+         "<composer>Rachmaninov</composer></cd></catalog>"});
+    if (!db.ok()) return 1;
+    const std::string valid = db->Serialize();
+    WriteSeed(root, "database_file", "seed-valid", valid);
+    WriteSeed(root, "database_file", "seed-truncated",
+              valid.substr(0, valid.size() / 2));
+    std::string bad_crc = valid;
+    bad_crc.back() = static_cast<char>(bad_crc.back() ^ 0x5a);
+    WriteSeed(root, "database_file", "seed-bad-crc", bad_crc);
 
-    std::string huge;
-    util::PutVarint64(&huge, kHugeCount);
-    WriteSeed(root, "posting", "crash-huge-count", huge);
-
-    // Regression: deltas that wrap the 32-bit id space.
-    std::string wrap;
-    util::PutVarint64(&wrap, 2);
-    util::PutVarint32(&wrap, UINT32_MAX);
-    util::PutVarint32(&wrap, 2);
-    WriteSeed(root, "posting", "crash-id-wraparound", wrap);
+    // The page-0 header of the page-based store older versions saved:
+    // little-endian magic "APQ2", page size, page count, freelist head.
+    std::string old_format;
+    for (uint32_t word : {0x41505132u, 4096u, 1u, 0u}) {
+      for (int b = 0; b < 4; ++b) {
+        old_format.push_back(static_cast<char>((word >> (8 * b)) & 0xff));
+      }
+    }
+    WriteSeed(root, "database_file", "seed-old-format-header", old_format);
   }
 
   // --- wal_replay (config must match the fuzz target's) ---

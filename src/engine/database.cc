@@ -1,11 +1,13 @@
 #include "engine/database.h"
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "query/expanded.h"
-#include "storage/bptree.h"
+#include "storage/file.h"
+#include "storage/wal/log_format.h"
+#include "util/crc32.h"
+#include "util/varint.h"
 
 namespace approxql::engine {
 
@@ -14,10 +16,9 @@ using util::Status;
 
 namespace {
 
-constexpr std::string_view kTreeKey = "meta#tree";
-constexpr std::string_view kCostsKey = "meta#costs";
-constexpr std::string_view kLabelIndexPrefix = "ix#";
-constexpr std::string_view kSecondaryPrefix = "sec#";
+constexpr uint32_t kFileMagic = 0x42445141;  // "AQDB"
+constexpr uint32_t kFileVersion = 1;
+constexpr size_t kCrcBytes = 4;
 
 }  // namespace
 
@@ -189,57 +190,71 @@ std::string Database::MaterializeXml(doc::NodeId root, bool pretty) const {
   return xml::WriteXml(tree_->ToXml(root), options);
 }
 
+std::string Database::Serialize() const {
+  std::string out;
+  util::PutVarint32(&out, kFileMagic);
+  util::PutVarint32(&out, kFileVersion);
+  const std::string config = model_.ToConfigString();
+  util::PutVarint64(&out, config.size());
+  out.append(config);
+  std::string tree_bytes;
+  tree_->Serialize(&tree_bytes);
+  util::PutVarint64(&out, tree_bytes.size());
+  out.append(tree_bytes);
+  storage::PutFixed32(&out, util::Crc32c(out));
+  return out;
+}
+
+Result<Database> Database::Deserialize(std::string_view data) {
+  // The magic is checked before the CRC so that a file of another format
+  // (such as the page-based store older versions saved) is named as
+  // such rather than reported as a checksum failure.
+  util::VarintReader magic_reader(data);
+  uint32_t magic = 0;
+  if (!magic_reader.GetVarint32(&magic).ok() || magic != kFileMagic) {
+    return Status::Corruption("database file: bad magic");
+  }
+  if (magic_reader.remaining() < kCrcBytes) {
+    return Status::Corruption("database file: truncated");
+  }
+  const std::string_view body = data.substr(0, data.size() - kCrcBytes);
+  if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {
+    return Status::Corruption("database file: CRC mismatch");
+  }
+  util::VarintReader reader(body.substr(magic_reader.position()));
+  uint32_t version = 0;
+  RETURN_IF_ERROR(reader.GetVarint32(&version));
+  if (version != kFileVersion) {
+    return Status::Corruption("database file: unsupported version " +
+                              std::to_string(version));
+  }
+  uint64_t config_len = 0;
+  std::string_view config;
+  RETURN_IF_ERROR(reader.GetVarint64(&config_len));
+  RETURN_IF_ERROR(reader.GetBytes(config_len, &config));
+  uint64_t tree_len = 0;
+  std::string_view tree_bytes;
+  RETURN_IF_ERROR(reader.GetVarint64(&tree_len));
+  RETURN_IF_ERROR(reader.GetBytes(tree_len, &tree_bytes));
+  if (!reader.empty()) {
+    return Status::Corruption("database file: trailing bytes");
+  }
+  ASSIGN_OR_RETURN(cost::CostModel model, cost::CostModel::ParseConfig(config));
+  ASSIGN_OR_RETURN(doc::DataTree tree,
+                   doc::DataTree::Deserialize(tree_bytes, model));
+  return FromDataTree(std::move(tree), std::move(model));
+}
+
 Status Database::Save(const std::string& path) const {
-  // Write-to-temp + rename: a crash or failure mid-save never corrupts
-  // an existing database file at `path`.
-  const std::string temp_path = path + ".tmp";
-  std::error_code ec;
-  std::filesystem::remove(temp_path, ec);
-  {
-    ASSIGN_OR_RETURN(
-        std::unique_ptr<storage::DiskKvStore> store,
-        storage::DiskKvStore::Open(temp_path, /*create_if_missing=*/true));
-    std::string tree_blob;
-    tree_->Serialize(&tree_blob);
-    RETURN_IF_ERROR(store->Put(kTreeKey, tree_blob));
-    RETURN_IF_ERROR(store->Put(kCostsKey, model_.ToConfigString()));
-    RETURN_IF_ERROR(label_index_.PersistTo(store.get(), kLabelIndexPrefix));
-    RETURN_IF_ERROR(
-        schema_->secondary_index().PersistTo(store.get(), kSecondaryPrefix));
-    RETURN_IF_ERROR(store->Flush());
-  }
-  std::filesystem::rename(temp_path, path, ec);
-  if (ec) {
-    return Status::IoError("rename " + temp_path + " -> " + path + ": " +
-                           ec.message());
-  }
-  return Status::OK();
+  return storage::WriteFileDurably(path, Serialize());
 }
 
 Result<Database> Database::Load(const std::string& path) {
-  ASSIGN_OR_RETURN(
-      std::unique_ptr<storage::DiskKvStore> store,
-      storage::DiskKvStore::Open(path, /*create_if_missing=*/false));
-  ASSIGN_OR_RETURN(std::string costs_blob, store->Get(kCostsKey));
-  ASSIGN_OR_RETURN(cost::CostModel model,
-                   cost::CostModel::ParseConfig(costs_blob));
-  ASSIGN_OR_RETURN(std::string tree_blob, store->Get(kTreeKey));
-  ASSIGN_OR_RETURN(doc::DataTree tree,
-                   doc::DataTree::Deserialize(tree_blob, model));
-  Database db(std::move(model),
-              std::make_unique<doc::DataTree>(std::move(tree)));
-  // The schema rebuild is deterministic, so its class numbering matches
-  // the persisted secondary postings; the persisted label index replaces
-  // the rebuilt one (identical by construction — tests verify).
-  db.BuildDerivedState();
-  ASSIGN_OR_RETURN(index::LabelIndex label_index,
-                   index::LabelIndex::LoadFrom(*store, kLabelIndexPrefix));
-  db.label_index_ = std::move(label_index);
-  ASSIGN_OR_RETURN(index::SecondaryIndex secondary,
-                   index::SecondaryIndex::LoadFrom(*store, kSecondaryPrefix));
-  // Keep the rebuilt schema label index (it is derived from the schema
-  // itself) but attach the persisted instance postings.
-  db.schema_->ReplaceSecondaryIndex(std::move(secondary));
+  ASSIGN_OR_RETURN(std::string data, storage::ReadWholeFile(path));
+  Result<Database> db = Deserialize(data);
+  if (!db.ok()) {
+    return Status(db.status().code(), path + ": " + db.status().message());
+  }
   return db;
 }
 

@@ -1,5 +1,5 @@
-// Public facade: build a database from XML documents, persist/load it
-// through the storage engine, and execute approXQL queries with either
+// Public facade: build a database from XML documents, save/load it as
+// one checksummed file, and execute approXQL queries with either
 // evaluation strategy. This is the API the examples and benchmarks use.
 #ifndef APPROXQL_ENGINE_DATABASE_H_
 #define APPROXQL_ENGINE_DATABASE_H_
@@ -142,8 +142,16 @@ class Database {
   util::Result<std::vector<Explanation>> Explain(
       std::string_view query_text, const ExecOptions& options) const;
 
-  /// Persists tree, cost model and all indexes into a single-file
-  /// B+tree store; Load restores an identical database.
+  /// The saved-database file: magic, version, the cost model's config
+  /// and the serialized data tree, closed by a CRC-32C over everything
+  /// before it. The indexes and the schema are derived state and are not
+  /// stored: Deserialize rebuilds them, so a loaded database answers
+  /// every query exactly like the one that was saved.
+  std::string Serialize() const;
+  static util::Result<Database> Deserialize(std::string_view data);
+
+  /// Serialize() to `path` through storage::WriteFileDurably, and the
+  /// inverse; Load refuses any other file with Corruption.
   util::Status Save(const std::string& path) const;
   static util::Result<Database> Load(const std::string& path);
 

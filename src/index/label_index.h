@@ -17,7 +17,6 @@
 #include "cost/cost_model.h"
 #include "doc/data_tree.h"
 #include "doc/label_table.h"
-#include "storage/kv_store.h"
 #include "util/status.h"
 
 namespace approxql::index {
@@ -62,8 +61,7 @@ class LabelIndex : public PostingSource {
     return postings_[static_cast<int>(type)].size();
   }
 
-  /// All postings of a type (for the query generator's label sampling and
-  /// for persistence).
+  /// All postings of a type (for the query generator's label sampling).
   const std::unordered_map<doc::LabelId, Posting>& postings(
       NodeType type) const {
     return postings_[static_cast<int>(type)];
@@ -72,19 +70,9 @@ class LabelIndex : public PostingSource {
   /// Builds I_struct and I_text over a data tree (or schema tree).
   static LabelIndex BuildFromTree(const doc::DataTree& tree);
 
-  /// Persists all postings under `prefix` ("is"/"it" + label id).
-  util::Status PersistTo(storage::KvStore* store,
-                         std::string_view prefix) const;
-  static util::Result<LabelIndex> LoadFrom(const storage::KvStore& store,
-                                           std::string_view prefix);
-
  private:
   std::unordered_map<doc::LabelId, Posting> postings_[2];
 };
-
-/// Serializes a sorted posting with delta-varint encoding.
-void SerializePosting(const Posting& posting, std::string* out);
-util::Result<Posting> DeserializePosting(std::string_view data);
 
 }  // namespace approxql::index
 

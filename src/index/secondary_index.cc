@@ -1,11 +1,8 @@
 #include "index/secondary_index.h"
 
-#include "util/varint.h"
+#include "util/logging.h"
 
 namespace approxql::index {
-
-using util::Result;
-using util::Status;
 
 void SecondaryIndex::Add(uint32_t schema_pre, doc::LabelId label,
                          doc::NodeId node) {
@@ -19,44 +16,6 @@ const Posting* SecondaryIndex::Fetch(uint32_t schema_pre,
                                      doc::LabelId label) const {
   auto it = postings_.find(Key(schema_pre, label));
   return it == postings_.end() ? nullptr : &it->second;
-}
-
-Status SecondaryIndex::PersistTo(storage::KvStore* store,
-                                 std::string_view prefix) const {
-  for (const auto& [key, posting] : postings_) {
-    std::string k(prefix);
-    util::PutVarint32(&k, static_cast<uint32_t>(key >> 32));
-    k.push_back('#');
-    util::PutVarint32(&k, static_cast<uint32_t>(key));
-    std::string value;
-    SerializePosting(posting, &value);
-    RETURN_IF_ERROR(store->Put(k, value));
-  }
-  return Status::OK();
-}
-
-Result<SecondaryIndex> SecondaryIndex::LoadFrom(const storage::KvStore& store,
-                                                std::string_view prefix) {
-  SecondaryIndex index;
-  auto it = store.NewIterator();
-  for (it->Seek(prefix); it->Valid(); it->Next()) {
-    std::string_view key = it->key();
-    if (!key.starts_with(prefix)) break;
-    util::VarintReader reader(key.substr(prefix.size()));
-    uint32_t schema_pre = 0;
-    RETURN_IF_ERROR(reader.GetVarint32(&schema_pre));
-    std::string_view hash;
-    RETURN_IF_ERROR(reader.GetBytes(1, &hash));
-    if (hash != "#") return Status::Corruption("bad secondary index key");
-    uint32_t label = 0;
-    RETURN_IF_ERROR(reader.GetVarint32(&label));
-    if (!reader.empty()) {
-      return Status::Corruption("trailing bytes in secondary index key");
-    }
-    ASSIGN_OR_RETURN(Posting posting, DeserializePosting(it->value()));
-    index.postings_[Key(schema_pre, label)] = std::move(posting);
-  }
-  return index;
 }
 
 }  // namespace approxql::index

@@ -32,11 +32,6 @@ class SecondaryIndex {
 
   size_t KeyCount() const { return postings_.size(); }
 
-  util::Status PersistTo(storage::KvStore* store,
-                         std::string_view prefix) const;
-  static util::Result<SecondaryIndex> LoadFrom(const storage::KvStore& store,
-                                               std::string_view prefix);
-
  private:
   static uint64_t Key(uint32_t schema_pre, doc::LabelId label) {
     return (static_cast<uint64_t>(schema_pre) << 32) | label;

@@ -1,12 +1,10 @@
 #include "ingest/durable_shard.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
+#include "storage/file.h"
 #include "storage/wal/log_format.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -22,37 +20,6 @@ namespace {
 constexpr uint32_t kSnapMagic = 0x4e535141;  // "AQSN"
 constexpr uint32_t kSnapVersion = 2;
 constexpr uint32_t kCurrentMagic = 0x52554341;  // "ACUR"
-
-Status WriteFileDurably(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return Status::IoError("cannot create " + tmp);
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size() ||
-      std::fflush(file) != 0 || ::fsync(fileno(file)) != 0) {
-    std::fclose(file);
-    return Status::IoError(tmp + ": write failed");
-  }
-  std::fclose(file);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename " + tmp + " -> " + path + " failed");
-  }
-  return storage::SyncParentDir(path);
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return Status::NotFound(path + ": cannot open");
-  std::string data;
-  char buffer[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    data.append(buffer, n);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) return Status::IoError(path + ": read failed");
-  return data;
-}
 
 }  // namespace
 
@@ -220,12 +187,12 @@ Status DurableShard::WriteSnapshotFile(uint64_t gen,
     util::PutVarint32(&out, span.length);
   }
   storage::PutFixed32(&out, util::Crc32c(out));
-  return WriteFileDurably(GenPath(gen, ".snap"), out);
+  return storage::WriteFileDurably(GenPath(gen, ".snap"), out);
 }
 
 Result<DurableShard::SnapshotFile> DurableShard::ReadSnapshotFile(
     const std::string& path, const cost::CostModel& model) {
-  ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
+  ASSIGN_OR_RETURN(std::string data, storage::ReadWholeFile(path));
   if (data.size() < 4) return Status::Corruption(path + ": truncated");
   const std::string_view body(data.data(), data.size() - 4);
   if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {
@@ -276,11 +243,12 @@ Status DurableShard::WriteCurrent(uint64_t gen) const {
   util::PutVarint32(&out, kCurrentMagic);
   util::PutVarint64(&out, gen);
   storage::PutFixed32(&out, util::Crc32c(out));
-  return WriteFileDurably(FilePath(".CURRENT"), out);
+  return storage::WriteFileDurably(FilePath(".CURRENT"), out);
 }
 
 Result<uint64_t> DurableShard::ReadCurrent() const {
-  ASSIGN_OR_RETURN(std::string data, ReadWholeFile(FilePath(".CURRENT")));
+  ASSIGN_OR_RETURN(std::string data,
+                   storage::ReadWholeFile(FilePath(".CURRENT")));
   if (data.size() < 4) return Status::Corruption("CURRENT truncated");
   const std::string_view body(data.data(), data.size() - 4);
   if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {

@@ -1,15 +1,13 @@
 #include "ingest/mutable_corpus.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <thread>
 #include <utility>
 
 #include "engine/database.h"
+#include "storage/file.h"
 #include "storage/wal/log_format.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -31,34 +29,11 @@ Status WriteMetaFile(const std::string& path, std::string_view config) {
   util::PutVarint64(&out, config.size());
   out.append(config);
   storage::PutFixed32(&out, util::Crc32c(out));
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return Status::IoError("cannot create " + tmp);
-  if (std::fwrite(out.data(), 1, out.size(), file) != out.size() ||
-      std::fflush(file) != 0 || ::fsync(fileno(file)) != 0) {
-    std::fclose(file);
-    return Status::IoError(tmp + ": write failed");
-  }
-  std::fclose(file);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename " + tmp + " -> " + path + " failed");
-  }
-  return storage::SyncParentDir(path);
+  return storage::WriteFileDurably(path, out);
 }
 
 Result<std::string> ReadMetaFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return Status::NotFound(path + ": cannot open");
-  std::string data;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    data.append(buffer, n);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) return Status::IoError(path + ": read failed");
+  ASSIGN_OR_RETURN(std::string data, storage::ReadWholeFile(path));
   if (data.size() < 4) return Status::Corruption(path + ": truncated");
   const std::string_view body(data.data(), data.size() - 4);
   if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {

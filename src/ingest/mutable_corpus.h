@@ -51,10 +51,22 @@
 #include "ingest/durable_shard.h"
 #include "service/metrics.h"
 #include "shard/sharded_database.h"
-#include "storage/kv_store.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+
+namespace approxql::storage {
+
+/// Where a live-ingest corpus keeps its postings: only in memory, since
+/// they are derived from the data tree that the snapshot + WAL make
+/// durable. Not a knob; it stays only because the repository benchmark
+/// (perfbench/live_ingest.cc) assigns MutableCorpus::Options::store_kind,
+/// and goes when that benchmark drops the assignment.
+enum class StoreKind {
+  kMem,
+};
+
+}  // namespace approxql::storage
 
 namespace approxql::ingest {
 
@@ -66,8 +78,7 @@ class MutableCorpus : public service::Backend {
   struct Options {
     std::string data_dir;
     size_t num_shards = 1;
-    /// Not a knob: kMem is the only value. Kept because the repository
-    /// benchmark (perfbench/live_ingest.cc) assigns it.
+    /// Not a knob: kMem is the only value (see storage::StoreKind).
     storage::StoreKind store_kind = storage::StoreKind::kMem;
     cost::CostModel model;
 

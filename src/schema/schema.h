@@ -67,13 +67,6 @@ class Schema {
   /// Path-dependent instance postings I_sec.
   const index::SecondaryIndex& secondary_index() const { return secondary_; }
 
-  /// Allows Database::Load to attach persisted instance postings instead
-  /// of the rebuilt ones (identical by deterministic construction; tests
-  /// verify).
-  void ReplaceSecondaryIndex(index::SecondaryIndex secondary) {
-    secondary_ = std::move(secondary);
-  }
-
   doc::LabelId text_class_label() const { return text_class_label_; }
 
   /// Human-readable label-type path of a schema node, for debugging and

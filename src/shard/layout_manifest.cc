@@ -1,9 +1,8 @@
 #include "shard/layout_manifest.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 
+#include "storage/file.h"
 #include "util/crc32.h"
 #include "util/varint.h"
 
@@ -178,29 +177,11 @@ Result<LayoutManifest> LayoutManifest::Deserialize(std::string_view data) {
 }
 
 Status LayoutManifest::SaveTo(const std::string& path) const {
-  const std::string temp_path = path + ".tmp";
-  {
-    std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("open " + temp_path + " for write");
-    const std::string blob = Serialize();
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out) return Status::IoError("write " + temp_path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp_path, path, ec);
-  if (ec) {
-    return Status::IoError("rename " + temp_path + " -> " + path + ": " +
-                           ec.message());
-  }
-  return Status::OK();
+  return storage::WriteFileDurably(path, Serialize());
 }
 
 Result<LayoutManifest> LayoutManifest::LoadFrom(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open " + path);
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return Status::IoError("read " + path);
+  ASSIGN_OR_RETURN(std::string blob, storage::ReadWholeFile(path));
   return Deserialize(blob);
 }
 

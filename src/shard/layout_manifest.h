@@ -91,7 +91,7 @@ class LayoutManifest {
   std::string Serialize() const;
   static util::Result<LayoutManifest> Deserialize(std::string_view data);
 
-  /// Write-to-temp + rename, like Database::Save.
+  /// Through storage::WriteFileDurably, like Database::Save.
   util::Status SaveTo(const std::string& path) const;
   static util::Result<LayoutManifest> LoadFrom(const std::string& path);
 

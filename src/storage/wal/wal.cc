@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "storage/file.h"
 #include "storage/wal/log_format.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -20,22 +21,6 @@ namespace {
 constexpr uint32_t kWalMagic = 0x4c575141;  // "AQWL"
 constexpr uint32_t kWalVersion = 1;
 constexpr size_t kCrcBytes = 4;
-
-/// Reads a whole file into `out`. Missing file -> NotFound.
-Status ReadFile(const std::string& path, std::string* out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return Status::NotFound(path);
-  out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    out->append(buf, n);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) return Status::IoError(path + ": read failed");
-  return Status::OK();
-}
 
 Status SyncFile(std::FILE* file, const std::string& path) {
   if (std::fflush(file) != 0) {
@@ -96,21 +81,8 @@ std::string WriteAheadLog::EncodeHeader(std::string_view config,
 }
 
 Status WriteAheadLog::WriteFresh(uint64_t base_seq) {
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return Status::IoError("cannot create " + tmp);
   const std::string header = EncodeHeader(config_, base_seq);
-  if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
-    std::fclose(file);
-    return Status::IoError(tmp + ": short header write");
-  }
-  Status synced = SyncFile(file, tmp);
-  std::fclose(file);
-  RETURN_IF_ERROR(synced);
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::IoError("rename " + tmp + " -> " + path_ + " failed");
-  }
-  RETURN_IF_ERROR(SyncParentDir(path_));
+  RETURN_IF_ERROR(WriteFileDurably(path_, header));
   if (file_ != nullptr) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "r+b");
   if (file_ == nullptr) {
@@ -128,9 +100,8 @@ Status WriteAheadLog::WriteFresh(uint64_t base_seq) {
 Result<WriteAheadLog::OpenResult> WriteAheadLog::Open(
     const std::string& path, std::string_view config) {
   OpenResult result;
-  std::string data;
-  Status read = ReadFile(path, &data);
-  if (read.IsNotFound()) {
+  Result<std::string> read = ReadWholeFile(path);
+  if (read.status().IsNotFound()) {
     // Fresh log: header published atomically via tmp + rename.
     std::unique_ptr<WriteAheadLog> wal(new WriteAheadLog(nullptr, path));
     wal->config_.assign(config);
@@ -138,7 +109,8 @@ Result<WriteAheadLog::OpenResult> WriteAheadLog::Open(
     result.wal = std::move(wal);
     return result;
   }
-  RETURN_IF_ERROR(read);
+  RETURN_IF_ERROR(read.status());
+  const std::string data = std::move(read).value();
 
   std::string stored_config;
   uint64_t base_seq = 0;

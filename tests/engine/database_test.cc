@@ -6,7 +6,7 @@
 #include <fstream>
 #include <string>
 
-#include "storage/bptree.h"
+#include "storage/file.h"
 
 namespace approxql::engine {
 namespace {
@@ -207,20 +207,76 @@ TEST(DatabaseTest, LoadMissingFileFails) {
   EXPECT_FALSE(loaded.ok());
 }
 
-TEST(DatabaseTest, LoadCorruptStoreFails) {
-  std::string path = (std::filesystem::temp_directory_path() /
-                      ("approxql_corrupt_" + std::to_string(::getpid())))
-                         .string();
-  {
-    // A valid KV store without the database keys.
-    auto store = storage::DiskKvStore::Open(path, true);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Put("unrelated", "data").ok());
-    ASSERT_TRUE((*store)->Flush().ok());
+// The saved-database file is read from untrusted disks: every damaged
+// variant must come back as a clean error, never a crash or a database
+// built from garbage, and saving must be a pure function of the content.
+TEST(DatabaseTest, SavedFileRejectsHostileBytes) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("approxql_hostile_" + std::to_string(::getpid())))
+                               .string();
+  auto db = Database::BuildFromXml(CatalogDocs(), SomeCosts());
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(db->Save(path).ok());
+  auto read = storage::ReadWholeFile(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  const std::string saved = *read;
+  ASSERT_TRUE(Database::Deserialize(saved).ok());
+
+  // Saving the same database again, or the loaded copy, gives the same
+  // bytes.
+  ASSERT_TRUE(db->Save(path).ok());
+  read = storage::ReadWholeFile(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, saved);
+  auto loaded = Database::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->Serialize(), saved);
+
+  for (size_t cut = 0; cut < saved.size(); ++cut) {
+    EXPECT_FALSE(Database::Deserialize(saved.substr(0, cut)).ok()) << cut;
   }
+  EXPECT_FALSE(Database::Deserialize(saved + '\0').ok());
+  for (size_t pos = 0; pos < saved.size(); ++pos) {
+    for (int mask : {0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff}) {
+      std::string flipped = saved;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ mask);
+      auto result = Database::Deserialize(flipped);
+      ASSERT_FALSE(result.ok()) << "byte " << pos << " mask " << mask;
+      EXPECT_TRUE(result.status().IsCorruption()) << result.status();
+    }
+  }
+
+  // A damaged file on disk fails Load the same way, naming the file.
+  ASSERT_TRUE(
+      storage::WriteFileDurably(path, saved.substr(0, saved.size() / 2)).ok());
+  auto truncated = Database::Load(path);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_TRUE(truncated.status().IsCorruption()) << truncated.status();
+  EXPECT_NE(truncated.status().message().find(path), std::string::npos);
+  std::filesystem::remove(path);
+}
+
+// Older versions saved a page-based B+tree store; those files are
+// refused as a foreign format, not migrated.
+TEST(DatabaseTest, LoadRefusesOldPageStoreFormat) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("approxql_oldfmt_" + std::to_string(::getpid())))
+                               .string();
+  // Page 0 of the old store: little-endian magic "APQ2", page size 4096,
+  // page count 1, empty freelist, zero-filled to a whole page.
+  std::string page(4096, '\0');
+  const uint32_t header[] = {0x41505132, 4096, 1, 0};
+  for (size_t i = 0; i < 4; ++i) {
+    for (size_t b = 0; b < 4; ++b) {
+      page[i * 4 + b] = static_cast<char>((header[i] >> (8 * b)) & 0xff);
+    }
+  }
+  ASSERT_TRUE(storage::WriteFileDurably(path, page).ok());
   auto loaded = Database::Load(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsNotFound());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+      << loaded.status();
   std::filesystem::remove(path);
 }
 

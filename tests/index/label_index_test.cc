@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "index/secondary_index.h"
-#include "storage/mem_kv_store.h"
-#include "util/varint.h"
 
 namespace approxql::index {
 namespace {
@@ -72,58 +72,7 @@ TEST(LabelIndexTest, EveryNonRootNodeIndexedExactlyOnce) {
   EXPECT_EQ(total, tree.size() - 1);
 }
 
-TEST(PostingSerializationTest, RoundTrip) {
-  Posting posting = {1, 5, 6, 100, 4000000, 4000001};
-  std::string blob;
-  SerializePosting(posting, &blob);
-  auto restored = DeserializePosting(blob);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(*restored, posting);
-}
-
-TEST(PostingSerializationTest, EmptyPosting) {
-  Posting posting;
-  std::string blob;
-  SerializePosting(posting, &blob);
-  auto restored = DeserializePosting(blob);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored->empty());
-}
-
-TEST(PostingSerializationTest, CorruptionRejected) {
-  Posting posting = {3, 7, 20};
-  std::string blob;
-  SerializePosting(posting, &blob);
-  for (size_t cut = 0; cut < blob.size(); ++cut) {
-    EXPECT_FALSE(DeserializePosting(blob.substr(0, cut)).ok()) << cut;
-  }
-  EXPECT_FALSE(DeserializePosting(blob + "\x01").ok());
-  // A zero delta after the first entry means a duplicate node: corrupt.
-  std::string dup;
-  util::PutVarint64(&dup, 2);
-  util::PutVarint32(&dup, 5);
-  util::PutVarint32(&dup, 0);
-  EXPECT_FALSE(DeserializePosting(dup).ok());
-}
-
-TEST(LabelIndexPersistTest, RoundTripThroughKvStore) {
-  DataTree tree = BuildTree();
-  LabelIndex index = LabelIndex::BuildFromTree(tree);
-  storage::MemKvStore store;
-  ASSERT_TRUE(index.PersistTo(&store, "ix#").ok());
-  auto loaded = LabelIndex::LoadFrom(store, "ix#");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  for (NodeType type : {NodeType::kStruct, NodeType::kText}) {
-    ASSERT_EQ(loaded->postings(type).size(), index.postings(type).size());
-    for (const auto& [label, posting] : index.postings(type)) {
-      const Posting* got = loaded->Fetch(type, label);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(*got, posting);
-    }
-  }
-}
-
-TEST(SecondaryIndexTest, AddFetchPersist) {
+TEST(SecondaryIndexTest, AddFetch) {
   SecondaryIndex sec;
   sec.Add(3, 7, 10);
   sec.Add(3, 7, 12);
@@ -135,14 +84,8 @@ TEST(SecondaryIndexTest, AddFetchPersist) {
   EXPECT_EQ(sec.Fetch(3, 9), nullptr);
   EXPECT_EQ(sec.Fetch(99, 7), nullptr);
   EXPECT_EQ(sec.KeyCount(), 3u);
-
-  storage::MemKvStore store;
-  ASSERT_TRUE(sec.PersistTo(&store, "sec#").ok());
-  auto loaded = SecondaryIndex::LoadFrom(store, "sec#");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->KeyCount(), 3u);
-  ASSERT_NE(loaded->Fetch(4, 7), nullptr);
-  EXPECT_EQ(*loaded->Fetch(4, 7), (Posting{20}));
+  ASSERT_NE(sec.Fetch(4, 7), nullptr);
+  EXPECT_EQ(*sec.Fetch(4, 7), (Posting{20}));
 }
 
 }  // namespace
