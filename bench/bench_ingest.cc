@@ -1,11 +1,12 @@
 // Live-ingest throughput and its cost to readers: ingests synthetic
 // documents into a MutableCorpus at 1 and 4 shards, measuring (a)
 // sustained AddDocument docs/sec (each add is WAL-synced and published
-// as a fresh generation before it acks — the honest durable rate), and
-// (b) query p50/p99 against concurrently-ingesting vs frozen corpora
-// (the copy-on-write generation scheme promises readers pay nothing
-// beyond snapshot-pointer chasing while writes land). Results land on
-// stdout and in BENCH_ingest.json for EXPERIMENTS.md.
+// as a fresh generation before it acks — the honest durable rate) from
+// one writer and from four concurrent writers, and (b) query p50/p99
+// against concurrently-ingesting vs frozen corpora (the copy-on-write
+// generation scheme promises readers pay nothing beyond
+// snapshot-pointer chasing while writes land). Results land on stdout
+// and in BENCH_ingest.json for EXPERIMENTS.md.
 //
 // Scale with APPROXQL_BENCH_INGEST_DOCS (default 300) and
 // APPROXQL_BENCH_QUERIES (default 200 timed queries per mode).
@@ -105,29 +106,16 @@ struct Level {
   size_t shards = 0;
   double ingest_docs_per_sec = 0;
   double ingest_mean_ms = 0;
-  /// Same durable-add workload driven by kGroupWriters concurrent
-  /// threads: group commit amortizes one WAL fsync over every add
-  /// queued behind the leader, so this rate should beat writers x the
-  /// single-writer rate divided by writers (i.e. scale superlinearly
-  /// per fsync).
-  double group_docs_per_sec = 0;
-  double group_mean_batch = 0;
+  /// Same durable-add workload driven by kWriters concurrent threads.
+  /// The adds run one at a time on the serial ingest path, so this
+  /// measures what concurrent callers cost it, not a speedup.
+  double concurrent_docs_per_sec = 0;
   size_t docs = 0;
   LatencySample frozen;
   LatencySample live;
 };
 
-constexpr size_t kGroupWriters = 4;
-
-/// Mean of the ingest_group_commit_batch histogram, parsed from the
-/// registry dump ("name count=N mean=M ...").
-double ParseMeanBatch(const std::string& dump) {
-  const auto pos = dump.find("ingest_group_commit_batch count=");
-  if (pos == std::string::npos) return 0;
-  const auto mean_pos = dump.find("mean=", pos);
-  if (mean_pos == std::string::npos) return 0;
-  return std::atof(dump.c_str() + mean_pos + 5);
-}
+constexpr size_t kWriters = 4;
 
 /// Runs `count` timed queries round-robin over kQueries.
 LatencySample TimedQueries(const ingest::MutableCorpus& corpus,
@@ -172,27 +160,23 @@ Level RunLevel(const std::string& dir, size_t shards, size_t docs,
   level.ingest_docs_per_sec = static_cast<double>(docs) / ingest_seconds;
   level.ingest_mean_ms = ingest_seconds * 1000.0 / static_cast<double>(docs);
 
-  // (a2) The same durable adds from kGroupWriters concurrent threads:
-  // the WAL group-commit path batches every add queued behind the
-  // leader under one fsync.
+  // (a2) The same durable adds from kWriters concurrent threads.
   {
-    util::WallTimer group_timer;
+    util::WallTimer concurrent_timer;
     std::vector<std::thread> writers;
-    for (size_t w = 0; w < kGroupWriters; ++w) {
+    for (size_t w = 0; w < kWriters; ++w) {
       writers.emplace_back([&, w] {
-        util::Rng group_rng(0x60 + 0x9e37 * (shards * kGroupWriters + w));
-        for (size_t i = 0; i < docs / kGroupWriters; ++i) {
-          auto result = (*corpus)->AddDocument(MakeDoc(group_rng));
+        util::Rng writer_rng(0x60 + 0x9e37 * (shards * kWriters + w));
+        for (size_t i = 0; i < docs / kWriters; ++i) {
+          auto result = (*corpus)->AddDocument(MakeDoc(writer_rng));
           APPROXQL_CHECK(result.ok()) << result.status();
         }
       });
     }
     for (auto& writer : writers) writer.join();
-    const double group_seconds = group_timer.ElapsedSeconds();
-    const size_t group_docs = (docs / kGroupWriters) * kGroupWriters;
-    level.group_docs_per_sec =
-        static_cast<double>(group_docs) / group_seconds;
-    level.group_mean_batch = ParseMeanBatch((*corpus)->metrics()->DumpText());
+    const size_t concurrent_docs = (docs / kWriters) * kWriters;
+    level.concurrent_docs_per_sec = static_cast<double>(concurrent_docs) /
+                                    concurrent_timer.ElapsedSeconds();
   }
 
   // (b) Reader latency, frozen corpus.
@@ -233,12 +217,11 @@ int Run() {
     Level level = RunLevel(base + "_" + std::to_string(shards), shards,
                            kDocs, kTimedQueries);
     std::printf(
-        "shards=%zu: ingest %.1f docs/s (%.2f ms/doc durable), group "
-        "commit x%zu writers %.1f docs/s (mean batch %.2f), query p50 "
-        "%.3f ms p99 %.3f ms frozen | p50 %.3f ms p99 %.3f ms live (%zu "
-        "docs landed during)\n",
+        "shards=%zu: ingest %.1f docs/s (%.2f ms/doc durable), %zu "
+        "concurrent writers %.1f docs/s, query p50 %.3f ms p99 %.3f ms "
+        "frozen | p50 %.3f ms p99 %.3f ms live (%zu docs landed during)\n",
         level.shards, level.ingest_docs_per_sec, level.ingest_mean_ms,
-        kGroupWriters, level.group_docs_per_sec, level.group_mean_batch,
+        kWriters, level.concurrent_docs_per_sec,
         level.frozen.p50_ms, level.frozen.p99_ms, level.live.p50_ms,
         level.live.p99_ms, level.live.docs_during);
     levels.push_back(level);
@@ -257,15 +240,15 @@ int Run() {
         out,
         "    {\"shards\": %zu, "
         "\"ingest\": {\"docs_per_sec\": %.2f, \"mean_ms\": %.4f}, "
-        "\"ingest_group_commit\": {\"writers\": %zu, "
-        "\"docs_per_sec\": %.2f, \"mean_batch\": %.2f}, "
+        "\"ingest_concurrent\": {\"writers\": %zu, "
+        "\"docs_per_sec\": %.2f}, "
         "\"query_frozen\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
         "\"mean_ms\": %.4f}, "
         "\"query_live\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
         "\"mean_ms\": %.4f, \"docs_during\": %zu}}%s\n",
         level.shards, level.ingest_docs_per_sec, level.ingest_mean_ms,
-        kGroupWriters, level.group_docs_per_sec, level.group_mean_batch,
-        level.frozen.p50_ms, level.frozen.p99_ms, level.frozen.mean_ms,
+        kWriters, level.concurrent_docs_per_sec, level.frozen.p50_ms,
+        level.frozen.p99_ms, level.frozen.mean_ms,
         level.live.p50_ms, level.live.p99_ms, level.live.mean_ms,
         level.live.docs_during, i + 1 == levels.size() ? "" : ",");
   }

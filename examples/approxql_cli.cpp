@@ -9,6 +9,7 @@
 // Without --query, reads queries from stdin (one per line). With
 // --explain, prints the ranked second-level queries (schema paths and
 // how many results each retrieves) instead of the results.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -19,6 +20,7 @@
 #include "engine/database.h"
 #include "gen/query_file.h"
 #include "storage/file.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 using approxql::cost::CostModel;
@@ -116,7 +118,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--n") {
       const char* v = next();
       if (v == nullptr) return Usage();
-      options.n = std::strcmp(v, "all") == 0 ? SIZE_MAX : std::strtoull(v, nullptr, 10);
+      uint64_t n = SIZE_MAX;
+      if (std::strcmp(v, "all") != 0 && !approxql::util::ParseUint64(v, &n)) {
+        return Usage();
+      }
+      options.n = static_cast<size_t>(n);
     } else if (arg == "--strategy") {
       const char* v = next();
       if (v == nullptr) return Usage();

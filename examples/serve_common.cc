@@ -176,9 +176,9 @@ util::Result<std::unique_ptr<shard::ShardedDatabase>> PartitionDatabase(
       std::make_unique<shard::ShardedDatabase>(std::move(partitioned));
   const auto stats = sharded->GetStats();
   std::fprintf(stderr,
-               "sharded: %zu shards, %zu documents, %zu global classes "
+               "sharded: %zu shards, %zu documents "
                "(layout fingerprint %08x)\n",
-               stats.num_shards, stats.documents, stats.global_classes,
+               stats.num_shards, stats.documents,
                sharded->LayoutFingerprint());
   return sharded;
 }

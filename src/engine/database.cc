@@ -1,12 +1,7 @@
 #include "engine/database.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "query/expanded.h"
 #include "storage/file.h"
-#include "storage/wal/log_format.h"
-#include "util/crc32.h"
 #include "util/varint.h"
 
 namespace approxql::engine {
@@ -18,7 +13,6 @@ namespace {
 
 constexpr uint32_t kFileMagic = 0x42445141;  // "AQDB"
 constexpr uint32_t kFileVersion = 1;
-constexpr size_t kCrcBytes = 4;
 
 }  // namespace
 
@@ -59,13 +53,8 @@ Result<Database> Database::BuildFromFiles(const std::vector<std::string>& paths,
                                           cost::CostModel model) {
   doc::DataTreeBuilder builder;
   for (const auto& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::IoError("cannot read " + path);
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    util::Status parsed = builder.AddDocumentXml(buffer.str());
+    ASSIGN_OR_RETURN(std::string xml, storage::ReadWholeFile(path));
+    util::Status parsed = builder.AddDocumentXml(xml);
     if (!parsed.ok()) {
       return Status(parsed.code(), path + ": " + parsed.message());
     }
@@ -201,7 +190,7 @@ std::string Database::Serialize() const {
   tree_->Serialize(&tree_bytes);
   util::PutVarint64(&out, tree_bytes.size());
   out.append(tree_bytes);
-  storage::PutFixed32(&out, util::Crc32c(out));
+  storage::AppendCrcTrailer(&out);
   return out;
 }
 
@@ -214,15 +203,11 @@ Result<Database> Database::Deserialize(std::string_view data) {
   if (!magic_reader.GetVarint32(&magic).ok() || magic != kFileMagic) {
     return Status::Corruption("database file: bad magic");
   }
-  if (magic_reader.remaining() < kCrcBytes) {
-    return Status::Corruption("database file: truncated");
-  }
-  const std::string_view body = data.substr(0, data.size() - kCrcBytes);
-  if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {
-    return Status::Corruption("database file: CRC mismatch");
-  }
-  util::VarintReader reader(body.substr(magic_reader.position()));
+  ASSIGN_OR_RETURN(std::string_view body,
+                   storage::CheckCrcTrailer(data, "database file"));
+  util::VarintReader reader(body);
   uint32_t version = 0;
+  RETURN_IF_ERROR(reader.GetVarint32(&magic));  // checked above
   RETURN_IF_ERROR(reader.GetVarint32(&version));
   if (version != kFileVersion) {
     return Status::Corruption("database file: unsupported version " +

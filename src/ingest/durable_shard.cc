@@ -1,12 +1,9 @@
 #include "ingest/durable_shard.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 
 #include "storage/file.h"
-#include "storage/wal/log_format.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/varint.h"
 
@@ -19,7 +16,6 @@ namespace {
 
 constexpr uint32_t kSnapMagic = 0x4e535141;  // "AQSN"
 constexpr uint32_t kSnapVersion = 2;
-constexpr uint32_t kCurrentMagic = 0x52554341;  // "ACUR"
 
 }  // namespace
 
@@ -40,11 +36,6 @@ DurableShard::~DurableShard() {
 
 std::string DurableShard::FilePath(std::string_view suffix) const {
   return options_.data_dir + "/" + stem_ + std::string(suffix);
-}
-
-std::string DurableShard::GenPath(uint64_t gen, std::string_view ext) const {
-  return options_.data_dir + "/" + stem_ + "-" + std::to_string(gen) +
-         std::string(ext);
 }
 
 std::string DurableShard::ConfigString() const {
@@ -91,7 +82,19 @@ Status DurableShard::ApplyRemove(doc::NodeId global_start) {
   return Status::OK();
 }
 
-Result<DurableShard::AddResult> DurableShard::AddDocumentBuffered(
+Result<uint64_t> DurableShard::LogDurably(uint32_t type,
+                                          std::string_view body) {
+  Result<uint64_t> seq = wal_->Append(type, body);
+  Status synced = seq.ok() ? wal_->Sync() : seq.status();
+  if (!synced.ok()) {
+    // The mutation is applied in memory but not durable.
+    poisoned_ = true;
+    return synced;
+  }
+  return seq;
+}
+
+Result<DurableShard::AddResult> DurableShard::AddDocument(
     std::string_view xml, doc::NodeId global_start) {
   if (poisoned_) {
     return Status::Unavailable(stem_ + " is poisoned; ingest rejected");
@@ -112,28 +115,7 @@ Result<DurableShard::AddResult> DurableShard::AddDocumentBuffered(
   util::PutVarint32(&body, result.span.length);
   util::PutVarint64(&body, xml.size());
   body.append(xml);
-  auto seq = wal_->Append(kWalAddDocument, body);
-  if (!seq.ok()) {
-    poisoned_ = true;
-    return seq.status();
-  }
-  result.seq = *seq;
-  return result;
-}
-
-Status DurableShard::SyncWal() {
-  if (poisoned_) {
-    return Status::Unavailable(stem_ + " is poisoned; sync rejected");
-  }
-  Status synced = wal_->Sync();
-  if (!synced.ok()) poisoned_ = true;
-  return synced;
-}
-
-Result<DurableShard::AddResult> DurableShard::AddDocument(
-    std::string_view xml, doc::NodeId global_start) {
-  ASSIGN_OR_RETURN(AddResult result, AddDocumentBuffered(xml, global_start));
-  RETURN_IF_ERROR(SyncWal());
+  ASSIGN_OR_RETURN(result.seq, LogDurably(kWalAddDocument, body));
   return result;
 }
 
@@ -149,25 +131,14 @@ Result<uint64_t> DurableShard::RemoveDocument(doc::NodeId global_start) {
   }
   std::string body;
   util::PutVarint32(&body, global_start);
-  auto seq = wal_->Append(kWalRemoveDocument, body);
-  if (!seq.ok()) {
-    poisoned_ = true;
-    return seq.status();
-  }
-  Status synced = wal_->Sync();
-  if (!synced.ok()) {
-    poisoned_ = true;
-    return synced;
-  }
-  return *seq;
+  return LogDurably(kWalRemoveDocument, body);
 }
 
 Result<doc::DataTree> DurableShard::SnapshotTree() const {
   return builder_.Snapshot(options_.model);
 }
 
-Status DurableShard::WriteSnapshotFile(uint64_t gen,
-                                       uint64_t applied_seq) const {
+Status DurableShard::WriteSnapshotFile(uint64_t applied_seq) const {
   ASSIGN_OR_RETURN(doc::DataTree tree, builder_.Snapshot(options_.model));
   std::string out;
   util::PutVarint32(&out, kSnapMagic);
@@ -186,18 +157,14 @@ Status DurableShard::WriteSnapshotFile(uint64_t gen,
     util::PutVarint32(&out, span.global_start);
     util::PutVarint32(&out, span.length);
   }
-  storage::PutFixed32(&out, util::Crc32c(out));
-  return storage::WriteFileDurably(GenPath(gen, ".snap"), out);
+  storage::AppendCrcTrailer(&out);
+  return storage::WriteFileDurably(FilePath(".snap"), out);
 }
 
 Result<DurableShard::SnapshotFile> DurableShard::ReadSnapshotFile(
     const std::string& path, const cost::CostModel& model) {
   ASSIGN_OR_RETURN(std::string data, storage::ReadWholeFile(path));
-  if (data.size() < 4) return Status::Corruption(path + ": truncated");
-  const std::string_view body(data.data(), data.size() - 4);
-  if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {
-    return Status::Corruption(path + ": CRC mismatch");
-  }
+  ASSIGN_OR_RETURN(std::string_view body, storage::CheckCrcTrailer(data, path));
   util::VarintReader reader(body);
   uint32_t magic = 0;
   uint32_t version = 0;
@@ -238,59 +205,9 @@ Result<DurableShard::SnapshotFile> DurableShard::ReadSnapshotFile(
   return snap;
 }
 
-Status DurableShard::WriteCurrent(uint64_t gen) const {
-  std::string out;
-  util::PutVarint32(&out, kCurrentMagic);
-  util::PutVarint64(&out, gen);
-  storage::PutFixed32(&out, util::Crc32c(out));
-  return storage::WriteFileDurably(FilePath(".CURRENT"), out);
-}
-
-Result<uint64_t> DurableShard::ReadCurrent() const {
-  ASSIGN_OR_RETURN(std::string data,
-                   storage::ReadWholeFile(FilePath(".CURRENT")));
-  if (data.size() < 4) return Status::Corruption("CURRENT truncated");
-  const std::string_view body(data.data(), data.size() - 4);
-  if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {
-    return Status::Corruption("CURRENT CRC mismatch");
-  }
-  util::VarintReader reader(body);
-  uint32_t magic = 0;
-  uint64_t gen = 0;
-  RETURN_IF_ERROR(reader.GetVarint32(&magic));
-  RETURN_IF_ERROR(reader.GetVarint64(&gen));
-  if (magic != kCurrentMagic || !reader.empty()) {
-    return Status::Corruption("CURRENT malformed");
-  }
-  return gen;
-}
-
-void DurableShard::DeleteStaleGenerations() const {
-  // Generation files other than gen_ are leftovers of a checkpoint that
-  // crashed between publishing CURRENT and deleting the old files (or
-  // before publishing). Either way they are dead.
-  std::error_code ec;
-  const std::string prefix = stem_ + "-";
-  const std::string keep = stem_ + "-" + std::to_string(gen_);
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.data_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) != 0) continue;
-    const std::string bare = name.substr(0, name.rfind('.'));
-    if (bare != keep) std::filesystem::remove(entry.path(), ec);
-  }
-}
-
-Status DurableShard::Recover(bool have_snapshot, const SnapshotFile& snap,
+Status DurableShard::Recover(uint64_t applied_seq,
                              const std::vector<storage::WalRecord>& records,
                              OpenStats* stats_out) {
-  uint64_t applied_seq = 0;
-  if (have_snapshot) {
-    builder_ = doc::DataTreeBuilder::FromTree(snap.tree);
-    spans_ = snap.spans;
-    applied_seq = snap.applied_seq;
-  }
-
   size_t replayed = 0;
   for (const storage::WalRecord& record : records) {
     if (record.seq <= applied_seq) continue;  // covered by the checkpoint
@@ -337,24 +254,20 @@ Result<std::unique_ptr<DurableShard>> DurableShard::Open(Options options,
                                                          OpenStats* stats_out) {
   std::unique_ptr<DurableShard> shard(new DurableShard(std::move(options)));
 
-  bool have_snapshot = false;
-  SnapshotFile snap;
-  auto current = shard->ReadCurrent();
-  if (current.ok()) {
-    shard->gen_ = *current;
-    ASSIGN_OR_RETURN(snap,
-                     ReadSnapshotFile(shard->GenPath(shard->gen_, ".snap"),
-                                      shard->options_.model));
-    if (snap.config != shard->ConfigString()) {
+  uint64_t applied_seq = 0;
+  auto snap = ReadSnapshotFile(shard->FilePath(".snap"), shard->options_.model);
+  if (snap.ok()) {
+    if (snap->config != shard->ConfigString()) {
       return Status::Corruption(
           shard->stem_ + ": snapshot config mismatch (stored \"" +
-          snap.config + "\", expected \"" + shard->ConfigString() + "\")");
+          snap->config + "\", expected \"" + shard->ConfigString() + "\")");
     }
-    have_snapshot = true;
-  } else if (!current.status().IsNotFound()) {
-    return current.status();
+    shard->builder_ = doc::DataTreeBuilder::FromTree(snap->tree);
+    shard->spans_ = std::move(snap->spans);
+    applied_seq = snap->applied_seq;
+  } else if (!snap.status().IsNotFound()) {
+    return snap.status();
   }
-  shard->DeleteStaleGenerations();
 
   ASSIGN_OR_RETURN(
       storage::WriteAheadLog::OpenResult wal_open,
@@ -364,28 +277,31 @@ Result<std::unique_ptr<DurableShard>> DurableShard::Open(Options options,
   if (stats_out != nullptr) {
     stats_out->wal_tail_truncated = wal_open.tail_truncated;
   }
+  // A checkpoint writes the snapshot before it truncates the WAL, so a
+  // WAL truncated past the snapshot means a lost snapshot, and a
+  // snapshot ahead of its WAL means lost acked records: either way the
+  // files no longer carry every acknowledged mutation.
+  if (applied_seq < shard->wal_->base_seq() ||
+      applied_seq > shard->wal_->last_seq()) {
+    return Status::Corruption(
+        shard->stem_ + ": snapshot covers seq " + std::to_string(applied_seq) +
+        " but the WAL holds seqs " + std::to_string(shard->wal_->base_seq()) +
+        ".." + std::to_string(shard->wal_->last_seq()));
+  }
 
-  RETURN_IF_ERROR(
-      shard->Recover(have_snapshot, snap, wal_open.records, stats_out));
+  RETURN_IF_ERROR(shard->Recover(applied_seq, wal_open.records, stats_out));
   shard->recovered_ = true;
   return shard;
 }
 
 Status DurableShard::Checkpoint() {
   if (poisoned_) {
-    return Status::Unavailable(stem_ +
-                                      " is poisoned; checkpoint rejected");
+    return Status::Unavailable(stem_ + " is poisoned; checkpoint rejected");
   }
-  const uint64_t next_gen = gen_ + 1;
-  RETURN_IF_ERROR(WriteSnapshotFile(next_gen, wal_->last_seq()));
-  // The commit point: after this rename, recovery loads generation G+1.
-  RETURN_IF_ERROR(WriteCurrent(next_gen));
-  RETURN_IF_ERROR(wal_->Truncate());
-
-  const uint64_t old_gen = gen_;
-  gen_ = next_gen;
-  std::remove(GenPath(old_gen, ".snap").c_str());
-  return Status::OK();
+  // The snapshot's rename is the commit point; the truncate after it
+  // only drops records the snapshot already covers.
+  RETURN_IF_ERROR(WriteSnapshotFile(wal_->last_seq()));
+  return wal_->Truncate();
 }
 
 void DurableShard::Abandon() {

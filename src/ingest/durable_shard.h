@@ -1,6 +1,6 @@
 // One shard's durable mutable state: the shard's data tree under
 // construction (a DataTreeBuilder plus the documents' spans), a
-// write-ahead log, and checkpointed snapshots of the tree. Postings are
+// write-ahead log, and a checkpointed snapshot of the tree. Postings are
 // not kept here: they are derived from the tree, and the corpus builds
 // each published generation's engine::Database (label indexes
 // included) from SnapshotTree().
@@ -12,23 +12,27 @@
 // acknowledged document and never a partially applied one: an apply
 // that was never logged lived only in memory.
 //
-// Checkpoint protocol (LevelDB-style CURRENT generations):
-//   1. write shard<i>-<G+1>.snap (config, applied seq, serialized tree,
-//      doc spans), fsync;
-//   2. atomically publish shard<i>.CURRENT -> G+1 (tmp + rename): the
-//      single commit point;
-//   3. truncate the WAL (preserving the sequence numbering) and delete
-//      generation G's snapshot.
-// A crash anywhere leaves either G or G+1 fully intact.
+// Checkpoint protocol:
+//   1. replace shard<i>.snap (config, applied seq = the WAL's last seq,
+//      serialized tree, doc spans) through storage::WriteFileDurably;
+//      its rename is the single commit point;
+//   2. truncate the WAL (preserving the sequence numbering).
+// A crash before the rename leaves the old snapshot and the whole WAL; a
+// crash between the two steps leaves the new snapshot beside a WAL whose
+// every record it already covers, so replay skips them all.
 //
-// Recovery: read CURRENT -> load that generation's snapshot -> replay
-// WAL records with seq > applied_seq, checking that every replayed add
-// lands at its logged placement and length. A torn WAL tail (or any gap
-// in the record sequence) ends replay cleanly at the last valid record.
-// The snapshot + WAL together carry everything.
+// Recovery: load shard<i>.snap if present -> replay WAL records with
+// seq > applied_seq, checking that every replayed add lands at its
+// logged placement and length. A torn WAL tail (or any gap in the record
+// sequence) ends replay cleanly at the last valid record. The snapshot +
+// WAL together carry everything, so the snapshot's applied_seq (0 when
+// there is none) must lie between the WAL's base_seq and its last seq:
+// a WAL truncated past the snapshot, or a snapshot ahead of its WAL, is
+// refused with Corruption rather than opened with documents missing.
 //
 // Directories written by older versions (snapshot version 1, configs
-// naming a store kind) are refused with Corruption; there is no
+// naming a store kind, numbered shard<i>-<G>.snap checkpoints named by a
+// separate pointer file) are refused with Corruption; there is no
 // migration.
 #ifndef APPROXQL_INGEST_DURABLE_SHARD_H_
 #define APPROXQL_INGEST_DURABLE_SHARD_H_
@@ -86,17 +90,6 @@ class DurableShard {
   util::Result<AddResult> AddDocument(std::string_view xml,
                                       doc::NodeId global_start);
 
-  /// Group-commit half of AddDocument: applies and appends the WAL
-  /// record but does NOT sync — the mutation is not durable (and must
-  /// not be acknowledged) until a following SyncWal() succeeds. The
-  /// corpus batches several of these into one fsync.
-  util::Result<AddResult> AddDocumentBuffered(std::string_view xml,
-                                              doc::NodeId global_start);
-
-  /// Fsync barrier covering every buffered append (see
-  /// storage::WriteAheadLog::Sync). Failure poisons the shard.
-  util::Status SyncWal();
-
   /// Removes the document whose global root is `global_start`. The
   /// shard's tree is rebuilt without it (remaining documents keep their
   /// global ids — holes are permanent; local ids are renumbered).
@@ -107,7 +100,7 @@ class DurableShard {
   /// the next engine::Database generation).
   util::Result<doc::DataTree> SnapshotTree() const;
 
-  /// Snapshots the tree as a fresh generation and truncates the WAL.
+  /// Replaces the snapshot with the current tree and truncates the WAL.
   util::Status Checkpoint();
 
   /// Crash simulation: drops every buffer without flushing and renders
@@ -129,7 +122,6 @@ class DurableShard {
   /// Records appended since the last checkpoint (what replay would cost
   /// after a crash right now) — the auto-checkpoint trigger's unit.
   uint64_t wal_records() const { return wal_->last_seq() - wal_->base_seq(); }
-  uint64_t generation() const { return gen_; }
 
  private:
   struct SnapshotFile {
@@ -142,7 +134,6 @@ class DurableShard {
   explicit DurableShard(Options options);
 
   std::string FilePath(std::string_view suffix) const;
-  std::string GenPath(uint64_t gen, std::string_view ext) const;
   std::string ConfigString() const;
 
   /// Apply steps shared by the live path and WAL replay. Both mutate
@@ -150,19 +141,19 @@ class DurableShard {
   shard::DocSpan ApplyParsedAdd(const xml::XmlElement& root,
                                 doc::NodeId global_start);
   util::Status ApplyRemove(doc::NodeId global_start);
+  /// Appends a WAL record for an applied mutation and fsyncs it; returns
+  /// its sequence number. Any failure poisons the shard.
+  util::Result<uint64_t> LogDurably(uint32_t type, std::string_view body);
 
-  util::Status WriteSnapshotFile(uint64_t gen, uint64_t applied_seq) const;
+  util::Status WriteSnapshotFile(uint64_t applied_seq) const;
   static util::Result<SnapshotFile> ReadSnapshotFile(
       const std::string& path, const cost::CostModel& model);
-  util::Status WriteCurrent(uint64_t gen) const;
-  util::Result<uint64_t> ReadCurrent() const;  // NotFound if absent
 
-  /// Loads the snapshot (if any) and replays the WAL records past it.
-  util::Status Recover(bool have_snapshot, const SnapshotFile& snap,
+  /// Replays the WAL records past `applied_seq` onto the loaded
+  /// snapshot state.
+  util::Status Recover(uint64_t applied_seq,
                        const std::vector<storage::WalRecord>& records,
                        OpenStats* stats_out);
-
-  void DeleteStaleGenerations() const;
 
   const Options options_;
   const std::string stem_;  // "shard<i>"
@@ -170,7 +161,6 @@ class DurableShard {
   doc::DataTreeBuilder builder_;
   std::vector<shard::DocSpan> spans_;
   std::unique_ptr<storage::WriteAheadLog> wal_;
-  uint64_t gen_ = 0;
   /// True only once Open finished successfully. The destructor must not
   /// checkpoint a partially recovered shard: the snapshot would be
   /// stamped with the WAL's last_seq and the WAL truncated, silently

@@ -1,17 +1,13 @@
 #include "ingest/mutable_corpus.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <thread>
 #include <utility>
 
 #include "engine/database.h"
 #include "storage/file.h"
-#include "storage/wal/log_format.h"
-#include "util/crc32.h"
 #include "util/logging.h"
-#include "util/timer.h"
 #include "util/varint.h"
 
 namespace approxql::ingest {
@@ -28,17 +24,13 @@ Status WriteMetaFile(const std::string& path, std::string_view config) {
   util::PutVarint32(&out, kMetaMagic);
   util::PutVarint64(&out, config.size());
   out.append(config);
-  storage::PutFixed32(&out, util::Crc32c(out));
+  storage::AppendCrcTrailer(&out);
   return storage::WriteFileDurably(path, out);
 }
 
 Result<std::string> ReadMetaFile(const std::string& path) {
   ASSIGN_OR_RETURN(std::string data, storage::ReadWholeFile(path));
-  if (data.size() < 4) return Status::Corruption(path + ": truncated");
-  const std::string_view body(data.data(), data.size() - 4);
-  if (storage::GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {
-    return Status::Corruption(path + ": CRC mismatch");
-  }
+  ASSIGN_OR_RETURN(std::string_view body, storage::CheckCrcTrailer(data, path));
   util::VarintReader reader(body);
   uint32_t magic = 0;
   uint64_t config_len = 0;
@@ -66,8 +58,6 @@ MutableCorpus::MutableCorpus(Options options,
   epoch_gauge_ = metrics_->RegisterGauge("ingest_epoch");
   documents_gauge_ = metrics_->RegisterGauge("ingest_documents");
   ingest_latency_us_ = metrics_->RegisterHistogram("ingest_latency_us");
-  group_commit_batch_ =
-      metrics_->RegisterHistogram("ingest_group_commit_batch");
 }
 
 MutableCorpus::~MutableCorpus() {
@@ -166,8 +156,7 @@ Result<std::unique_ptr<MutableCorpus>> MutableCorpus::Open(
     }
     RETURN_IF_ERROR(corpus->PublishGeneration(SIZE_MAX));
   }
-  if (corpus->options_.checkpoint_wal_bytes > 0 ||
-      corpus->options_.checkpoint_wal_records > 0) {
+  if (corpus->options_.checkpoint_wal_records > 0) {
     corpus->ckpt_thread_ =
         std::thread([raw = corpus.get()] { raw->CheckpointLoop(); });
   }
@@ -183,17 +172,10 @@ MutableCorpus::BuildShardView(size_t shard_index) {
 }
 
 Status MutableCorpus::PublishGeneration(size_t mutated_shard) {
-  if (mutated_shard == SIZE_MAX) return PublishShards(nullptr);
-  std::vector<bool> mutated(shards_.size(), false);
-  mutated[mutated_shard] = true;
-  return PublishShards(&mutated);
-}
-
-Status MutableCorpus::PublishShards(const std::vector<bool>* mutated) {
   // A previously failed publish left the current generation stale for
   // its shard; sharing unmutated shards from it would bake the staleness
   // into every later generation.
-  const bool all = mutated == nullptr || republish_all_;
+  const bool all = mutated_shard == SIZE_MAX || republish_all_;
   std::shared_ptr<const shard::ShardedDatabase> previous;
   {
     util::MutexLock lock(&snap_mu_);
@@ -208,7 +190,8 @@ Status MutableCorpus::PublishShards(const std::vector<bool>* mutated) {
     // durable; keep serving its last good view rather than publishing
     // phantom documents. A shared view keeps the spans it was built
     // with; a rebuilt one takes the durable shard's current spans.
-    const bool rebuild = (all || (*mutated)[i]) && !shards_[i]->poisoned();
+    const bool rebuild =
+        (all || i == mutated_shard) && !shards_[i]->poisoned();
     if (previous != nullptr && !rebuild) {
       shards.push_back(previous->shards_[i]);
       spans.push_back(previous->shard_spans(i));
@@ -246,15 +229,6 @@ uint64_t MutableCorpus::DurableEpoch() const {
   return epoch;
 }
 
-void MutableCorpus::NotifyPublish(uint64_t epoch,
-                                  std::vector<Mutation> mutations) {
-  if (listener_ == nullptr || mutations.empty()) return;
-  PublishEvent event;
-  event.epoch = epoch;
-  event.mutations = std::move(mutations);
-  listener_(event);
-}
-
 void MutableCorpus::SetPublishListener(PublishListener listener) {
   util::MutexLock lock(&ingest_mu_);
   listener_ = std::move(listener);
@@ -262,7 +236,7 @@ void MutableCorpus::SetPublishListener(PublishListener listener) {
 
 Result<MutableCorpus::IngestResult> MutableCorpus::AddDocument(
     std::string_view xml) {
-  return EnqueueAdd(xml, /*assigned_root=*/0);
+  return Add(xml, /*assigned_root=*/0);
 }
 
 Result<MutableCorpus::IngestResult> MutableCorpus::AddDocumentAt(
@@ -270,169 +244,52 @@ Result<MutableCorpus::IngestResult> MutableCorpus::AddDocumentAt(
   if (doc_root == 0) {
     return Status::InvalidArgument("doc root 0 is the super-root");
   }
-  return EnqueueAdd(xml, doc_root);
+  return Add(xml, doc_root);
 }
 
-Result<MutableCorpus::IngestResult> MutableCorpus::EnqueueAdd(
+Result<MutableCorpus::IngestResult> MutableCorpus::Add(
     std::string_view xml, doc::NodeId assigned_root) {
   util::WallTimer timer;
-  PendingAdd pending;
-  pending.xml = xml;
-  pending.assigned_root = assigned_root;
-  {
-    util::MutexLock lock(&queue_mu_);
-    add_queue_.push_back(&pending);
-    while (!pending.done && add_queue_.front() != &pending) {
-      queue_cv_.Wait(&queue_mu_);
-    }
-    if (pending.done) {
-      // A leader ahead of us committed our add as part of its batch.
-      ingest_latency_us_->Record(
-          static_cast<uint64_t>(timer.ElapsedMicros()));
-      return std::move(pending.result);
-    }
-  }
-  // We reached the front undone: lead a batch of everything queued.
-  LeadCommit();
-  ingest_latency_us_->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
-  return std::move(pending.result);
-}
-
-void MutableCorpus::LeadCommit() {
-  util::MutexLock ingest(&ingest_mu_);
-  if (options_.group_commit_window_us > 0) {
-    // Bounded wait for more writers to queue up behind the leader. Even
-    // at 0, followers that arrive while a previous leader fsyncs are
-    // batched — the window only adds latency to buy bigger batches.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.group_commit_window_us));
-  }
-  std::vector<PendingAdd*> batch;
-  {
-    util::MutexLock lock(&queue_mu_);
-    batch.assign(add_queue_.begin(), add_queue_.end());
-  }
-  CommitBatch(batch);
-  {
-    util::MutexLock lock(&queue_mu_);
-    // The batch is exactly the queue's prefix: writers only append, and
-    // nobody else removes.
-    add_queue_.erase(add_queue_.begin(), add_queue_.begin() + batch.size());
-    for (PendingAdd* member : batch) member->done = true;
-    queue_cv_.NotifyAll();
-  }
-}
-
-void MutableCorpus::CommitBatch(const std::vector<PendingAdd*>& batch) {
-  group_commit_batch_->Record(static_cast<uint64_t>(batch.size()));
+  util::MutexLock lock(&ingest_mu_);
   if (abandoned_) {
-    for (PendingAdd* member : batch) {
-      member->result = Status::Unavailable("corpus abandoned; ingest rejected");
-    }
-    return;
+    return Status::Unavailable("corpus abandoned; ingest rejected");
   }
-
-  struct Applied {
-    PendingAdd* member = nullptr;
-    size_t shard = 0;
-    DurableShard::AddResult add;
-    uint64_t epoch_after = 0;
-  };
-  std::vector<Applied> applied;
-  applied.reserve(batch.size());
-  std::vector<Mutation> mutations;
-  mutations.reserve(batch.size());
-  std::vector<bool> touched(shards_.size(), false);
-  uint64_t epoch = DurableEpoch();
-
-  for (PendingAdd* member : batch) {
-    // Fewest documents, ties to the lowest index: recomputable from
-    // recovered state, so placement survives crashes without a log of
-    // its own.
-    size_t target = 0;
-    for (size_t i = 1; i < shards_.size(); ++i) {
-      if (shards_[i]->spans().size() < shards_[target]->spans().size()) {
-        target = i;
-      }
+  // Fewest documents, ties to the lowest index: recomputable from
+  // recovered state, so placement survives crashes without a log of its
+  // own.
+  size_t target = 0;
+  for (size_t i = 1; i < shards_.size(); ++i) {
+    if (shards_[i]->spans().size() < shards_[target]->spans().size()) {
+      target = i;
     }
-    doc::NodeId global_start = next_global_;
-    if (member->assigned_root != 0) {
-      if (member->assigned_root < next_global_) {
-        ingest_rejected_->Increment();
-        member->result = Status::InvalidArgument(
-            "assigned doc root " + std::to_string(member->assigned_root) +
-            " is not beyond this corpus's allocated ids (next unassigned: " +
-            std::to_string(next_global_) + ")");
-        continue;
-      }
-      global_start = member->assigned_root;
-    }
-    auto added = shards_[target]->AddDocumentBuffered(member->xml,
-                                                      global_start);
-    if (!added.ok()) {
+  }
+  doc::NodeId global_start = next_global_;
+  if (assigned_root != 0) {
+    if (assigned_root < next_global_) {
       ingest_rejected_->Increment();
-      member->result = added.status();
-      continue;
+      return Status::InvalidArgument(
+          "assigned doc root " + std::to_string(assigned_root) +
+          " is not beyond this corpus's allocated ids (next unassigned: " +
+          std::to_string(next_global_) + ")");
     }
-    next_global_ = global_start + added->span.length;
-    touched[target] = true;
-    Mutation mutation;
-    mutation.is_add = true;
-    mutation.shard_index = static_cast<uint32_t>(target);
-    mutation.span = added->span;
-    mutation.prev_epoch = epoch;
-    epoch += 1;  // the WAL append advanced the shard's sequence by one
-    mutation.epoch = epoch;
-    mutations.push_back(mutation);
-    applied.push_back({member, target, *added, epoch});
+    global_start = assigned_root;
   }
-
-  // The group-commit point: one fsync per touched shard covers every
-  // buffered append above.
-  std::vector<Status> synced(shards_.size(), Status::OK());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (touched[i]) synced[i] = shards_[i]->SyncWal();
+  const uint64_t epoch_before = DurableEpoch();
+  const size_t docs_before = shards_[target]->spans().size();
+  auto added = shards_[target]->AddDocument(xml, global_start);
+  if (shards_[target]->spans().size() > docs_before) {
+    // Applied, even when the WAL append or fsync then failed: the record
+    // may still reach the disk and replay, so its ids are never reused.
+    const shard::DocSpan& span = shards_[target]->spans().back();
+    next_global_ = span.global_start + span.length;
   }
-  for (const Applied& entry : applied) {
-    if (!synced[entry.shard].ok()) {
-      // Not durable: the shard is now poisoned and its buffered appends
-      // must not be acknowledged (or published — see PublishShards).
-      ingest_rejected_->Increment();
-      entry.member->result = synced[entry.shard];
-      continue;
-    }
-    IngestResult result;
-    result.seq = entry.add.seq;
-    result.epoch = entry.epoch_after;
-    result.doc_root = entry.add.span.global_start;
-    result.shard_index = static_cast<uint32_t>(entry.shard);
-    result.length = entry.add.span.length;
-    entry.member->result = std::move(result);
-    docs_added_->Increment();
+  if (!added.ok()) {
+    ingest_rejected_->Increment();
+    return added.status();
   }
-  // Mutations on a sync-failed shard never became durable; drop them
-  // from the publish event (subscribers see the epoch gap and fetch).
-  mutations.erase(std::remove_if(mutations.begin(), mutations.end(),
-                                 [&](const Mutation& m) {
-                                   return !synced[m.shard_index].ok();
-                                 }),
-                  mutations.end());
-  if (mutations.empty()) return;  // nothing durable; snapshot unchanged
-
-  Status published = PublishShards(&touched);
-  if (!published.ok()) {
-    // The documents are already durable (WAL appended + fsynced). A
-    // non-OK ack would break the WireIngestAck contract — the client
-    // would resend and duplicate the document — so ack anyway; the
-    // snapshot stays stale until the next publish succeeds (and
-    // rebuilds every shard).
-    republish_all_ = true;
-    APPROXQL_LOG(Error) << "generation publish failed after durable add: "
-                        << published.message();
-  } else {
-    NotifyPublish(DurableEpoch(), std::move(mutations));
-  }
-  MaybeKickCheckpointer();
+  docs_added_->Increment();
+  return PublishMutation(/*is_add=*/true, target, added->span, added->seq,
+                         epoch_before, timer);
 }
 
 Result<MutableCorpus::IngestResult> MutableCorpus::RemoveDocument(
@@ -463,32 +320,46 @@ Result<MutableCorpus::IngestResult> MutableCorpus::RemoveDocument(
     ingest_rejected_->Increment();
     return removed.status();
   }
-  Status published = PublishGeneration(target);
+  docs_removed_->Increment();
+  return PublishMutation(/*is_add=*/false, target, removed_span, *removed,
+                         epoch_before, timer);
+}
+
+MutableCorpus::IngestResult MutableCorpus::PublishMutation(
+    bool is_add, size_t shard_index, const shard::DocSpan& span, uint64_t seq,
+    uint64_t epoch_before, const util::WallTimer& timer) {
+  Status published = PublishGeneration(shard_index);
   if (!published.ok()) {
-    // As in AddDocument: the remove is durable, so it must be acked.
+    // The mutation is already durable (WAL appended + fsynced). A non-OK
+    // ack would break the WireIngestAck contract — the client would
+    // resend and duplicate the document — so ack anyway; the snapshot
+    // stays stale until the next publish succeeds (and rebuilds every
+    // shard).
     republish_all_ = true;
-    APPROXQL_LOG(Error) << "generation publish failed after durable remove: "
+    APPROXQL_LOG(Error) << "generation publish failed after durable "
+                        << (is_add ? "add: " : "remove: ")
                         << published.message();
   }
-  docs_removed_->Increment();
   ingest_latency_us_->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
 
   IngestResult result;
-  result.seq = *removed;
+  result.seq = seq;
   // The durable epoch, not the gauge: on a failed publish the gauge
   // still holds the pre-mutation value.
   result.epoch = DurableEpoch();
-  result.doc_root = doc_root;
-  result.shard_index = static_cast<uint32_t>(target);
-  result.length = removed_span.length;
-  if (published.ok()) {
-    Mutation mutation;
-    mutation.is_add = false;
-    mutation.shard_index = static_cast<uint32_t>(target);
-    mutation.span = removed_span;
+  result.doc_root = span.global_start;
+  result.shard_index = static_cast<uint32_t>(shard_index);
+  result.length = span.length;
+  if (published.ok() && listener_ != nullptr) {
+    PublishEvent event;
+    event.epoch = result.epoch;
+    Mutation& mutation = event.mutations.emplace_back();
+    mutation.is_add = is_add;
+    mutation.shard_index = result.shard_index;
+    mutation.span = span;
     mutation.prev_epoch = epoch_before;
     mutation.epoch = result.epoch;
-    NotifyPublish(result.epoch, {mutation});
+    listener_(event);
   }
   MaybeKickCheckpointer();
   return result;
@@ -535,7 +406,6 @@ std::vector<MutableCorpus::ShardStatus> MutableCorpus::ShardStatuses() const {
     status.last_seq = shard->last_seq();
     status.wal_bytes = shard->wal_size_bytes();
     status.wal_records = shard->wal_records();
-    status.generation = shard->generation();
     status.poisoned = shard->poisoned();
     statuses.push_back(status);
   }
@@ -568,12 +438,7 @@ std::string MutableCorpus::DumpMetrics() const {
 }
 
 bool MutableCorpus::ShardOverThreshold(const DurableShard& shard) const {
-  if (shard.poisoned()) return false;
-  if (options_.checkpoint_wal_bytes > 0 &&
-      shard.wal_size_bytes() > options_.checkpoint_wal_bytes) {
-    return true;
-  }
-  return options_.checkpoint_wal_records > 0 &&
+  return !shard.poisoned() && options_.checkpoint_wal_records > 0 &&
          shard.wal_records() > options_.checkpoint_wal_records;
 }
 

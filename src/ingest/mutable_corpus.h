@@ -9,15 +9,12 @@
 // engine::Database built from a finalized copy of the durable shard's
 // tree, label indexes included, and nothing later mutates it.
 //
-// Write path (group commit): concurrent AddDocument calls join a writer
-// queue. The writer at the front becomes the batch leader: it takes the
-// ingest lock, drains everything queued behind it, applies each add as
-// a buffered (un-synced) WAL append, then issues ONE fsync per touched
-// shard and ONE generation publish for the whole batch — the LevelDB
-// writer-queue pattern. Under a single writer this degenerates to the
-// old apply+fsync-per-document path with no added latency; under K
-// concurrent writers the fsync cost amortizes across the batch
-// (`ingest_group_commit_batch` histogram tracks batch sizes).
+// Write path: one serial writer. Every mutation takes the ingest lock,
+// picks its shard, lets that DurableShard apply it, append it to the
+// WAL and fsync, then publishes the mutated shard as a new generation,
+// notifies the publish listener and kicks the checkpointer. Concurrent
+// callers queue on the lock; each acknowledged mutation has its own
+// fsync and its own generation.
 //
 // Placement: a new document goes to the shard with the fewest documents
 // (ties to the lowest index). The rule is recomputable from recovered
@@ -38,7 +35,6 @@
 #define APPROXQL_INGEST_MUTABLE_CORPUS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,6 +50,7 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/timer.h"
 
 namespace approxql::storage {
 
@@ -82,19 +79,12 @@ class MutableCorpus : public service::Backend {
     storage::StoreKind store_kind = storage::StoreKind::kMem;
     cost::CostModel model;
 
-    // Runtime tuning below — deliberately NOT part of corpus.meta, so a
-    // directory can be reopened with different knobs.
-
-    /// Group commit: once a writer becomes batch leader it waits this
-    /// long for followers to queue up before draining the batch. 0 (the
-    /// default) never waits — concurrent writers still batch naturally
-    /// because followers accumulate while the leader fsyncs.
-    uint32_t group_commit_window_us = 0;
-    /// Auto-checkpoint thresholds (0 disables each). When any shard
-    /// exceeds one after a publish, a background thread checkpoints it,
-    /// bounding crash-recovery replay (records/bytes) without blocking
+    /// Auto-checkpoint threshold (0 disables it) — runtime tuning,
+    /// deliberately NOT part of corpus.meta, so a directory can be
+    /// reopened with a different value. When a shard's WAL holds more
+    /// records than this after a publish, a background thread
+    /// checkpoints it, bounding crash-recovery replay without blocking
     /// the ingest path.
-    uint64_t checkpoint_wal_bytes = 0;
     uint64_t checkpoint_wal_records = 0;
   };
 
@@ -134,7 +124,7 @@ class MutableCorpus : public service::Backend {
   /// resend on error) and the snapshot lags until the next successful
   /// publish — compare snapshot()->epoch() with the returned epoch to
   /// tell. Safe to call concurrently with queries; concurrent ingest
-  /// calls join one group-commit batch (see file comment).
+  /// calls run one at a time (see file comment).
   util::Result<IngestResult> AddDocument(std::string_view xml);
 
   /// Ingests one document under a caller-assigned global root id
@@ -163,8 +153,9 @@ class MutableCorpus : public service::Backend {
     uint64_t prev_epoch = 0;
     uint64_t epoch = 0;
   };
-  /// Fired after every successful generation publish with the chain of
-  /// mutations that generation adds over the previous one. Invoked on
+  /// Fired after every successful generation publish with the mutations
+  /// that generation adds over the previous one (each mutation publishes
+  /// its own generation, so today that is exactly one). Invoked on
   /// the ingest path WITH the ingest lock held: the listener must not
   /// call back into the corpus and must be quick (hand off to a queue).
   /// A failed publish fires nothing — subscribers see an epoch gap on
@@ -186,8 +177,8 @@ class MutableCorpus : public service::Backend {
   /// Documents across all shards.
   size_t document_count() const;
 
-  /// Checkpoints every shard: tree snapshots written as fresh
-  /// generations, WALs truncated. Queries keep running throughout.
+  /// Checkpoints every shard: each tree snapshot replaced, each WAL
+  /// truncated. Queries keep running throughout.
   util::Status Checkpoint();
 
   /// Crash simulation: every shard drops its unflushed buffers and the
@@ -199,7 +190,6 @@ class MutableCorpus : public service::Backend {
     uint64_t last_seq = 0;
     uint64_t wal_bytes = 0;
     uint64_t wal_records = 0;
-    uint64_t generation = 0;
     bool poisoned = false;
   };
   std::vector<ShardStatus> ShardStatuses() const;
@@ -235,36 +225,26 @@ class MutableCorpus : public service::Backend {
 
   std::string ConfigString() const;
 
-  /// One writer waiting in the group-commit queue. Owned by the
-  /// writer's stack frame; the leader fills `result` and flips `done`
-  /// under queue_mu_ (the flag is the publication point — `result` is
-  /// only read after observing done == true).
-  struct PendingAdd {
-    std::string_view xml;
-    doc::NodeId assigned_root = 0;  // 0 = corpus places and assigns
-    bool done = false;
-    util::Result<IngestResult> result =
-        util::Status::Internal("batch member never processed");
-  };
+  /// The serial add path behind AddDocument and AddDocumentAt.
+  /// `assigned_root` 0 lets the corpus assign the id.
+  util::Result<IngestResult> Add(std::string_view xml,
+                                 doc::NodeId assigned_root);
 
-  /// Joins the writer queue; whoever reaches the front leads the batch.
-  util::Result<IngestResult> EnqueueAdd(std::string_view xml,
-                                        doc::NodeId assigned_root);
-  /// Leader path: drains the queue under ingest_mu_, commits the batch,
-  /// completes every member.
-  void LeadCommit();
-  /// Applies + logs every batch member, then one fsync per touched
-  /// shard and one publish. Fills each member's result.
-  void CommitBatch(const std::vector<PendingAdd*>& batch)
+  /// Shared tail of every durable mutation: publishes the mutated shard,
+  /// records the ingest latency, fires the publish listener (if any) on
+  /// a successful publish and kicks the checkpointer. Never fails: the
+  /// mutation is durable, so it is acked even when the publish fails
+  /// (see AddDocument).
+  IngestResult PublishMutation(bool is_add, size_t shard_index,
+                               const shard::DocSpan& span, uint64_t seq,
+                               uint64_t epoch_before,
+                               const util::WallTimer& timer)
       REQUIRES(ingest_mu_);
 
-  /// Builds and publishes a generation. `mutated[i]` rebuilds shard i's
-  /// engine state; others are shared from the previous generation
-  /// (subject to republish_all_). nullptr (first open) builds all.
-  util::Status PublishShards(const std::vector<bool>* mutated)
-      REQUIRES(ingest_mu_);
-  util::Status PublishGeneration(size_t mutated_shard)
-      REQUIRES(ingest_mu_);
+  /// Builds and publishes a generation. Rebuilds `mutated_shard`'s
+  /// engine state and shares the others from the previous generation
+  /// (subject to republish_all_); SIZE_MAX (first open) builds all.
+  util::Status PublishGeneration(size_t mutated_shard) REQUIRES(ingest_mu_);
 
   /// Builds one reader-side Shard from the durable shard's current
   /// tree (SnapshotTree + Database::FromDataTree).
@@ -272,25 +252,15 @@ class MutableCorpus : public service::Backend {
       size_t shard_index) REQUIRES(ingest_mu_);
 
   uint64_t DurableEpoch() const REQUIRES(ingest_mu_);
-  /// Fires the publish listener (if any) for a successful publish.
-  void NotifyPublish(uint64_t epoch, std::vector<Mutation> mutations)
-      REQUIRES(ingest_mu_);
 
   /// Auto-checkpoint support: wakes the background thread when a shard
-  /// crosses a threshold.
+  /// crosses the threshold.
   bool ShardOverThreshold(const DurableShard& shard) const;
   void MaybeKickCheckpointer() REQUIRES(ingest_mu_);
   void CheckpointLoop();
 
   const Options options_;
   std::shared_ptr<service::MetricsRegistry> metrics_;
-
-  /// Group-commit writer queue. Ordering: ingest_mu_ is acquired before
-  /// queue_mu_ (the leader drains the queue while holding the ingest
-  /// lock); waiters hold only queue_mu_.
-  util::Mutex queue_mu_;
-  util::CondVar queue_cv_;
-  std::deque<PendingAdd*> add_queue_ GUARDED_BY(queue_mu_);
 
   /// Serializes mutations and guards all durable state.
   mutable util::Mutex ingest_mu_;
@@ -326,7 +296,6 @@ class MutableCorpus : public service::Backend {
   service::Gauge* epoch_gauge_ = nullptr;
   service::Gauge* documents_gauge_ = nullptr;
   service::LatencyHistogram* ingest_latency_us_ = nullptr;
-  service::LatencyHistogram* group_commit_batch_ = nullptr;
 };
 
 }  // namespace approxql::ingest

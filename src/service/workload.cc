@@ -1,9 +1,7 @@
 #include "service/workload.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "query/ast.h"
+#include "storage/file.h"
 
 namespace approxql::service {
 
@@ -64,13 +62,8 @@ util::Result<std::vector<std::string>> ParseWorkload(std::string_view text) {
 
 util::Result<std::vector<std::string>> LoadWorkloadFile(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return util::Status::IoError("cannot read workload file " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseWorkload(buffer.str());
+  ASSIGN_OR_RETURN(std::string text, storage::ReadWholeFile(path));
+  return ParseWorkload(text);
 }
 
 }  // namespace approxql::service

@@ -124,8 +124,6 @@ Result<ShardedDatabase> ShardedDatabase::AssembleFromShards(
   sdb.metrics_ = std::move(metrics);
   sdb.epoch_ = epoch;
   sdb.shards_ = std::move(shards);
-  std::vector<const engine::Database*> shard_dbs;
-  shard_dbs.reserve(sdb.shards_.size());
   std::string layout = "backend=sharded-mem;shards=" +
                        std::to_string(sdb.shards_.size()) + ";";
   for (size_t i = 0; i < sdb.shards_.size(); ++i) {
@@ -139,12 +137,10 @@ Result<ShardedDatabase> ShardedDatabase::AssembleFromShards(
       shard.eval_us = sdb.metrics_->RegisterHistogram(stem + "_eval_us");
       shard.answers = sdb.metrics_->RegisterCounter(stem + "_answers");
     }
-    shard_dbs.push_back(&shard.db);
     layout += "s" + std::to_string(i) +
               ":docs=" + std::to_string(spans[i].size()) +
               ",nodes=" + std::to_string(shard.db.tree().size()) + ";";
   }
-  sdb.global_schema_ = GlobalSchema::Merge(shard_dbs);
   if (epoch != 0) layout += "epoch=" + std::to_string(epoch) + ";";
   sdb.layout_ =
       LayoutManifest(util::Crc32c(layout), std::move(model), std::move(spans));
@@ -323,7 +319,6 @@ ShardedDatabase::Stats ShardedDatabase::GetStats() const {
   for (const LayoutManifest::GlobalDoc& d : layout_.documents()) {
     stats.nodes += d.length;
   }
-  stats.global_classes = global_schema_.class_count();
   stats.per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
     stats.per_shard.push_back(shard->db.GetStats());

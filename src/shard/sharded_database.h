@@ -33,6 +33,7 @@
 #define APPROXQL_SHARD_SHARDED_DATABASE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -41,7 +42,6 @@
 #include "engine/database.h"
 #include "service/backend.h"
 #include "service/metrics.h"
-#include "shard/global_schema.h"
 #include "shard/layout_manifest.h"
 
 namespace approxql::ingest {
@@ -194,7 +194,6 @@ class ShardedDatabase : public service::Backend {
   const std::vector<DocSpan>& shard_spans(size_t i) const {
     return layout_.shard_spans(i);
   }
-  const GlobalSchema& global_schema() const { return global_schema_; }
   const cost::CostModel& cost_model() const override {
     return layout_.cost_model();
   }
@@ -214,7 +213,6 @@ class ShardedDatabase : public service::Backend {
     size_t num_shards = 0;
     size_t documents = 0;
     size_t nodes = 0;           // global id space size (incl. super-root)
-    size_t global_classes = 0;  // merged schema size
     std::vector<engine::Database::Stats> per_shard;
   };
   Stats GetStats() const;
@@ -236,8 +234,7 @@ class ShardedDatabase : public service::Backend {
 
   ShardedDatabase() = default;
 
-  /// Shared tail of all construction paths: metrics, merged schema,
-  /// layout.
+  /// Shared tail of all construction paths: metrics and layout.
   static util::Result<ShardedDatabase> Assemble(
       std::vector<engine::Database> databases,
       std::vector<std::vector<DocSpan>> spans, cost::CostModel model);
@@ -245,7 +242,7 @@ class ShardedDatabase : public service::Backend {
   /// Copy-on-write assembly for live ingest: shards arrive ready-made
   /// (most shared with the previous corpus generation),
   /// `spans[i]` describing shard i's tree, and only the derived state —
-  /// layout manifest with its epoch-salted fingerprint, merged schema,
+  /// layout manifest with its epoch-salted fingerprint and the
   /// metric handles — is recomputed.
   static util::Result<ShardedDatabase> AssembleFromShards(
       std::vector<std::shared_ptr<Shard>> shards,
@@ -254,7 +251,6 @@ class ShardedDatabase : public service::Backend {
 
   std::vector<std::shared_ptr<Shard>> shards_;
   LayoutManifest layout_;
-  GlobalSchema global_schema_;
   std::shared_ptr<service::MetricsRegistry> metrics_;
   uint64_t epoch_ = 0;
 };

@@ -6,6 +6,9 @@
 #include <cerrno>
 #include <cstdio>
 
+#include "storage/wal/log_format.h"
+#include "util/crc32.h"
+
 namespace approxql::storage {
 
 using util::Result;
@@ -16,7 +19,7 @@ namespace {
 /// Fsyncs the directory containing `path`. A tmp-file + rename commit
 /// point is only durable once the parent directory's entry table itself
 /// reaches media; without this, a later rename (e.g. the WAL truncate)
-/// can survive a power loss while an earlier one (the CURRENT publish)
+/// can survive a power loss while an earlier one (the snapshot publish)
 /// does not, reordering the commit protocol.
 Status SyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
@@ -68,6 +71,23 @@ Result<std::string> ReadWholeFile(const std::string& path) {
   std::fclose(file);
   if (failed) return Status::IoError(path + ": read failed");
   return data;
+}
+
+void AppendCrcTrailer(std::string* out) {
+  PutFixed32(out, util::Crc32c(*out));
+}
+
+Result<std::string_view> CheckCrcTrailer(std::string_view data,
+                                         std::string_view what) {
+  constexpr size_t kCrcBytes = 4;
+  if (data.size() < kCrcBytes) {
+    return Status::Corruption(std::string(what) + ": truncated");
+  }
+  const std::string_view body = data.substr(0, data.size() - kCrcBytes);
+  if (GetFixed32(data.data() + body.size()) != util::Crc32c(body)) {
+    return Status::Corruption(std::string(what) + ": CRC mismatch");
+  }
+  return body;
 }
 
 }  // namespace approxql::storage

@@ -1,6 +1,6 @@
-// Byte-level helpers of the write-ahead log, shared with the saved
-// database file and the ingest layer's snapshot, CURRENT and corpus.meta
-// files:
+// Byte-level helpers of the write-ahead log, shared with the CRC
+// trailer of the saved database file and the ingest layer's snapshot and
+// corpus.meta files (storage/file.h):
 // little-endian fixed32 (the CRC trailer convention the wire protocol
 // and LayoutManifest already use) on top of the varint codec.
 #ifndef APPROXQL_STORAGE_WAL_LOG_FORMAT_H_

@@ -109,11 +109,12 @@ TEST(DatabaseTest, BuildFromFiles) {
   ASSERT_TRUE(db.ok()) << db.status();
   EXPECT_EQ(db->GetStats().struct_nodes, 9u);
 
-  // Missing file: IoError naming the path.
+  // Missing file: NotFound naming the path, as Database::Load says.
   paths.push_back((dir / "missing.xml").string());
   auto missing = Database::BuildFromFiles(paths, CostModel());
   ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), util::StatusCode::kIoError);
+  EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find("missing.xml"), std::string::npos);
 
   // Malformed file: error names the offending path.
   paths.pop_back();

@@ -205,6 +205,45 @@ TEST_P(RecoveryTest, CheckpointBoundsReplay) {
   ExpectMatchesOracle(**recovered, acked, "post-checkpoint");
 }
 
+TEST_P(RecoveryTest, CrashBetweenSnapshotAndWalTruncateReplaysNothing) {
+  // A checkpoint renames the new snapshot into place and only then
+  // truncates the WAL. Restoring each shard's pre-checkpoint WAL after
+  // the checkpoint recreates a crash between those two steps: the
+  // snapshot already covers every record the WAL still holds.
+  std::vector<std::string> acked;
+  const std::string saved = dir_ + "_saved_wals";
+  std::filesystem::remove_all(saved);
+  std::filesystem::create_directories(saved);
+  {
+    auto corpus = MutableCorpus::Open(Opts());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    for (size_t i = 0; i < 14; ++i) {
+      ASSERT_TRUE((*corpus)->AddDocument(MakeDoc(i)).ok());
+      acked.push_back(MakeDoc(i));
+    }
+    for (size_t i = 0; i < GetParam(); ++i) {
+      const std::string wal = "shard" + std::to_string(i) + ".wal";
+      std::filesystem::copy_file(dir_ + "/" + wal, saved + "/" + wal);
+    }
+    ASSERT_TRUE((*corpus)->Checkpoint().ok());
+    (*corpus)->Abandon();
+  }
+  for (size_t i = 0; i < GetParam(); ++i) {
+    const std::string wal = "shard" + std::to_string(i) + ".wal";
+    std::filesystem::copy_file(
+        saved + "/" + wal, dir_ + "/" + wal,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  std::filesystem::remove_all(saved);
+
+  MutableCorpus::OpenStats stats;
+  auto recovered = MutableCorpus::Open(Opts(), nullptr, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(stats.recovered_documents, acked.size());
+  EXPECT_EQ(stats.replayed_records, 0u);
+  ExpectMatchesOracle(**recovered, acked, "snapshot beside untruncated WAL");
+}
+
 TEST_P(RecoveryTest, TornWalTailDropsOnlyTheUnackedSuffix) {
   // Per query: the pre-crash answers tagged with their document roots.
   std::vector<std::vector<std::pair<QueryAnswer, doc::NodeId>>> tagged;
@@ -332,7 +371,7 @@ TEST_F(RecoveryFaultTest, FailedRecoveryMustNotCheckpointOrTruncateTheWal) {
   // The failed open must leave durable state untouched: no checkpoint
   // published from the partially replayed tree, every WAL byte kept.
   EXPECT_EQ(std::filesystem::file_size(wal_path), poisoned_size);
-  EXPECT_FALSE(std::filesystem::exists(dir_ + "/shard0.CURRENT"));
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/shard0.snap"));
 
   // Strip the bad record (as an operator would) and reopen: every
   // acked document is still there.
@@ -340,6 +379,44 @@ TEST_F(RecoveryFaultTest, FailedRecoveryMustNotCheckpointOrTruncateTheWal) {
   auto recovered = MutableCorpus::Open(Opts());
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   ExpectMatchesOracle(**recovered, acked, "repaired");
+}
+
+TEST_F(RecoveryFaultTest, LostCheckpointIsCorruptionNotAnEmptyCorpus) {
+  {
+    auto corpus = MutableCorpus::Open(Opts());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    for (size_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE((*corpus)->AddDocument(MakeDoc(i)).ok());
+    }
+  }  // clean close: the shutdown checkpoint truncates the WAL
+  // Lose the checkpoint: every shard0 file except the WAL. The WAL's
+  // records start past seq 0, so the documents before them are gone and
+  // the open must say so instead of serving an empty corpus.
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("shard0", 0) == 0 && name != "shard0.wal") {
+      std::filesystem::remove(entry.path());
+    }
+  }
+  auto reopened = MutableCorpus::Open(Opts());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+}
+
+TEST_F(RecoveryFaultTest, SnapshotAheadOfItsWalIsCorruption) {
+  {
+    auto corpus = MutableCorpus::Open(Opts());
+    ASSERT_TRUE(corpus.ok()) << corpus.status();
+    for (size_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE((*corpus)->AddDocument(MakeDoc(i)).ok());
+    }
+  }  // clean close: the snapshot covers seq 4
+  // A fresh WAL would number new mutations from 1, and the next replay
+  // would skip them as already covered by the snapshot.
+  std::filesystem::remove(dir_ + "/shard0.wal");
+  auto reopened = MutableCorpus::Open(Opts());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
 }
 
 INSTANTIATE_TEST_SUITE_P(

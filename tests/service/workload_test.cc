@@ -65,10 +65,12 @@ TEST(WorkloadTest, EmptyWorkloadIsInvalid) {
   EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-TEST(WorkloadTest, MissingFileIsIoError) {
+TEST(WorkloadTest, MissingFileIsNotFound) {
   auto parsed = LoadWorkloadFile("/nonexistent/workload.txt");
   ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), util::StatusCode::kIoError);
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kNotFound);
+  EXPECT_NE(parsed.status().message().find("/nonexistent/workload.txt"),
+            std::string::npos);
 }
 
 TEST(WorkloadTest, LastLineWithoutNewlineIsParsed) {
