@@ -1,5 +1,6 @@
 #include "dist/remote_shard.h"
 
+#include <type_traits>
 #include <utility>
 
 namespace approxql::dist {
@@ -92,8 +93,9 @@ util::Result<Payload> RemoteShardBackend::CheckReply(
     // shard server. Permanent, like a fingerprint mismatch.
     RecordOutcome(false);
     return util::Status::Internal(
-        endpoint() + " is not serving shard queries (reply type " +
-        std::to_string(reply->first.type) + ")");
+        endpoint() + " is not serving this shard call (reply type " +
+        std::to_string(reply->first.type) + ", expected " +
+        std::to_string(static_cast<uint32_t>(want)) + ")");
   }
   Payload payload;
   util::Status decoded = decode(reply->second, &payload);
@@ -101,18 +103,41 @@ util::Result<Payload> RemoteShardBackend::CheckReply(
     RecordOutcome(false);
     return decoded;
   }
-  if (payload.fingerprint != options_.expected_fingerprint ||
-      payload.shard_index != shard_index_) {
-    RecordOutcome(false);
-    return util::Status::Internal(
-        "shard " + std::to_string(shard_index_) + " at " + endpoint() +
-        ": layout fingerprint/index mismatch (theirs " +
-        std::to_string(payload.fingerprint) + "/" +
-        std::to_string(payload.shard_index) + ", ours " +
-        std::to_string(options_.expected_fingerprint) + "/" +
-        std::to_string(shard_index_) +
-        ") — remote partitioned a different corpus");
+  if constexpr (std::is_same_v<Payload, net::WireManifestSlice>) {
+    if (payload.status_code != static_cast<uint32_t>(util::StatusCode::kOk)) {
+      // The server is alive but declined (e.g. not mutable); alive for
+      // health purposes, but the fetch itself failed.
+      RecordOutcome(true);
+      return net::StatusFromWire(payload.status_code,
+                                 std::move(payload.status_message));
+    }
+    // The slice's fingerprint is the epoch-salted layout stamp
+    // (diagnostics), deliberately not checked — only the cluster
+    // position must match.
+    if (payload.shard_index != shard_index_) {
+      RecordOutcome(false);
+      return util::Status::Internal(
+          "shard " + std::to_string(shard_index_) + " at " + endpoint() +
+          ": manifest slice for shard " + std::to_string(payload.shard_index) +
+          " — endpoint serves a different cluster position");
+    }
+  } else if constexpr (requires { payload.fingerprint; }) {
+    if (payload.fingerprint != options_.expected_fingerprint ||
+        payload.shard_index != shard_index_) {
+      RecordOutcome(false);
+      return util::Status::Internal(
+          "shard " + std::to_string(shard_index_) + " at " + endpoint() +
+          ": layout fingerprint/index mismatch (theirs " +
+          std::to_string(payload.fingerprint) + "/" +
+          std::to_string(payload.shard_index) + ", ours " +
+          std::to_string(options_.expected_fingerprint) + "/" +
+          std::to_string(shard_index_) +
+          ") — remote partitioned a different corpus");
+    }
   }
+  // Any other well-formed reply proves the server alive; a rejected
+  // mutation inside an ingest ack (bad XML, unknown doc) is not a
+  // health signal.
   RecordOutcome(true);
   return payload;
 }
@@ -144,31 +169,8 @@ void RemoteShardBackend::CallIngest(const net::WireIngest& ingest,
       net::MessageType::kIngest, net::EncodeIngest(ingest), deadline_ms,
       [this, done = std::move(done)](
           util::Result<std::pair<net::FrameHeader, std::string>> reply) {
-        // No CheckReply: acks have no fingerprint/shard stamp to verify.
-        if (!reply.ok()) {
-          RecordOutcome(false);
-          done(reply.status());
-          return;
-        }
-        if (reply->first.type !=
-            static_cast<uint32_t>(net::MessageType::kIngestAck)) {
-          RecordOutcome(false);
-          done(util::Status::Internal(
-              endpoint() + " is not serving ingest (reply type " +
-              std::to_string(reply->first.type) + ")"));
-          return;
-        }
-        net::WireIngestAck ack;
-        util::Status decoded = net::DecodeIngestAck(reply->second, &ack);
-        if (!decoded.ok()) {
-          RecordOutcome(false);
-          done(decoded);
-          return;
-        }
-        // Any well-formed ack proves the server is alive; a rejected
-        // mutation (bad XML, unknown doc) is not a health signal.
-        RecordOutcome(true);
-        done(ack);
+        done(CheckReply<net::WireIngestAck>(
+            reply, net::MessageType::kIngestAck, &net::DecodeIngestAck));
       });
 }
 
@@ -181,49 +183,9 @@ void RemoteShardBackend::CallManifestFetch(bool subscribe, int deadline_ms,
       deadline_ms,
       [this, done = std::move(done)](
           util::Result<std::pair<net::FrameHeader, std::string>> reply) {
-        if (!reply.ok()) {
-          RecordOutcome(false);
-          done(reply.status());
-          return;
-        }
-        if (reply->first.type !=
-            static_cast<uint32_t>(net::MessageType::kManifestSlice)) {
-          RecordOutcome(false);
-          done(util::Status::Internal(
-              endpoint() + " is not serving manifest slices (reply type " +
-              std::to_string(reply->first.type) + ")"));
-          return;
-        }
-        net::WireManifestSlice slice;
-        util::Status decoded = net::DecodeManifestSlice(reply->second, &slice);
-        if (!decoded.ok()) {
-          RecordOutcome(false);
-          done(decoded);
-          return;
-        }
-        if (slice.status_code !=
-            static_cast<uint32_t>(util::StatusCode::kOk)) {
-          // The server is alive but declined (e.g. not mutable); alive
-          // for health purposes, but the fetch itself failed.
-          RecordOutcome(true);
-          done(net::StatusFromWire(slice.status_code,
-                                   std::move(slice.status_message)));
-          return;
-        }
-        if (slice.shard_index != shard_index_) {
-          // NOTE: the slice's fingerprint is the epoch-salted layout
-          // stamp (diagnostics), deliberately not checked — only the
-          // cluster position must match.
-          RecordOutcome(false);
-          done(util::Status::Internal(
-              "shard " + std::to_string(shard_index_) + " at " + endpoint() +
-              ": manifest slice for shard " +
-              std::to_string(slice.shard_index) +
-              " — endpoint serves a different cluster position"));
-          return;
-        }
-        RecordOutcome(true);
-        done(std::move(slice));
+        done(CheckReply<net::WireManifestSlice>(
+            reply, net::MessageType::kManifestSlice,
+            &net::DecodeManifestSlice));
       });
 }
 

@@ -1,15 +1,17 @@
 // One remote shard endpoint, typed: wraps a net::AsyncClient with the
-// shard-scoped wire calls (kShardQuery, kPing), verifies every reply's
-// layout fingerprint and shard index against what the router expects,
-// and runs the per-shard health state machine
+// shard-scoped wire calls (kShardQuery, kPing, kIngest, kManifestFetch),
+// verifies each stamped reply's layout fingerprint and shard index
+// against what the router expects, and runs the per-shard health state
+// machine
 //
 //     UP --failure--> SUSPECT --(failures_to_down consecutive)--> DOWN
 //      ^------------------------any success-----------------------'
 //
 // fed by both the query path and the periodic health probes. Health
-// only steers routing (a DOWN shard is skipped, not retried, until a
-// probe revives it); correctness never depends on it — a wrongly-UP
-// shard just costs a timed-out attempt.
+// only steers routing (a DOWN shard is not retried, and while the
+// router's health checker runs it is skipped until a probe revives
+// it); correctness never depends on it — a wrongly-UP shard just costs
+// a timed-out attempt.
 #ifndef APPROXQL_DIST_REMOTE_SHARD_H_
 #define APPROXQL_DIST_REMOTE_SHARD_H_
 
@@ -110,8 +112,10 @@ class RemoteShardBackend {
   net::AsyncClient::Stats transport_stats() const { return client_.stats(); }
 
  private:
-  /// Shared tail of both Call paths: type-check the frame, decode,
-  /// verify the stamp, record the outcome.
+  /// Shared tail of every Call path: type-check the frame, decode,
+  /// verify the fingerprint/index stamp of the payloads that carry one
+  /// (a manifest slice: its status and shard index), record the
+  /// outcome.
   template <typename Payload>
   util::Result<Payload> CheckReply(
       util::Result<std::pair<net::FrameHeader, std::string>>& reply,

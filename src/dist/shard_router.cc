@@ -343,9 +343,12 @@ util::Result<RoutedResult> ShardRouter::Execute(
                     static_cast<uint64_t>(
                         started.time_since_epoch().count()));
     for (size_t i = 0; i < num_shards; ++i) {
-      if (backends_[i]->health() == ShardHealth::kDown) {
+      if (options_.health_period_ms > 0 &&
+          backends_[i]->health() == ShardHealth::kDown) {
         // No timeout burned on a shard the health checker already
-        // declared dead; a ping revives it for later queries.
+        // declared dead; a ping revives it for later queries. With the
+        // checker off nothing else would, so this query's attempt is
+        // the probe.
         state->slots[i].state = ScatterState::SlotState::kDone;
         state->slots[i].error = util::Status::Unavailable(
             "shard " + std::to_string(i) + " (" + backends_[i]->endpoint() +
@@ -428,7 +431,8 @@ util::Result<RoutedResult> ShardRouter::Execute(
             // this slot waited out its backoff. A relaunch would burn
             // another full attempt deadline against a dead endpoint —
             // declare the slot missing now; the health prober's next
-            // successful ping revives the shard for later queries.
+            // successful ping (or, with the checker off, the next
+            // query's first attempt) revives the shard.
             slot.state = ScatterState::SlotState::kDone;
             slot.error = util::Status::Unavailable(
                 "shard " + std::to_string(i) + " (" +
@@ -867,12 +871,17 @@ util::Result<net::WireIngestAck> ShardRouter::Ingest(
       // Fewest docs among shards not known-DOWN: a dead server would
       // otherwise stay the argmin forever (it never gains documents)
       // and every add during its outage would go in-doubt against it.
+      // Without a health checker no ping could revive a skipped shard,
+      // so then every shard stays eligible and the add is the probe.
       size_t target = SIZE_MAX;
       {
         util::MutexLock docs(&ingest_mu_);
         uint64_t fewest = UINT64_MAX;
         for (size_t s = 0; s < backends_.size(); ++s) {
-          if (backends_[s]->health() == ShardHealth::kDown) continue;
+          if (options_.health_period_ms > 0 &&
+              backends_[s]->health() == ShardHealth::kDown) {
+            continue;
+          }
           if (ingest_docs_[s] < fewest) {
             fewest = ingest_docs_[s];
             target = s;

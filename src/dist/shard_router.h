@@ -33,9 +33,12 @@
 //
 // A background health checker pings every shard each health_period_ms;
 // outcomes drive the per-shard UP/SUSPECT/DOWN machine (see
-// remote_shard.h). DOWN shards are skipped by non-strict queries
-// (counted missing immediately, no timeout burned) until a ping
-// revives them.
+// remote_shard.h). While it runs, DOWN shards are skipped by queries
+// and ingest placement (counted missing immediately, no timeout
+// burned) until a ping revives them. With the checker off
+// (health_period_ms = 0) nothing pings, so a DOWN shard gets each
+// query's first attempt as its probe, and only its retries are
+// skipped.
 //
 // ONE MODE, TWO WAYS TO SEED THE VIEW. Every kShardAnswer carries the
 // epoch of the snapshot that produced it, and its local ids are
@@ -104,7 +107,8 @@ struct RouterOptions {
   /// degrading the answer.
   bool strict = false;
   /// Health-probe period; 0 disables the checker thread (health is then
-  /// driven by query outcomes alone).
+  /// driven by query outcomes alone, and a DOWN shard still gets each
+  /// query's first attempt).
   int health_period_ms = 500;
   int ping_deadline_ms = 250;
   int failures_to_down = 3;

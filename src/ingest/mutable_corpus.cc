@@ -60,17 +60,6 @@ MutableCorpus::MutableCorpus(Options options,
   ingest_latency_us_ = metrics_->RegisterHistogram("ingest_latency_us");
 }
 
-MutableCorpus::~MutableCorpus() {
-  if (ckpt_thread_.joinable()) {
-    {
-      util::MutexLock lock(&ckpt_mu_);
-      ckpt_stop_ = true;
-    }
-    ckpt_cv_.NotifyAll();
-    ckpt_thread_.join();
-  }
-}
-
 std::string MutableCorpus::ConfigString() const {
   return "shards=" + std::to_string(options_.num_shards) +
          ";model=" + options_.model.ToConfigString();
@@ -156,10 +145,6 @@ Result<std::unique_ptr<MutableCorpus>> MutableCorpus::Open(
     }
     RETURN_IF_ERROR(corpus->PublishGeneration(SIZE_MAX));
   }
-  if (corpus->options_.checkpoint_wal_records > 0) {
-    corpus->ckpt_thread_ =
-        std::thread([raw = corpus.get()] { raw->CheckpointLoop(); });
-  }
   return corpus;
 }
 
@@ -227,11 +212,6 @@ uint64_t MutableCorpus::DurableEpoch() const {
   uint64_t epoch = 0;
   for (const auto& shard : shards_) epoch += shard->last_seq();
   return epoch;
-}
-
-void MutableCorpus::SetPublishListener(PublishListener listener) {
-  util::MutexLock lock(&ingest_mu_);
-  listener_ = std::move(listener);
 }
 
 Result<MutableCorpus::IngestResult> MutableCorpus::AddDocument(
@@ -305,7 +285,7 @@ Result<MutableCorpus::IngestResult> MutableCorpus::RemoveDocument(
     for (const shard::DocSpan& span : shards_[i]->spans()) {
       if (span.global_start == doc_root) {
         target = i;
-        removed_span = span;  // pre-removal placement, for the event
+        removed_span = span;  // pre-removal placement, for the result
         break;
       }
     }
@@ -340,28 +320,31 @@ MutableCorpus::IngestResult MutableCorpus::PublishMutation(
                         << (is_add ? "add: " : "remove: ")
                         << published.message();
   }
+  DurableShard& shard = *shards_[shard_index];
+  if (ShardOverThreshold(shard)) {
+    // Inline, under the ingest lock like every other write: bounds the
+    // WAL a crash replays. The mutation is durable either way, so a
+    // failed checkpoint is logged and the mutation still acked.
+    Status checkpointed = shard.Checkpoint();
+    if (checkpointed.ok()) {
+      auto_checkpoints_->Increment();
+    } else {
+      APPROXQL_LOG(Warning)
+          << "auto-checkpoint failed: " << checkpointed.message();
+    }
+  }
   ingest_latency_us_->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
 
   IngestResult result;
   result.seq = seq;
+  result.prev_epoch = epoch_before;
   // The durable epoch, not the gauge: on a failed publish the gauge
   // still holds the pre-mutation value.
   result.epoch = DurableEpoch();
   result.doc_root = span.global_start;
+  result.local_start = span.local_start;
   result.shard_index = static_cast<uint32_t>(shard_index);
   result.length = span.length;
-  if (published.ok() && listener_ != nullptr) {
-    PublishEvent event;
-    event.epoch = result.epoch;
-    Mutation& mutation = event.mutations.emplace_back();
-    mutation.is_add = is_add;
-    mutation.shard_index = result.shard_index;
-    mutation.span = span;
-    mutation.prev_epoch = epoch_before;
-    mutation.epoch = result.epoch;
-    listener_(event);
-  }
-  MaybeKickCheckpointer();
   return result;
 }
 
@@ -440,48 +423,6 @@ std::string MutableCorpus::DumpMetrics() const {
 bool MutableCorpus::ShardOverThreshold(const DurableShard& shard) const {
   return !shard.poisoned() && options_.checkpoint_wal_records > 0 &&
          shard.wal_records() > options_.checkpoint_wal_records;
-}
-
-void MutableCorpus::MaybeKickCheckpointer() {
-  if (!ckpt_thread_.joinable()) return;  // no thresholds configured
-  bool over = false;
-  for (const auto& shard : shards_) {
-    if (ShardOverThreshold(*shard)) {
-      over = true;
-      break;
-    }
-  }
-  if (!over) return;
-  {
-    util::MutexLock lock(&ckpt_mu_);
-    ckpt_kick_ = true;
-  }
-  ckpt_cv_.NotifyOne();
-}
-
-void MutableCorpus::CheckpointLoop() {
-  for (;;) {
-    {
-      util::MutexLock lock(&ckpt_mu_);
-      while (!ckpt_stop_ && !ckpt_kick_) ckpt_cv_.Wait(&ckpt_mu_);
-      if (ckpt_stop_) return;
-      ckpt_kick_ = false;
-    }
-    // Re-check thresholds under the ingest lock: the kick raced ongoing
-    // ingest, and a shard may have been checkpointed meanwhile.
-    util::MutexLock ingest(&ingest_mu_);
-    if (abandoned_) continue;
-    for (const auto& shard : shards_) {
-      if (!ShardOverThreshold(*shard)) continue;
-      Status checkpointed = shard->Checkpoint();
-      if (checkpointed.ok()) {
-        auto_checkpoints_->Increment();
-      } else {
-        APPROXQL_LOG(Warning)
-            << "auto-checkpoint failed: " << checkpointed.message();
-      }
-    }
-  }
 }
 
 }  // namespace approxql::ingest

@@ -11,10 +11,11 @@
 //
 // Write path: one serial writer. Every mutation takes the ingest lock,
 // picks its shard, lets that DurableShard apply it, append it to the
-// WAL and fsync, then publishes the mutated shard as a new generation,
-// notifies the publish listener and kicks the checkpointer. Concurrent
-// callers queue on the lock; each acknowledged mutation has its own
-// fsync and its own generation.
+// WAL and fsync, then publishes the mutated shard as a new generation
+// and, past the auto-checkpoint threshold, checkpoints that shard, all
+// on the caller's thread. Concurrent callers queue on the lock; each
+// acknowledged mutation has its own fsync and its own generation. The
+// corpus starts no thread of its own beyond Open's parallel recovery.
 //
 // Placement: a new document goes to the shard with the fewest documents
 // (ties to the lowest index). The rule is recomputable from recovered
@@ -35,11 +36,9 @@
 #define APPROXQL_INGEST_MUTABLE_CORPUS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -82,9 +81,9 @@ class MutableCorpus : public service::Backend {
     /// Auto-checkpoint threshold (0 disables it) — runtime tuning,
     /// deliberately NOT part of corpus.meta, so a directory can be
     /// reopened with a different value. When a shard's WAL holds more
-    /// records than this after a publish, a background thread
-    /// checkpoints it, bounding crash-recovery replay without blocking
-    /// the ingest path.
+    /// records than this after a publish, the mutation that crossed it
+    /// checkpoints that shard before returning, bounding crash-recovery
+    /// replay at the cost of that one ack's latency.
     uint64_t checkpoint_wal_records = 0;
   };
 
@@ -104,14 +103,17 @@ class MutableCorpus : public service::Backend {
       std::shared_ptr<service::MetricsRegistry> metrics = nullptr,
       OpenStats* stats_out = nullptr);
 
-  ~MutableCorpus();
   MutableCorpus(const MutableCorpus&) = delete;
   MutableCorpus& operator=(const MutableCorpus&) = delete;
 
   struct IngestResult {
     uint64_t seq = 0;       // durable sequence number on the owning shard
+    uint64_t prev_epoch = 0;  // corpus epoch before the mutation
     uint64_t epoch = 0;     // corpus epoch after the mutation
     doc::NodeId doc_root = 0;  // the document's global root id
+    /// The document's local root id on its internal shard (for a
+    /// remove, where it stood before the removal).
+    doc::NodeId local_start = 0;
     uint32_t shard_index = 0;
     uint32_t length = 0;    // nodes in the document subtree
   };
@@ -140,32 +142,6 @@ class MutableCorpus : public service::Backend {
   /// returned by AddDocument, or ShardedDatabase::DocRootOf on an
   /// answer). The id stays a permanent hole in the global id space.
   util::Result<IngestResult> RemoveDocument(doc::NodeId doc_root);
-
-  /// One accepted mutation as seen by a manifest-sync subscriber.
-  /// `span` is the document's placement on its internal shard
-  /// (global_start = corpus-global root id, local_start = that shard's
-  /// local id); `prev_epoch` -> `epoch` is the corpus epoch step the
-  /// mutation performed, so consecutive mutations chain.
-  struct Mutation {
-    bool is_add = true;
-    uint32_t shard_index = 0;
-    shard::DocSpan span;
-    uint64_t prev_epoch = 0;
-    uint64_t epoch = 0;
-  };
-  /// Fired after every successful generation publish with the mutations
-  /// that generation adds over the previous one (each mutation publishes
-  /// its own generation, so today that is exactly one). Invoked on
-  /// the ingest path WITH the ingest lock held: the listener must not
-  /// call back into the corpus and must be quick (hand off to a queue).
-  /// A failed publish fires nothing — subscribers see an epoch gap on
-  /// the next event and fall back to a full slice fetch.
-  struct PublishEvent {
-    uint64_t epoch = 0;  // the published generation's epoch
-    std::vector<Mutation> mutations;
-  };
-  using PublishListener = std::function<void(const PublishEvent&)>;
-  void SetPublishListener(PublishListener listener);
 
   /// The current generation. Never null; holding the pointer keeps the
   /// generation (and everything its queries touch) alive.
@@ -231,10 +207,10 @@ class MutableCorpus : public service::Backend {
                                  doc::NodeId assigned_root);
 
   /// Shared tail of every durable mutation: publishes the mutated shard,
-  /// records the ingest latency, fires the publish listener (if any) on
-  /// a successful publish and kicks the checkpointer. Never fails: the
-  /// mutation is durable, so it is acked even when the publish fails
-  /// (see AddDocument).
+  /// checkpoints it when it is over the threshold and records the
+  /// ingest latency. Never fails: the mutation is durable, so it is
+  /// acked even when the publish or the checkpoint fails (see
+  /// AddDocument).
   IngestResult PublishMutation(bool is_add, size_t shard_index,
                                const shard::DocSpan& span, uint64_t seq,
                                uint64_t epoch_before,
@@ -253,11 +229,7 @@ class MutableCorpus : public service::Backend {
 
   uint64_t DurableEpoch() const REQUIRES(ingest_mu_);
 
-  /// Auto-checkpoint support: wakes the background thread when a shard
-  /// crosses the threshold.
   bool ShardOverThreshold(const DurableShard& shard) const;
-  void MaybeKickCheckpointer() REQUIRES(ingest_mu_);
-  void CheckpointLoop();
 
   const Options options_;
   std::shared_ptr<service::MetricsRegistry> metrics_;
@@ -272,21 +244,11 @@ class MutableCorpus : public service::Backend {
   /// then stale for the failed shard, so the next publish rebuilds every
   /// shard instead of copy-on-write sharing from the stale generation.
   bool republish_all_ GUARDED_BY(ingest_mu_) = false;
-  PublishListener listener_ GUARDED_BY(ingest_mu_);
 
   /// Publication point: ingest writes under both mutexes, readers take
   /// only this one.
   mutable util::Mutex snap_mu_;
   std::shared_ptr<const shard::ShardedDatabase> current_ GUARDED_BY(snap_mu_);
-
-  /// Background checkpointer handshake. Ordering: ingest_mu_ before
-  /// ckpt_mu_ on the kick path; the loop never holds ckpt_mu_ while
-  /// taking ingest_mu_.
-  util::Mutex ckpt_mu_;
-  util::CondVar ckpt_cv_;
-  bool ckpt_stop_ GUARDED_BY(ckpt_mu_) = false;
-  bool ckpt_kick_ GUARDED_BY(ckpt_mu_) = false;
-  std::thread ckpt_thread_;  // started by Open when a threshold is set
 
   service::Counter* docs_added_ = nullptr;
   service::Counter* docs_removed_ = nullptr;

@@ -42,6 +42,10 @@ struct Server::Connection {
   bool want_write = false;
   std::string write_buffer;  // loop-thread staging, partially written
 
+  /// Set by a subscribing kManifestFetch; the loop pushes every later
+  /// kManifestDelta here.
+  bool subscribed = false;
+
   std::atomic<int64_t> in_flight{0};
   std::atomic<bool> closed{false};
   util::Mutex out_mu;
@@ -56,52 +60,6 @@ Server::Server(service::QueryService& service, ingest::MutableCorpus& corpus,
                ServerOptions options)
     : Server(service, std::move(options)) {
   corpus_ = &corpus;
-  // Manifest-sync push path: after every generation publish, fan the
-  // mutation chain out to subscribed connections as kManifestDelta
-  // frames (request_id 0). Runs on the ingest path WITH the corpus
-  // lock held — no corpus re-entry here, only frame encoding and
-  // thread-safe outbox appends. On a connection shared by a router's
-  // query and ingest traffic, these frames enter the outbox during
-  // AddDocument/RemoveDocument, i.e. strictly before the ingest ack.
-  corpus.SetPublishListener([this](
-                                const ingest::MutableCorpus::PublishEvent&
-                                    event) {
-    std::vector<std::shared_ptr<Connection>> targets;
-    {
-      util::MutexLock lock(&subscribers_mu_);
-      auto it = subscribers_.begin();
-      while (it != subscribers_.end()) {
-        std::shared_ptr<Connection> conn = it->lock();
-        if (conn == nullptr || conn->closed.load(std::memory_order_acquire)) {
-          it = subscribers_.erase(it);
-          continue;
-        }
-        targets.push_back(std::move(conn));
-        ++it;
-      }
-    }
-    if (targets.empty()) return;
-    const FrameHeader push{kProtocolVersion, /*request_id=*/0,
-                           static_cast<uint32_t>(MessageType::kManifestDelta)};
-    for (const ingest::MutableCorpus::Mutation& m : event.mutations) {
-      WireManifestDelta delta;
-      // The delta is stamped with the server's CLUSTER position, not
-      // the corpus's internal shard index (always 0 in cluster mode).
-      delta.shard_index = options_.shard.shard_index;
-      delta.prev_epoch = m.prev_epoch;
-      delta.epoch = m.epoch;
-      delta.op = m.is_add ? WireManifestDelta::Op::kAdd
-                          : WireManifestDelta::Op::kRemove;
-      delta.span = m.span;
-      const std::string payload = EncodeManifestDelta(delta);
-      for (const std::shared_ptr<Connection>& conn : targets) {
-        EnqueueResponse(conn, push, payload);
-      }
-    }
-    for (const std::shared_ptr<Connection>& conn : targets) {
-      NotifyWritable(conn);
-    }
-  });
 }
 
 Server::Server(service::QueryService& service, ServerOptions options)
@@ -235,12 +193,6 @@ void Server::JoinLoop() {
 void Server::Wait() { JoinLoop(); }
 
 void Server::Shutdown(bool drain) {
-  if (corpus_ != nullptr) {
-    // Detach from the corpus first. SetPublishListener serializes with
-    // a firing listener on the ingest lock, so after this returns no
-    // publish can reach this server's outboxes or wake fd again.
-    corpus_->SetPublishListener(nullptr);
-  }
   {
     // Only the stop-flag store and a non-blocking eventfd wake happen
     // under lifecycle_mu_ — never the join itself — so a thread parked
@@ -759,6 +711,22 @@ void Server::DispatchIngest(const std::shared_ptr<Connection>& conn,
     nack(result.status().code(), std::string(result.status().message()));
     return;
   }
+  // Push before the ack, so a router sharing this connection sees the
+  // delta no later than the ack. Only a published mutation is pushed:
+  // after a failed publish the snapshot lags the acked epoch, and
+  // subscribers find the gap at the next delta and refetch.
+  if (corpus_->snapshot()->epoch() == result->epoch) {
+    WireManifestDelta delta;
+    // Stamped with the server's CLUSTER position, not the corpus's
+    // internal shard index (always 0 in cluster mode).
+    delta.shard_index = options_.shard.shard_index;
+    delta.prev_epoch = result->prev_epoch;
+    delta.epoch = result->epoch;
+    delta.op = op.op == WireIngest::Op::kAdd ? WireManifestDelta::Op::kAdd
+                                             : WireManifestDelta::Op::kRemove;
+    delta.span = {result->local_start, result->doc_root, result->length};
+    PushManifestDelta(delta);
+  }
   WireIngestAck ack;
   ack.status_code = static_cast<uint32_t>(util::StatusCode::kOk);
   ack.seq = result->seq;
@@ -803,15 +771,11 @@ void Server::DispatchManifestFetch(const std::shared_ptr<Connection>& conn,
             "server is not serving a mutable corpus (no manifest slices)");
     return;
   }
-  if (fetch.subscribe) {
-    // Register BEFORE taking the snapshot. Ingest runs inline on this
-    // same event loop, so any publish after this point fires the
-    // listener with this connection already registered: the reply slice
-    // and the delta stream compose without a gap. (A delta the slice
-    // already contains is a stale duplicate on the receiver — ignored.)
-    util::MutexLock lock(&subscribers_mu_);
-    subscribers_.push_back(conn);
-  }
+  // Ingest runs inline on this same loop, so every mutation published
+  // after this snapshot is pushed to the connection: the reply slice and
+  // the delta stream compose without a gap. Subscribing again changes
+  // nothing.
+  if (fetch.subscribe) conn->subscribed = true;
   std::shared_ptr<const shard::ShardedDatabase> snap = corpus_->snapshot();
   WireManifestSlice slice;
   slice.status_code = static_cast<uint32_t>(util::StatusCode::kOk);
@@ -821,6 +785,22 @@ void Server::DispatchManifestFetch(const std::shared_ptr<Connection>& conn,
   slice.spans = snap->shard_spans(0);
   EnqueueResponse(conn, reply, EncodeManifestSlice(slice));
   FlushWrites(conn);
+}
+
+void Server::PushManifestDelta(const WireManifestDelta& delta) {
+  const std::string payload = EncodeManifestDelta(delta);
+  const FrameHeader push{kProtocolVersion, /*request_id=*/0,
+                         static_cast<uint32_t>(MessageType::kManifestDelta)};
+  // Collected first: a failed write closes its connection, which erases
+  // it from connections_.
+  std::vector<std::shared_ptr<Connection>> subscribers;
+  for (const auto& [fd, conn] : connections_) {
+    if (conn->subscribed) subscribers.push_back(conn);
+  }
+  for (const std::shared_ptr<Connection>& conn : subscribers) {
+    EnqueueResponse(conn, push, payload);
+    if (!conn->closed.load(std::memory_order_acquire)) FlushWrites(conn);
+  }
 }
 
 void Server::EnqueueResponse(const std::shared_ptr<Connection>& conn,

@@ -120,13 +120,13 @@ class Server {
   /// Mutable-corpus flavor: the server additionally answers kIngest
   /// (add/remove a document; acked only after the mutation is durable
   /// and visible), kManifestFetch (the current generation's DocSpan
-  /// slice + epoch, optionally subscribing the connection to
-  /// kManifestDelta pushes after every publish), and — in shard-serving
-  /// mode — stamps each kShardAnswer with its snapshot epoch and
-  /// translates answer roots to shard-local preorders. `corpus` must
-  /// outlive the server, be the same one `service` fronts, and have no
-  /// other publish listener (the server owns the corpus's listener slot
-  /// for the duration).
+  /// slice + epoch, optionally subscribing the connection to the
+  /// kManifestDelta pushes its event loop sends after every published
+  /// kIngest), and — in shard-serving mode — stamps each kShardAnswer
+  /// with its snapshot epoch and translates answer roots to shard-local
+  /// preorders. `corpus` must outlive the server and be the same one
+  /// `service` fronts; mutations made on the corpus directly, not
+  /// through this server, are pushed to no subscriber.
   Server(service::QueryService& service, ingest::MutableCorpus& corpus,
          ServerOptions options);
   /// Equivalent to Shutdown(/*drain=*/false).
@@ -198,15 +198,18 @@ class Server {
   void DispatchIngest(const std::shared_ptr<Connection>& conn,
                       const FrameHeader& header, const std::string& payload);
   /// kManifestFetch handling. Answered inline on the event loop with
-  /// the corpus's current slice; subscribe=true registers the
-  /// connection for kManifestDelta pushes BEFORE the snapshot is taken
-  /// (ingest also runs inline on this loop, so every mutation published
-  /// after the reply slice reaches the subscriber as a delta — the
-  /// slice and the stream have no gap between them). Non-mutable
-  /// servers answer a slice carrying kUnimplemented.
+  /// the corpus's current slice; subscribe=true marks the connection
+  /// for kManifestDelta pushes (ingest also runs inline on this loop, so
+  /// every mutation published after the reply slice reaches the
+  /// subscriber as a delta — the slice and the stream have no gap
+  /// between them). Non-mutable servers answer a slice carrying
+  /// kUnimplemented.
   void DispatchManifestFetch(const std::shared_ptr<Connection>& conn,
                              const FrameHeader& header,
                              const std::string& payload);
+  /// Sends `delta` as a kManifestDelta push (request_id 0) to every
+  /// subscribed connection. Loop thread only.
+  void PushManifestDelta(const WireManifestDelta& delta);
   void EnqueueResponse(const std::shared_ptr<Connection>& conn,
                        const FrameHeader& header, std::string_view payload);
   /// Moves the outbox into the write buffer and writes what the socket
@@ -247,12 +250,6 @@ class Server {
   util::Mutex pending_mu_;
   std::vector<std::shared_ptr<Connection>> pending_writes_
       GUARDED_BY(pending_mu_);
-
-  /// Connections subscribed to kManifestDelta pushes (weak: a closed
-  /// connection just drops out of the registry on the next broadcast).
-  util::Mutex subscribers_mu_;
-  std::vector<std::weak_ptr<Connection>> subscribers_
-      GUARDED_BY(subscribers_mu_);
 
   /// SubmitAsync completion callbacks capture `this`; Shutdown waits
   /// for every one of them to finish (even with drain=false) so no

@@ -130,6 +130,23 @@ util::Status StatusFromWire(uint32_t code, std::string message) {
   return util::Status(static_cast<util::StatusCode>(code), std::move(message));
 }
 
+namespace {
+
+util::Status DecodeStrategy(uint32_t raw, engine::Strategy* out) {
+  switch (raw) {
+    case static_cast<uint32_t>(engine::Strategy::kDirect):
+    case static_cast<uint32_t>(engine::Strategy::kSchema):
+    case static_cast<uint32_t>(engine::Strategy::kFullScan):
+      *out = static_cast<engine::Strategy>(raw);
+      return util::Status::OK();
+    default:
+      return util::Status::InvalidArgument("unknown strategy " +
+                                           std::to_string(raw));
+  }
+}
+
+}  // namespace
+
 std::string EncodeQueryRequest(const WireRequest& request) {
   std::string out;
   PutLengthPrefixed(&out, request.query);
@@ -149,16 +166,7 @@ util::Status DecodeQueryRequest(std::string_view payload, WireRequest* out) {
   RETURN_IF_ERROR(GetLengthPrefixed(&reader, &out->query));
   uint32_t strategy = 0;
   RETURN_IF_ERROR(reader.GetVarint32(&strategy));
-  switch (strategy) {
-    case static_cast<uint32_t>(engine::Strategy::kDirect):
-    case static_cast<uint32_t>(engine::Strategy::kSchema):
-    case static_cast<uint32_t>(engine::Strategy::kFullScan):
-      out->strategy = static_cast<engine::Strategy>(strategy);
-      break;
-    default:
-      return util::Status::InvalidArgument("unknown strategy " +
-                                           std::to_string(strategy));
-  }
+  RETURN_IF_ERROR(DecodeStrategy(strategy, &out->strategy));
   RETURN_IF_ERROR(reader.GetVarint64(&out->n));
   uint64_t deadline = 0;
   RETURN_IF_ERROR(reader.GetVarint64(&deadline));
@@ -252,23 +260,6 @@ util::Status DecodeQueryResponse(std::string_view payload, WireResponse* out) {
   }
   return util::Status::OK();
 }
-
-namespace {
-
-util::Status DecodeStrategy(uint32_t raw, engine::Strategy* out) {
-  switch (raw) {
-    case static_cast<uint32_t>(engine::Strategy::kDirect):
-    case static_cast<uint32_t>(engine::Strategy::kSchema):
-    case static_cast<uint32_t>(engine::Strategy::kFullScan):
-      *out = static_cast<engine::Strategy>(raw);
-      return util::Status::OK();
-    default:
-      return util::Status::InvalidArgument("unknown strategy " +
-                                           std::to_string(raw));
-  }
-}
-
-}  // namespace
 
 std::string EncodeShardQuery(const WireShardQuery& query) {
   std::string out;

@@ -264,6 +264,16 @@ TEST_P(ClusterWidthTest, RoutedAnswersBitIdenticalUnderLiveIngest) {
   // would surface as a permanent shard failure.
   const std::string dump = router_->DumpMetrics();
   EXPECT_NE(dump.find("dist_shard_failures 0"), std::string::npos) << dump;
+  ASSERT_EQ(acked_.size(), 24u);
+  // Each acked mutation reaches the router as exactly one delta, however
+  // often the router fetched (and so subscribed) on that connection, and
+  // the delta chain never gaps.
+  EXPECT_NE(dump.find("dist_manifest_deltas " +
+                      std::to_string(acked_.size()) + "\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("dist_manifest_delta_gaps 0\n"), std::string::npos)
+      << dump;
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ClusterWidthTest,

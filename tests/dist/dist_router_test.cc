@@ -649,5 +649,46 @@ TEST_F(DistRouterTest, HealthProbeRevivesARestartedShard) {
   for (ShardServer& s : servers) s.Stop();
 }
 
+TEST_F(DistRouterTest, WithoutAHealthCheckerTheNextQueryRevivesADownShard) {
+  // No health checker means no ping: the only probe a DOWN shard can get
+  // is a query's own attempt. Skipping DOWN shards at launch would leave
+  // every later query degraded after the shard came back.
+  ShardedDatabase sharded = MakeSharded(2);
+  std::vector<ShardServer> servers = StartCluster(sharded);
+  const uint16_t port1 = servers[1].port();
+  RouterOptions options = FastFailOptions(servers);
+  ASSERT_EQ(options.health_period_ms, 0);
+  // Long enough for the transport's capped reconnect backoff (1 s) to
+  // elapse inside the reviving query's first attempt.
+  options.attempt_deadline_ms = 3000;
+  ShardRouter router(sharded, options);
+  ASSERT_TRUE(router.Start().ok());
+
+  servers[1].Stop();
+  // Short overall deadlines walk shard 1 down one failed attempt at a
+  // time.
+  for (int i = 0; i < 20 && router.shard_health(1) != ShardHealth::kDown;
+       ++i) {
+    (void)router.Execute((*queries_)[0], Strategy::kSchema, 10,
+                         /*deadline_ms=*/300);
+  }
+  ASSERT_EQ(router.shard_health(1), ShardHealth::kDown);
+
+  servers[1] = StartShardServer(sharded, 1, port1);
+  auto routed = router.Execute((*queries_)[0], Strategy::kSchema, 10, 0);
+  ASSERT_TRUE(routed.ok()) << routed.status();
+  EXPECT_FALSE(routed->degraded);
+  EXPECT_TRUE(routed->missing_shards.empty());
+  EXPECT_EQ(router.shard_health(1), ShardHealth::kUp);
+  ExecOptions exec;
+  exec.strategy = Strategy::kSchema;
+  exec.n = 10;
+  auto expected = db_->Execute((*queries_)[0], exec);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(Canonical(routed->answers), Canonical(*expected));
+  router.Shutdown();
+  for (ShardServer& s : servers) s.Stop();
+}
+
 }  // namespace
 }  // namespace approxql::dist

@@ -1,5 +1,5 @@
 // Concurrent writers on the serial ingest path, and threshold-driven
-// auto-checkpointing (background checkpoints bound how much WAL a crash
+// auto-checkpointing (inline checkpoints bound how much WAL a crash
 // replays). The tests pin the part that must NOT change: the documents
 // and their ids.
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -119,32 +118,22 @@ TEST_F(IngestTuningTest, AutoCheckpointBoundsCrashRecoveryReplay) {
     options.data_dir = dir_;
     options.num_shards = 1;
     options.model = TestModel();
-    // Trip a background checkpoint every ~8 WAL records.
+    // The add that leaves 9 records in the WAL checkpoints inline.
     options.checkpoint_wal_records = 8;
     auto corpus = MutableCorpus::Open(std::move(options));
     ASSERT_TRUE(corpus.ok()) << corpus.status();
     for (size_t i = 0; i < kDocs; ++i) {
       ASSERT_TRUE((*corpus)->AddDocument(MakeDoc(i)).ok());
     }
-    // The checkpoint thread runs behind the ingest path; give it a
-    // bounded moment to pass the threshold at least once.
-    bool checkpointed = false;
-    for (int spin = 0; spin < 500 && !checkpointed; ++spin) {
-      const std::string dump = (*corpus)->metrics()->DumpText();
-      checkpointed =
-          dump.find("ingest_auto_checkpoints ") != std::string::npos &&
-          dump.find("ingest_auto_checkpoints 0\n") == std::string::npos;
-      if (!checkpointed) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
-    EXPECT_TRUE(checkpointed)
-        << "no auto checkpoint in 5s despite 64 adds at threshold 8";
+    // A checkpoint at every 9th record: records 9, 18, ..., 63.
+    const std::string dump = (*corpus)->metrics()->DumpText();
+    EXPECT_NE(dump.find("ingest_auto_checkpoints 7\n"), std::string::npos)
+        << dump;
     (*corpus)->Abandon();  // crash — no clean-close checkpoint
   }
 
-  // Recover from the crash: every acked document must be back, but the
-  // WAL replay must be bounded by the records since the last BACKGROUND
+  // Recover from the crash: every acked document must be back, and the
+  // WAL replay holds only the one record after the last auto
   // checkpoint — not the whole history.
   MutableCorpus::Options reopen_options;
   reopen_options.data_dir = dir_;
@@ -155,7 +144,7 @@ TEST_F(IngestTuningTest, AutoCheckpointBoundsCrashRecoveryReplay) {
                                       &stats);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->document_count(), kDocs);
-  EXPECT_LT(stats.replayed_records, kDocs)
+  EXPECT_EQ(stats.replayed_records, 1u)
       << "replay was not bounded by checkpoints";
 }
 
