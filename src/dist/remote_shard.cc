@@ -174,10 +174,10 @@ void RemoteShardBackend::CallIngest(const net::WireIngest& ingest,
       });
 }
 
-void RemoteShardBackend::CallManifestFetch(bool subscribe, int deadline_ms,
+void RemoteShardBackend::CallManifestFetch(int deadline_ms,
                                            SliceCallback done) {
   net::WireManifestFetch fetch;
-  fetch.subscribe = subscribe;
+  fetch.subscribe = true;
   client_.Call(
       net::MessageType::kManifestFetch, net::EncodeManifestFetch(fetch),
       deadline_ms,

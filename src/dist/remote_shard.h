@@ -89,15 +89,16 @@ class RemoteShardBackend {
   void CallIngest(const net::WireIngest& ingest, int deadline_ms,
                   IngestCallback done);
 
-  /// Fetches the shard server's current manifest slice; subscribe=true
-  /// additionally registers this connection for kManifestDelta pushes
-  /// (delivered to RemoteShardOptions::on_delta). Only the frame type,
-  /// decode, and shard index are verified — the slice's fingerprint is
-  /// the epoch-salted layout stamp, diagnostics only. A non-OK
-  /// status_code inside the slice surfaces as that error.
+  /// Fetches the shard server's current manifest slice and registers
+  /// this connection for kManifestDelta pushes (delivered to
+  /// RemoteShardOptions::on_delta; subscribing again changes nothing).
+  /// Only the frame type, decode, and shard index are verified — the
+  /// slice's fingerprint is the epoch-salted layout stamp, diagnostics
+  /// only. A non-OK status_code inside the slice surfaces as that
+  /// error.
   using SliceCallback =
       std::function<void(util::Result<net::WireManifestSlice>)>;
-  void CallManifestFetch(bool subscribe, int deadline_ms, SliceCallback done);
+  void CallManifestFetch(int deadline_ms, SliceCallback done);
 
   ShardHealth health() const;
   /// Feeds the state machine directly (the Call* paths do it for their

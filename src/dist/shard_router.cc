@@ -1,7 +1,9 @@
 #include "dist/shard_router.h"
 
 #include <algorithm>
+#include <functional>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "engine/list_ops.h"
@@ -31,9 +33,10 @@ bool TransportTransient(util::StatusCode code) {
 
 /// Superseded epochs kept translatable per shard (ManifestView).
 constexpr size_t kManifestHistoryDepth = 32;
-/// Bound on post-scatter reconciliation rounds (fetch-retranslate or
-/// re-query) per Execute before a still-unresolvable shard is declared
-/// missing. Each round re-enters the normal retry loop.
+/// Epoch-reconciliation rounds one shard may take per Execute (each a
+/// slice fetch, a re-query, or a fetch whose slice still lacked the
+/// answer's epoch followed by a re-query) before it is declared
+/// missing.
 constexpr int kMaxEpochRounds = 3;
 
 /// Deadline for one manifest-slice fetch: the attempt deadline, or 2 s
@@ -52,52 +55,34 @@ shard::LayoutManifest Spanless(uint32_t fingerprint,
       fingerprint, model, std::vector<std::vector<shard::DocSpan>>(num_shards));
 }
 
-}  // namespace
-
-/// Shared between the coordinating thread and the transports' IO
-/// callbacks; heap-held via shared_ptr so a reply that arrives after
-/// the coordinator gave up (overall deadline, strict fail-fast) lands
-/// in still-valid memory and is dropped by the staleness check.
-struct ShardRouter::ScatterState {
-  enum class SlotState {
-    kPending,    // an attempt is in flight
-    kRetryWait,  // failed transiently; waiting out the backoff
-    kDone,
-  };
-  struct Slot {
-    SlotState state = SlotState::kPending;
-    int attempt = 0;  // attempt the in-flight call belongs to
-    Clock::time_point retry_at;
-    bool ok = false;
-    /// The failure is the query's own fault (parse/invalid argument):
-    /// it would fail identically on every shard, so it fails the query
-    /// rather than degrading the answer.
-    bool query_error = false;
-    util::Status error = util::Status::OK();
-    net::WireShardAnswer answer;
-    /// The answer's roots as global ids, translated by epoch
-    /// reconciliation through the slice of exactly answer.backend_epoch.
-    std::vector<engine::RootCost> translated;
-    bool translated_done = false;
+/// All a scatter shares with the transports' IO threads: their
+/// callbacks only append events here and notify, and Execute's thread
+/// alone decides what each event means. Heap-held via shared_ptr so an
+/// event that arrives after Execute returned (overall deadline, strict
+/// fail-fast) lands in still-valid memory and is never read.
+struct ScatterState {
+  struct Event {
+    size_t shard = 0;
+    /// The attempt the event belongs to: its reply, or the slice fetch
+    /// its answer started. Events of superseded attempts are dropped.
+    int attempt = 0;
+    /// The shard's reply; nullopt for a finished slice fetch, whose
+    /// slice (if it came) is already installed in the view.
+    std::optional<util::Result<net::WireShardAnswer>> answer;
   };
 
-  explicit ScatterState(size_t num_shards) : slots(num_shards) {}
-
-  // Immutable after Execute fills them, before the first launch.
-  std::string query_text;
-  engine::Strategy strategy = engine::Strategy::kSchema;
-  uint64_t wire_n = 10;
+  void Deliver(Event event) {
+    util::MutexLock lock(&mu);
+    mailbox.push_back(std::move(event));
+    cv.NotifyOne();
+  }
 
   util::Mutex mu;
   util::CondVar cv;
-  std::vector<Slot> slots GUARDED_BY(mu);
-  util::Rng rng GUARDED_BY(mu);
-
-  /// The execution's shared inclusive cost bound, CAS-min'd by
-  /// callbacks and snapshotted by every (re)launch.
-  std::atomic<int64_t> bound{cost::kInfinite};
-  std::atomic<uint32_t> retries{0};
+  std::vector<Event> mailbox GUARDED_BY(mu);
 };
+
+}  // namespace
 
 ShardRouter::ShardRouter(const shard::ShardedDatabase& layout,
                          RouterOptions options)
@@ -171,10 +156,6 @@ ShardRouter::ShardRouter(shard::LayoutManifest manifest, RouterOptions options,
         static_cast<uint32_t>(i), std::move(shard)));
   }
   shards_up_->Set(static_cast<int64_t>(backends_.size()));
-  {
-    util::MutexLock lock(&ingest_mu_);
-    ingest_docs_.assign(backends_.size(), 0);
-  }
 }
 
 ShardRouter::~ShardRouter() { Shutdown(); }
@@ -194,8 +175,8 @@ util::Status ShardRouter::Start() {
   }
   started_ = true;
   // Bootstrap the slices the view lacks (and their delta subscriptions)
-  // without blocking startup: a query racing the fetches just fetches
-  // on demand in its own reconciliation pass.
+  // without blocking startup: a query racing the fetches fetches the
+  // slice its answer needs itself.
   for (size_t i = 0; i < backends_.size(); ++i) {
     if (!view_->known(static_cast<uint32_t>(i))) RefetchSliceAsync(i);
   }
@@ -214,110 +195,6 @@ void ShardRouter::Shutdown() {
   for (auto& backend : backends_) backend->Shutdown();
 }
 
-void ShardRouter::LaunchAttempt(const std::shared_ptr<ScatterState>& state,
-                                size_t i, int attempt, bool share_bound,
-                                Clock::time_point overall_deadline) const {
-  shard_calls_->Increment();
-  net::WireShardQuery query;
-  query.query = state->query_text;
-  query.strategy = state->strategy;
-  query.n = state->wire_n;
-  // Opportunistic bound propagation: a retry (and every attempt issued
-  // after some shard already answered) snapshots the tightest bound
-  // known so far — the shard prunes with it exactly like an in-process
-  // scatter participant.
-  query.cost_bound = share_bound
-                         ? state->bound.load(std::memory_order_acquire)
-                         : cost::kInfinite;
-  int64_t attempt_deadline = options_.attempt_deadline_ms;
-  if (overall_deadline != Clock::time_point::max()) {
-    int64_t remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            overall_deadline - Clock::now())
-                            .count();
-    if (remaining < 1) remaining = 1;
-    attempt_deadline = attempt_deadline > 0
-                           ? std::min<int64_t>(attempt_deadline, remaining)
-                           : remaining;
-  }
-  query.deadline_ms = attempt_deadline;  // server-side enforcement too
-
-  backends_[i]->CallShardQuery(
-      query, static_cast<int>(attempt_deadline),
-      [this, state, i, attempt,
-       share_bound](util::Result<net::WireShardAnswer> result) {
-        util::MutexLock lock(&state->mu);
-        ScatterState::Slot& slot = state->slots[i];
-        if (slot.state != ScatterState::SlotState::kPending ||
-            slot.attempt != attempt) {
-          return;  // superseded or abandoned attempt; drop silently
-        }
-
-        util::Status failure = util::Status::OK();
-        bool permanent = false;
-        bool query_error = false;
-        if (!result.ok()) {
-          failure = result.status();
-          permanent = !TransportTransient(failure.code());
-        } else {
-          net::WireShardAnswer& answer = *result;
-          const util::Status status =
-              net::StatusFromWire(answer.status_code, answer.status_message);
-          if (status.ok() && !answer.truncated) {
-            const cost::Cost achieved = answer.achieved_bound;
-            slot.state = ScatterState::SlotState::kDone;
-            slot.ok = true;
-            slot.answer = std::move(answer);
-            if (share_bound && cost::IsFinite(achieved)) {
-              int64_t current = state->bound.load(std::memory_order_relaxed);
-              while (achieved < current) {
-                if (state->bound.compare_exchange_weak(
-                        current, achieved, std::memory_order_acq_rel)) {
-                  bound_updates_->Increment();
-                  break;
-                }
-              }
-            }
-            state->cv.NotifyAll();
-            return;
-          }
-          if (status.ok()) {
-            // Truncated: a correct but short prefix is useless for the
-            // global merge — a failed attempt, worth retrying with more
-            // of the overall budget.
-            failure = util::Status::DeadlineExceeded(
-                "shard answer truncated by its server-side deadline");
-          } else {
-            failure = status;
-            const util::StatusCode code = status.code();
-            query_error = code == util::StatusCode::kInvalidArgument ||
-                          code == util::StatusCode::kParseError;
-            permanent = query_error;
-            // The shard is alive but answering "going away"/"overloaded"
-            // — that is routing-relevant even though the transport and
-            // fingerprint checks passed.
-            if (code == util::StatusCode::kUnavailable) {
-              backends_[i]->RecordOutcome(false);
-            }
-          }
-        }
-
-        shard_failures_->Increment();
-        slot.error = failure;
-        if (!permanent && slot.attempt < options_.max_retries) {
-          slot.state = ScatterState::SlotState::kRetryWait;
-          slot.retry_at =
-              Clock::now() +
-              std::chrono::milliseconds(net::JitteredBackoffMs(
-                  slot.attempt, options_.retry_backoff_ms,
-                  options_.retry_backoff_cap_ms, state->rng.Next()));
-        } else {
-          slot.state = ScatterState::SlotState::kDone;
-          slot.query_error = query_error;
-        }
-        state->cv.NotifyAll();
-      });
-}
-
 util::Result<RoutedResult> ShardRouter::Execute(
     const std::string& query_text, engine::Strategy strategy, size_t n,
     int64_t deadline_ms, const std::vector<uint64_t>& min_epochs) const {
@@ -329,101 +206,268 @@ util::Result<RoutedResult> ShardRouter::Execute(
       deadline_ms > 0 ? started + std::chrono::milliseconds(deadline_ms)
                       : Clock::time_point::max();
   const bool share_bound = engine::SharesCostBound(strategy, num_shards, n);
-
-  auto state = std::make_shared<ScatterState>(num_shards);
-  state->query_text = query_text;
-  state->strategy = strategy;
-  state->wire_n = n == SIZE_MAX ? UINT64_MAX : static_cast<uint64_t>(n);
-
-  std::vector<size_t> initial;
-  initial.reserve(num_shards);
-  {
-    util::MutexLock lock(&state->mu);
-    state->rng.Seed(reinterpret_cast<uintptr_t>(state.get()) ^
-                    static_cast<uint64_t>(
-                        started.time_since_epoch().count()));
-    for (size_t i = 0; i < num_shards; ++i) {
-      if (options_.health_period_ms > 0 &&
-          backends_[i]->health() == ShardHealth::kDown) {
-        // No timeout burned on a shard the health checker already
-        // declared dead; a ping revives it for later queries. With the
-        // checker off nothing else would, so this query's attempt is
-        // the probe.
-        state->slots[i].state = ScatterState::SlotState::kDone;
-        state->slots[i].error = util::Status::Unavailable(
-            "shard " + std::to_string(i) + " (" + backends_[i]->endpoint() +
-            ") is DOWN");
-      } else {
-        initial.push_back(i);
-      }
-    }
-  }
-  for (size_t i : initial) {
-    LaunchAttempt(state, i, /*attempt=*/0, share_bound, overall_deadline);
-  }
-
   const auto floor_of = [&min_epochs](size_t i) -> uint64_t {
     return i < min_epochs.size() ? min_epochs[i] : 0;
   };
-  // Settles one ok answer if it can. Below the caller's floor it needs
-  // a re-query, and in an epoch the view holds no slice for, a slice
-  // fetch. Otherwise its roots are translated through the slice of
-  // exactly its epoch — or, for a root outside that slice (a real
-  // inconsistency), the shard fails typed: never a guess onto a
-  // neighbouring document's global id.
-  enum class Unsettled { kNo, kNeedsFetch, kNeedsRequery };
-  const auto settle = [&](size_t i, ScatterState::Slot& slot) -> Unsettled {
-    const net::WireShardAnswer& answer = slot.answer;
-    if (answer.backend_epoch < floor_of(i)) {
-      // Read-your-writes: the answer predates the caller's own acked
-      // write on this shard — ask again, never return it.
-      return Unsettled::kNeedsRequery;
-    }
-    std::vector<engine::RootCost> list;
-    list.reserve(answer.answers.size());
-    for (const net::WireAnswer& a : answer.answers) {
-      util::Result<doc::NodeId> global = view_->ToGlobal(
-          static_cast<uint32_t>(i), answer.backend_epoch, a.root);
-      if (!global.ok()) {
-        if (global.status().code() == util::StatusCode::kUnavailable) {
-          return Unsettled::kNeedsFetch;
-        }
-        slot.ok = false;
-        slot.error = global.status();
-        return Unsettled::kNo;
-      }
-      // ToGlobal is strictly increasing in the local id within a span
-      // table, so the shard's (cost, root)-sorted list stays sorted.
-      list.push_back({*global, a.cost});
-    }
-    slot.translated = std::move(list);
-    slot.translated_done = true;
-    return Unsettled::kNo;
+  // `limit` capped by what is left of the overall deadline (at least
+  // 1 ms); a `limit` <= 0 has no cap of its own.
+  const auto capped_ms = [overall_deadline](int64_t limit) -> int64_t {
+    if (overall_deadline == Clock::time_point::max()) return limit;
+    const int64_t remaining = std::max<int64_t>(
+        1, std::chrono::duration_cast<std::chrono::milliseconds>(
+               overall_deadline - Clock::now())
+               .count());
+    return limit > 0 ? std::min(limit, remaining) : remaining;
   };
 
-  // Coordinate: wait for callbacks, relaunch retries whose backoff
-  // elapsed, enforce the overall deadline and strict fail-fast. The
-  // coordinate loop is wrapped in bounded epoch-reconciliation rounds:
-  // answers whose epoch the view cannot translate yet trigger a slice
-  // fetch + retranslation, and answers that still cannot be translated
-  // (or sit below a min-epoch floor) are re-queried. Over immutable
-  // shard servers every answer translates at epoch 0 in the first pass.
-  std::vector<std::pair<size_t, int>> due;
-  int epoch_rounds = 0;
-  state->mu.Lock();
+  // The scatter's whole state: every field below is read and written by
+  // this thread only. The IO threads reach none of it; they deliver.
+  struct Slot {
+    enum class State {
+      kPending,    // an attempt is in flight
+      kFetching,   // its answer waits for the slice of its epoch
+      kRetryWait,  // failed transiently; waiting out the backoff
+      kDone,
+    };
+    State state = State::kPending;
+    int attempt = 0;  // attempt the in-flight call belongs to
+    int epoch_rounds = 0;
+    Clock::time_point retry_at;
+    /// Done, with `translated` ready to merge.
+    bool ok = false;
+    /// The failure is the query's own fault (parse/invalid argument):
+    /// it would fail identically on every shard, so it fails the query
+    /// rather than degrading the answer.
+    bool query_error = false;
+    util::Status error = util::Status::OK();
+    net::WireShardAnswer answer;
+    /// The answer's roots as global ids, translated through the slice
+    /// of exactly answer.backend_epoch.
+    std::vector<engine::RootCost> translated;
+  };
+  std::vector<Slot> slots(num_shards);
+  // The execution's shared inclusive cost bound: min'd with every full
+  // answer's n-th cost and snapshotted by every (re)launch.
+  cost::Cost bound = cost::kInfinite;
+  uint32_t retries = 0;
+  auto state = std::make_shared<ScatterState>();
+  util::Rng rng;
+  rng.Seed(reinterpret_cast<uintptr_t>(state.get()) ^
+           static_cast<uint64_t>(started.time_since_epoch().count()));
+
+  net::WireShardQuery query;
+  query.query = query_text;
+  query.strategy = strategy;
+  query.n = n == SIZE_MAX ? UINT64_MAX : static_cast<uint64_t>(n);
+  // Every launch runs with no lock held: a shut-down transport invokes
+  // its callback inline, and the callback takes state->mu.
+  const auto launch = [&](size_t i) {
+    shard_calls_->Increment();
+    // Opportunistic bound propagation: a retry (and every attempt issued
+    // after some shard already answered) carries the tightest bound
+    // known so far — the shard prunes with it exactly like an in-process
+    // scatter participant.
+    query.cost_bound = share_bound ? bound : cost::kInfinite;
+    const int64_t attempt_deadline = capped_ms(options_.attempt_deadline_ms);
+    query.deadline_ms = attempt_deadline;  // server-side enforcement too
+    backends_[i]->CallShardQuery(
+        query, static_cast<int>(attempt_deadline),
+        [state, i, attempt = slots[i].attempt](
+            util::Result<net::WireShardAnswer> result) {
+          state->Deliver({i, attempt, std::move(result)});
+        });
+  };
+  // Asks shard i again at once, no backoff: its answer predates the
+  // caller's floor, or the slice of its epoch cannot be had.
+  const auto requery = [&](size_t i) {
+    epoch_requeries_->Increment();
+    ++retries;
+    ++slots[i].attempt;
+    slots[i].state = Slot::State::kPending;
+    launch(i);
+  };
+  // Settles shard i's answer through the view at exactly its epoch. A
+  // root outside that slice (a real inconsistency) fails the shard,
+  // typed: never a guess onto a neighbouring document's global id. An
+  // answer below the caller's floor is asked again; one whose epoch the
+  // view holds no slice for fetches it first. `fetched`: that fetch has
+  // finished, and a slice still missing means the server no longer
+  // holds the epoch (racing publishes outran its history) — a fresh
+  // answer comes with a fresh epoch.
+  const auto settle = [&](size_t i, bool fetched) {
+    Slot& slot = slots[i];
+    const uint64_t epoch = slot.answer.backend_epoch;
+    // Read-your-writes: an answer that predates the caller's own acked
+    // write on this shard is never returned.
+    const bool below_floor = epoch < floor_of(i);
+    if (!below_floor) {
+      std::vector<engine::RootCost> list;
+      list.reserve(slot.answer.answers.size());
+      util::Status failed = util::Status::OK();
+      for (const net::WireAnswer& a : slot.answer.answers) {
+        util::Result<doc::NodeId> global =
+            view_->ToGlobal(static_cast<uint32_t>(i), epoch, a.root);
+        if (!global.ok()) {
+          failed = global.status();
+          break;
+        }
+        // ToGlobal is strictly increasing in the local id within a span
+        // table, so the shard's (cost, root)-sorted list stays sorted.
+        list.push_back({*global, a.cost});
+      }
+      if (failed.ok()) {
+        slot.state = Slot::State::kDone;
+        slot.ok = true;
+        slot.translated = std::move(list);
+        return;
+      }
+      if (failed.code() != util::StatusCode::kUnavailable) {
+        slot.state = Slot::State::kDone;
+        slot.error = std::move(failed);
+        return;
+      }
+    }
+    if (fetched) {
+      requery(i);  // the rest of the fetch's round
+      return;
+    }
+    if (slot.epoch_rounds >= kMaxEpochRounds) {
+      const std::string at_epoch =
+          "shard " + std::to_string(i) + " answered at epoch " +
+          std::to_string(epoch) +
+          (below_floor ? " below the caller's floor " +
+                             std::to_string(floor_of(i))
+                       : ", for which no manifest slice could be had") +
+          " after " + std::to_string(slot.epoch_rounds) + " resync rounds";
+      slot.state = Slot::State::kDone;
+      slot.error = util::Status::Unavailable(at_epoch);
+      return;
+    }
+    ++slot.epoch_rounds;
+    if (below_floor) {
+      requery(i);
+      return;
+    }
+    slot.state = Slot::State::kFetching;
+    FetchSlice(i, static_cast<int>(capped_ms(SliceFetchDeadlineMs(options_))),
+               [state, i, attempt = slot.attempt](const util::Status&) {
+                 state->Deliver({i, attempt, std::nullopt});
+               });
+  };
+  // Classifies shard i's reply to its in-flight attempt.
+  const auto on_reply = [&](size_t i,
+                            util::Result<net::WireShardAnswer>& result) {
+    Slot& slot = slots[i];
+    util::Status failure = util::Status::OK();
+    bool permanent = false;
+    bool query_error = false;
+    if (!result.ok()) {
+      failure = result.status();
+      permanent = !TransportTransient(failure.code());
+    } else {
+      const util::Status status =
+          net::StatusFromWire(result->status_code, result->status_message);
+      if (status.ok() && !result->truncated) {
+        const cost::Cost achieved = result->achieved_bound;
+        if (share_bound && cost::IsFinite(achieved) && achieved < bound) {
+          bound = achieved;
+          bound_updates_->Increment();
+        }
+        slot.answer = std::move(*result);
+        settle(i, /*fetched=*/false);
+        return;
+      }
+      if (status.ok()) {
+        // Truncated: a correct but short prefix is useless for the
+        // global merge — a failed attempt, worth retrying with more of
+        // the overall budget.
+        failure = util::Status::DeadlineExceeded(
+            "shard answer truncated by its server-side deadline");
+      } else {
+        failure = status;
+        const util::StatusCode code = status.code();
+        query_error = code == util::StatusCode::kInvalidArgument ||
+                      code == util::StatusCode::kParseError;
+        permanent = query_error;
+        // The shard is alive but answering "going away"/"overloaded" —
+        // that is routing-relevant even though the transport and
+        // fingerprint checks passed.
+        if (code == util::StatusCode::kUnavailable) {
+          backends_[i]->RecordOutcome(false);
+        }
+      }
+    }
+    shard_failures_->Increment();
+    slot.error = failure;
+    if (!permanent && slot.attempt < options_.max_retries) {
+      slot.state = Slot::State::kRetryWait;
+      slot.retry_at = Clock::now() + std::chrono::milliseconds(
+                                         net::JitteredBackoffMs(
+                                             slot.attempt,
+                                             options_.retry_backoff_ms,
+                                             options_.retry_backoff_cap_ms,
+                                             rng.Next()));
+    } else {
+      slot.state = Slot::State::kDone;
+      slot.query_error = query_error;
+    }
+  };
+  // Ends every unfinished slot with `error`.
+  const auto abandon = [&slots](const util::Status& error) {
+    for (Slot& slot : slots) {
+      if (slot.state != Slot::State::kDone) {
+        slot.state = Slot::State::kDone;
+        slot.error = error;
+      }
+    }
+  };
+
+  for (size_t i = 0; i < num_shards; ++i) {
+    if (options_.health_period_ms > 0 &&
+        backends_[i]->health() == ShardHealth::kDown) {
+      // No timeout burned on a shard the health checker already
+      // declared dead; a ping revives it for later queries. With the
+      // checker off nothing else would, so this query's attempt is the
+      // probe.
+      slots[i].state = Slot::State::kDone;
+      slots[i].error = util::Status::Unavailable(
+          "shard " + std::to_string(i) + " (" + backends_[i]->endpoint() +
+          ") is DOWN");
+    } else {
+      launch(i);
+    }
+  }
+
+  // Coordinate: process each delivered event, relaunch retries whose
+  // backoff elapsed, enforce the overall deadline and strict fail-fast,
+  // then sleep until the next event or timer.
+  std::vector<ScatterState::Event> events;
   for (;;) {
+    for (ScatterState::Event& event : events) {
+      Slot& slot = slots[event.shard];
+      if (slot.attempt != event.attempt) continue;  // superseded attempt
+      if (event.answer.has_value()) {
+        if (slot.state == Slot::State::kPending) {
+          on_reply(event.shard, *event.answer);
+        }
+      } else if (slot.state == Slot::State::kFetching) {
+        settle(event.shard, /*fetched=*/true);
+      }
+    }
+    events.clear();
+
     const Clock::time_point now = Clock::now();
-    due.clear();
-    bool all_done = true;
+    bool finished = true;
     bool hard_failure = false;
     Clock::time_point next = Clock::time_point::max();
     for (size_t i = 0; i < num_shards; ++i) {
-      ScatterState::Slot& slot = state->slots[i];
+      Slot& slot = slots[i];
       switch (slot.state) {
-        case ScatterState::SlotState::kPending:
-          all_done = false;
+        case Slot::State::kPending:
+        case Slot::State::kFetching:
+          finished = false;
           break;
-        case ScatterState::SlotState::kRetryWait:
+        case Slot::State::kRetryWait:
           if (backends_[i]->health() == ShardHealth::kDown) {
             // Outcome-driven fast-DOWN: the backend crossed its
             // consecutive-failure threshold (fed by this query's own
@@ -433,164 +477,55 @@ util::Result<RoutedResult> ShardRouter::Execute(
             // declare the slot missing now; the health prober's next
             // successful ping (or, with the checker off, the next
             // query's first attempt) revives the shard.
-            slot.state = ScatterState::SlotState::kDone;
+            slot.state = Slot::State::kDone;
             slot.error = util::Status::Unavailable(
                 "shard " + std::to_string(i) + " (" +
                 backends_[i]->endpoint() + ") went DOWN during retry backoff");
             hard_failure = true;
             break;
           }
-          all_done = false;
+          finished = false;
           if (now >= slot.retry_at) {
-            slot.state = ScatterState::SlotState::kPending;
+            shard_retries_->Increment();
+            ++retries;
             ++slot.attempt;
-            due.emplace_back(i, slot.attempt);
+            slot.state = Slot::State::kPending;
+            launch(i);
           } else {
             next = std::min(next, slot.retry_at);
           }
           break;
-        case ScatterState::SlotState::kDone:
+        case Slot::State::kDone:
           if (!slot.ok && !slot.query_error) hard_failure = true;
           break;
       }
     }
-    if (!due.empty()) {
-      // Launch outside the lock: a shut-down transport invokes the
-      // callback inline, and the callback takes state->mu.
-      state->mu.Unlock();
-      for (const auto& [i, attempt] : due) {
-        shard_retries_->Increment();
-        state->retries.fetch_add(1, std::memory_order_relaxed);
-        LaunchAttempt(state, i, attempt, share_bound, overall_deadline);
-      }
-      state->mu.Lock();
-      continue;
-    }
-    if (all_done) {
-      // Epoch reconciliation. Every ok slot must translate through the
-      // slice of exactly its answer's epoch and clear the caller's
-      // min-epoch floor before the scatter may complete.
-      std::vector<size_t> need_fetch;
-      std::vector<size_t> need_requery;
-      for (size_t i = 0; i < num_shards; ++i) {
-        ScatterState::Slot& slot = state->slots[i];
-        if (!slot.ok || slot.translated_done) continue;
-        switch (settle(i, slot)) {
-          case Unsettled::kNeedsFetch:
-            need_fetch.push_back(i);
-            break;
-          case Unsettled::kNeedsRequery:
-            need_requery.push_back(i);
-            break;
-          case Unsettled::kNo:
-            break;
-        }
-      }
-      if (need_fetch.empty() && need_requery.empty()) break;
-      if (epoch_rounds >= kMaxEpochRounds) {
-        for (size_t i : need_fetch) {
-          ScatterState::Slot& slot = state->slots[i];
-          slot.ok = false;
-          slot.error = util::Status::Unavailable(
-              "no manifest slice for shard " + std::to_string(i) +
-              " at epoch " + std::to_string(slot.answer.backend_epoch) +
-              " after " + std::to_string(epoch_rounds) + " resync rounds");
-        }
-        for (size_t i : need_requery) {
-          ScatterState::Slot& slot = state->slots[i];
-          slot.ok = false;
-          slot.error = util::Status::Unavailable(
-              "shard " + std::to_string(i) + " answered at epoch " +
-              std::to_string(slot.answer.backend_epoch) +
-              " below the caller's floor " + std::to_string(floor_of(i)) +
-              " after " + std::to_string(epoch_rounds) + " resync rounds");
-        }
-        break;
-      }
-      ++epoch_rounds;
-      if (!need_fetch.empty()) {
-        // Blocking slice fetches with the lock released, then an
-        // immediate retranslation; a slice the server no longer holds
-        // (racing publishes outran the history) falls back to asking
-        // the shard again — a fresh answer comes with a fresh epoch.
-        state->mu.Unlock();
-        for (size_t i : need_fetch) {
-          int64_t fetch_deadline = SliceFetchDeadlineMs(options_);
-          if (overall_deadline != Clock::time_point::max()) {
-            int64_t remaining =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    overall_deadline - Clock::now())
-                    .count();
-            if (remaining < 1) remaining = 1;
-            fetch_deadline = std::min(fetch_deadline, remaining);
-          }
-          // A failed fetch is not terminal: retranslation below routes
-          // the slot into a re-query instead.
-          (void)FetchSliceBlocking(i, static_cast<int>(fetch_deadline));
-        }
-        state->mu.Lock();
-        for (size_t i : need_fetch) {
-          ScatterState::Slot& slot = state->slots[i];
-          if (!slot.ok || slot.translated_done) continue;
-          if (settle(i, slot) != Unsettled::kNo) need_requery.push_back(i);
-        }
-      }
-      due.clear();
-      for (size_t i : need_requery) {
-        ScatterState::Slot& slot = state->slots[i];
-        if (!slot.ok) continue;  // failed terminally meanwhile
-        epoch_requeries_->Increment();
-        slot.state = ScatterState::SlotState::kPending;
-        slot.ok = false;
-        slot.translated_done = false;
-        slot.translated.clear();
-        slot.error = util::Status::OK();
-        ++slot.attempt;
-        due.emplace_back(i, slot.attempt);
-      }
-      if (due.empty()) continue;  // everything resolved by the fetches
-      state->mu.Unlock();
-      for (const auto& [i, attempt] : due) {
-        state->retries.fetch_add(1, std::memory_order_relaxed);
-        LaunchAttempt(state, i, attempt, share_bound, overall_deadline);
-      }
-      state->mu.Lock();
-      continue;
-    }
+    if (finished) break;
     if (options_.strict && hard_failure) {
       // Fail fast: the query is already lost, so don't wait out the
       // slowest shard's timeout to say so.
-      for (ScatterState::Slot& slot : state->slots) {
-        if (slot.state != ScatterState::SlotState::kDone) {
-          slot.state = ScatterState::SlotState::kDone;
-          slot.error = util::Status::Unavailable(
-              "abandoned: strict scatter failing fast");
-        }
-      }
+      abandon(util::Status::Unavailable(
+          "abandoned: strict scatter failing fast"));
       break;
     }
     if (overall_deadline != Clock::time_point::max()) {
       if (now >= overall_deadline) {
-        for (ScatterState::Slot& slot : state->slots) {
-          if (slot.state != ScatterState::SlotState::kDone) {
-            slot.state = ScatterState::SlotState::kDone;
-            slot.error =
-                util::Status::DeadlineExceeded("scatter deadline expired");
-          }
-        }
+        abandon(util::Status::DeadlineExceeded("scatter deadline expired"));
         break;
       }
       next = std::min(next, overall_deadline);
     }
-    if (next == Clock::time_point::max()) {
-      state->cv.Wait(&state->mu);
-    } else {
-      state->cv.WaitFor(&state->mu, next - now);
+    util::MutexLock lock(&state->mu);
+    if (state->mailbox.empty()) {
+      if (next == Clock::time_point::max()) {
+        state->cv.Wait(&state->mu);
+      } else {
+        state->cv.WaitFor(&state->mu, next - now);
+      }
     }
+    events.swap(state->mailbox);
   }
 
-  // Gather under the same lock (late stale callbacks only ever see
-  // kDone slots now and drop themselves).
   RoutedResult out;
   std::vector<std::vector<engine::RootCost>> lists;
   util::Status query_error = util::Status::OK();
@@ -598,17 +533,7 @@ util::Result<RoutedResult> ShardRouter::Execute(
   util::Status last_failure = util::Status::OK();
   uint64_t min_answer_epoch = UINT64_MAX;
   for (size_t i = 0; i < num_shards; ++i) {
-    ScatterState::Slot& slot = state->slots[i];
-    if (slot.ok && !slot.translated_done &&
-        settle(i, slot) != Unsettled::kNo) {
-      // The overall deadline or strict fail-fast ended the scatter
-      // before reconciliation could fetch for or re-query this answer.
-      slot.ok = false;
-      slot.error = util::Status::Unavailable(
-          "shard " + std::to_string(i) + " answered at epoch " +
-          std::to_string(slot.answer.backend_epoch) +
-          ", which the scatter ended before reconciling");
-    }
+    Slot& slot = slots[i];
     if (slot.ok) {
       lists.push_back(std::move(slot.translated));
       min_answer_epoch = std::min(min_answer_epoch, slot.answer.backend_epoch);
@@ -620,10 +545,9 @@ util::Result<RoutedResult> ShardRouter::Execute(
       last_failure = slot.error;
     }
   }
-  out.final_bound = state->bound.load(std::memory_order_relaxed);
-  out.retries = state->retries.load(std::memory_order_relaxed);
+  out.final_bound = bound;
+  out.retries = retries;
   if (min_answer_epoch != UINT64_MAX) out.backend_epoch = min_answer_epoch;
-  state->mu.Unlock();
 
   scatter_us_->Record(static_cast<uint64_t>(MicrosSince(started)));
   if (has_query_error) return query_error;
@@ -716,53 +640,51 @@ void ShardRouter::OnDelta(size_t i, const net::WireManifestDelta& delta) {
     // Gap (missed/reordered deltas) or inconsistency with the held
     // slice: the delta stream is no longer trustworthy as-is; a full
     // fetch re-bases it. Answers racing this window translate through
-    // history or trigger their own fetch in Execute's reconciliation.
+    // history or trigger their own fetch in Execute.
     manifest_delta_gaps_->Increment();
     RefetchSliceAsync(i);
   }
+}
+
+void ShardRouter::FetchSlice(size_t i, int deadline_ms,
+                             std::function<void(const util::Status&)> done)
+    const {
+  manifest_fetches_->Increment();
+  backends_[i]->CallManifestFetch(
+      deadline_ms, [this, i, done = std::move(done)](
+                       util::Result<net::WireManifestSlice> slice) {
+        if (!slice.ok()) {
+          manifest_fetch_failures_->Increment();
+          done(slice.status());
+          return;
+        }
+        // InstallSlice never regresses, so a fetch that raced another
+        // fetch (or a delta) cannot roll the view back.
+        view_->InstallSlice(static_cast<uint32_t>(i), slice->epoch,
+                            std::move(slice->spans));
+        done(util::Status::OK());
+      });
 }
 
 void ShardRouter::RefetchSliceAsync(size_t i) {
   if (refetch_inflight_[i].exchange(true, std::memory_order_acq_rel)) {
     return;  // a fetch for this shard is already on the wire
   }
-  manifest_fetches_->Increment();
-  backends_[i]->CallManifestFetch(
-      options_.manifest_subscribe, SliceFetchDeadlineMs(options_),
-      [this, i](util::Result<net::WireManifestSlice> slice) {
-        refetch_inflight_[i].store(false, std::memory_order_release);
-        if (!slice.ok()) {
-          // Stale view is self-healing: the next delta gap, stale
-          // pong, or query-side reconciliation retries the fetch.
-          manifest_fetch_failures_->Increment();
-          return;
-        }
-        view_->InstallSlice(static_cast<uint32_t>(i), slice->epoch,
-                            std::move(slice->spans));
-      });
+  // A failure leaves the view stale, which heals itself: the next delta
+  // gap, stale pong, or an answer at the missing epoch fetches again.
+  FetchSlice(i, SliceFetchDeadlineMs(options_),
+             [this, i](const util::Status&) {
+               refetch_inflight_[i].store(false, std::memory_order_release);
+             });
 }
 
 util::Status ShardRouter::FetchSliceBlocking(size_t i,
                                              int deadline_ms) const {
-  manifest_fetches_->Increment();
-  auto done =
-      std::make_shared<std::promise<util::Result<net::WireManifestSlice>>>();
-  std::future<util::Result<net::WireManifestSlice>> reply = done->get_future();
-  backends_[i]->CallManifestFetch(
-      options_.manifest_subscribe, deadline_ms,
-      [done](util::Result<net::WireManifestSlice> slice) {
-        done->set_value(std::move(slice));
-      });
-  util::Result<net::WireManifestSlice> slice = reply.get();
-  if (!slice.ok()) {
-    manifest_fetch_failures_->Increment();
-    return slice.status();
-  }
-  // InstallSlice never regresses, so a fetch that raced a concurrent
-  // async refetch (or a delta) cannot roll the view back.
-  view_->InstallSlice(static_cast<uint32_t>(i), slice->epoch,
-                      std::move(slice->spans));
-  return util::Status::OK();
+  auto done = std::make_shared<std::promise<util::Status>>();
+  std::future<util::Status> fetched = done->get_future();
+  FetchSlice(i, deadline_ms,
+             [done](const util::Status& status) { done->set_value(status); });
+  return fetched.get();
 }
 
 doc::NodeId ShardRouter::DocRootOf(doc::NodeId global) const {
@@ -868,24 +790,26 @@ util::Result<net::WireIngestAck> ShardRouter::Ingest(
           return resynced;
         }
       }
-      // Fewest docs among shards not known-DOWN: a dead server would
-      // otherwise stay the argmin forever (it never gains documents)
-      // and every add during its outage would go in-doubt against it.
-      // Without a health checker no ping could revive a skipped shard,
-      // so then every shard stays eligible and the add is the probe.
+      // Fewest documents in the view among shards not known-DOWN: a
+      // dead server would otherwise stay the argmin forever (it never
+      // gains documents) and every add during its outage would go
+      // in-doubt against it. Without a health checker no ping could
+      // revive a skipped shard, so then every shard stays eligible and
+      // the add is the probe. Each ack's delta arrives ahead of the ack
+      // on the same connection, so the view already counts every
+      // earlier add and remove.
       size_t target = SIZE_MAX;
-      {
-        util::MutexLock docs(&ingest_mu_);
-        uint64_t fewest = UINT64_MAX;
-        for (size_t s = 0; s < backends_.size(); ++s) {
-          if (options_.health_period_ms > 0 &&
-              backends_[s]->health() == ShardHealth::kDown) {
-            continue;
-          }
-          if (ingest_docs_[s] < fewest) {
-            fewest = ingest_docs_[s];
-            target = s;
-          }
+      size_t fewest = SIZE_MAX;
+      for (size_t s = 0; s < backends_.size(); ++s) {
+        if (options_.health_period_ms > 0 &&
+            backends_[s]->health() == ShardHealth::kDown) {
+          continue;
+        }
+        const size_t docs =
+            view_->CurrentSlice(static_cast<uint32_t>(s)).spans.size();
+        if (docs < fewest) {
+          fewest = docs;
+          target = s;
         }
       }
       if (target == SIZE_MAX) {
@@ -915,10 +839,6 @@ util::Result<net::WireIngestAck> ShardRouter::Ingest(
         return net::StatusFromWire(ack->status_code, ack->status_message);
       }
       next_global_ = ack->doc_root + ack->length;
-      {
-        util::MutexLock docs(&ingest_mu_);
-        ++ingest_docs_[target];
-      }
       return ack;
     }
     ingest_failures_->Increment();
@@ -936,8 +856,6 @@ util::Result<net::WireIngestAck> ShardRouter::Ingest(
         CallIngestBlocking(holder, ingest, attempt_deadline);
     if (ack.ok() &&
         ack->status_code == static_cast<uint32_t>(util::StatusCode::kOk)) {
-      util::MutexLock docs(&ingest_mu_);
-      if (ingest_docs_[holder] > 0) --ingest_docs_[holder];
       return ack;
     }
     if (ack.ok() &&
@@ -970,10 +888,6 @@ util::Result<net::WireIngestAck> ShardRouter::Ingest(
       ingest_failures_->Increment();
       return net::StatusFromWire(ack->status_code, ack->status_message);
     }
-    {
-      util::MutexLock lock(&ingest_mu_);
-      if (ingest_docs_[i] > 0) --ingest_docs_[i];
-    }
     return ack;
   }
   ingest_failures_->Increment();
@@ -992,10 +906,10 @@ std::string ShardRouter::DumpMetrics() const {
     out += prefix + "_failed " + std::to_string(stats.failed) + "\n";
     out += prefix + "_timed_out " + std::to_string(stats.timed_out) + "\n";
     out += prefix + "_reconnects " + std::to_string(stats.reconnects) + "\n";
-    {
-      util::MutexLock lock(&ingest_mu_);
-      out += prefix + "_ingested " + std::to_string(ingest_docs_[i]) + "\n";
-    }
+    out += prefix + "_documents " +
+           std::to_string(
+               view_->CurrentSlice(static_cast<uint32_t>(i)).spans.size()) +
+           "\n";
   }
   return out;
 }

@@ -7,15 +7,18 @@
 //
 // One query fans out as one kShardQuery per shard, all concurrently
 // (each shard endpoint has its own multiplexed AsyncClient, so queries
-// also pipeline across concurrent callers). The shared inclusive
-// skeleton-cost bound of in-process scatter-gather is propagated
-// opportunistically: each shard that returns a full n answers reports
-// its local n-th cost (a valid global inclusive bound), the router
-// CAS-mins these into the execution's bound, and every retry snapshots
-// the tightened value. Bit-identity with in-process execution holds
-// because any inclusive bound >= the final global n-th cost prunes only
-// answers that cannot reach the merged top n (see the equivalence notes
-// in shard/sharded_database.h).
+// also pipeline across concurrent callers). The scatter is one state
+// machine on the calling thread: the transports' IO callbacks only
+// append each shard reply or slice-fetch completion to the scatter's
+// mailbox, and Execute alone classifies, retries, settles and merges.
+// The shared inclusive skeleton-cost bound of in-process scatter-gather
+// is propagated opportunistically: each shard that returns a full n
+// answers reports its local n-th cost (a valid global inclusive bound),
+// Execute mins these into the execution's bound, and every retry
+// snapshots the tightened value. Bit-identity with in-process execution
+// holds because any inclusive bound >= the final global n-th cost
+// prunes only answers that cannot reach the merged top n (see the
+// equivalence notes in shard/sharded_database.h).
 //
 // Failure handling:
 //   - transient errors (connection loss, attempt deadline, shard
@@ -42,12 +45,14 @@
 //
 // ONE MODE, TWO WAYS TO SEED THE VIEW. Every kShardAnswer carries the
 // epoch of the snapshot that produced it, and its local ids are
-// translated through the slice of EXACTLY that epoch: a missing slice
-// is fetched and the answer retranslated; if the slice still cannot be
-// had (or the answer predates a caller's read-your-writes min-epoch
-// floor) the shard is re-queried inside the normal retry loop; a root
-// outside every span of its slice fails that shard rather than
-// guessing. The constructors differ only in what the view starts with:
+// translated, as the answer arrives, through the slice of EXACTLY that
+// epoch: a missing slice is fetched asynchronously and the answer
+// retranslated when the fetch lands, while other shards are still
+// answering; if the slice still cannot be had (or the answer predates a
+// caller's read-your-writes min-epoch floor) the shard is re-queried at
+// once, at most a few rounds per shard; a root outside every span of
+// its slice fails that shard rather than guessing. The constructors
+// differ only in what the view starts with:
 //   - a static LayoutManifest installs one slice per shard at epoch 0,
 //     the epoch every immutable shard server stamps. Nothing advances
 //     it: those servers push no deltas and decline kManifestFetch, and
@@ -66,6 +71,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -112,10 +118,6 @@ struct RouterOptions {
   int health_period_ms = 500;
   int ping_deadline_ms = 250;
   int failures_to_down = 3;
-
-  /// Subscribe to kManifestDelta pushes on every manifest fetch. Tests
-  /// disable this to force the fetch-on-stale-epoch path.
-  bool manifest_subscribe = true;
 };
 
 struct RoutedResult {
@@ -188,12 +190,13 @@ class ShardRouter : public service::Backend {
 
   /// Routes one ingest mutation and blocks for the ack. An add gets the
   /// next cluster-global root id and goes to the shard (not known DOWN)
-  /// this router has sent the fewest documents, ties to the lowest
-  /// index. A remove goes to the shard the view places the document on,
-  /// falling back to trying each shard in index order until one answers
-  /// anything but NOT_FOUND. No retries: a transport failure leaves the
-  /// mutation in doubt (it may be durable on the shard), so the caller
-  /// must reconcile via a query rather than blindly resend. Immutable
+  /// whose slice in the view holds the fewest documents, ties to the
+  /// lowest index. A remove goes to the shard the view places the
+  /// document on, falling back to trying each shard in index order
+  /// until one answers anything but NOT_FOUND. No retries: a transport
+  /// failure leaves the mutation in doubt (it may be durable on the
+  /// shard), so the caller must reconcile via a query rather than
+  /// blindly resend. Immutable
   /// shard servers decline both the manifest fetch an add's id
   /// assignment needs and the mutation itself, so over them Ingest
   /// fails kUnimplemented.
@@ -220,20 +223,14 @@ class ShardRouter : public service::Backend {
   /// Document root containing `global`, in the view's current slices.
   doc::NodeId DocRootOf(doc::NodeId global) const override;
 
-  /// dist_* counters/gauges plus per-shard health and transport lines.
+  /// dist_* counters/gauges plus per-shard health, transport and
+  /// document-count (from the view) lines.
   std::string DumpMetrics() const override;
 
  private:
-  struct ScatterState;
-
   ShardRouter(shard::LayoutManifest manifest, RouterOptions options,
               bool live);
 
-  /// Issues one attempt against shard `i`. `attempt` tags the slot so a
-  /// late reply from a superseded attempt is ignored.
-  void LaunchAttempt(const std::shared_ptr<ScatterState>& state, size_t i,
-                     int attempt, bool share_bound,
-                     Clock::time_point overall_deadline) const;
   void HealthLoop();
   void UpdateHealthGauges();
 
@@ -242,11 +239,16 @@ class ShardRouter : public service::Backend {
   /// A kManifestDelta push from shard `i`'s transport (IO thread).
   /// Applies it to the view; a gap triggers an async full refetch.
   void OnDelta(size_t i, const net::WireManifestDelta& delta);
+  /// Fetches shard `i`'s slice, subscribing to its deltas, installs it
+  /// in the view, and then runs `done` (on the IO thread) with the
+  /// outcome. The one fetch path: the two below and Execute use it.
+  void FetchSlice(size_t i, int deadline_ms,
+                  std::function<void(const util::Status&)> done) const;
   /// Fire-and-forget slice refetch, deduplicated per shard (delta gaps
   /// and stale pongs may fire faster than fetches complete). Also
   /// re-establishes the delta subscription after a reconnect.
   void RefetchSliceAsync(size_t i);
-  /// Blocking slice fetch + install (the Execute reconciliation path).
+  /// Blocking slice fetch + install (ResyncGlobals).
   util::Status FetchSliceBlocking(size_t i, int deadline_ms) const;
   /// Re-fetches every shard's slice and rebases next_global_ on the
   /// view's id-space high-water mark (ingest bootstrap / collision
@@ -270,10 +272,6 @@ class ShardRouter : public service::Backend {
   /// view before assigning (bootstrap, or the last assign ended in
   /// doubt).
   doc::NodeId next_global_ GUARDED_BY(assign_mu_) = 0;
-
-  /// One ack'd kAdd count per shard, for least-loaded placement.
-  mutable util::Mutex ingest_mu_;
-  std::vector<uint64_t> ingest_docs_ GUARDED_BY(ingest_mu_);
 
   std::thread health_thread_;
   util::Mutex health_mu_;

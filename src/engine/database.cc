@@ -87,9 +87,9 @@ Result<std::vector<QueryAnswer>> Database::Execute(
   std::vector<RootCost> results;
   switch (options.strategy) {
     case Strategy::kDirect: {
-      const index::PostingSource& source = options.posting_source != nullptr
-                                               ? *options.posting_source
-                                               : label_index_;
+      const index::LabelIndex& source = options.posting_source != nullptr
+                                            ? *options.posting_source
+                                            : label_index_;
       DirectEvaluator evaluator(EncodedTree::Of(*tree_), source,
                                 tree_->labels(), options.direct);
       results = evaluator.BestN(expanded, options.n);

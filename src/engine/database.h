@@ -38,11 +38,11 @@ struct ExecOptions {
   const cost::CostModel* cost_model = nullptr;
   SchemaEvaluator::Options schema;
   DirectEvaluator::Options direct;
-  /// Posting source for the direct strategy instead of the database's
-  /// own label index. Must index the same tree (the benchmark points it
-  /// at a shard's index, which is the default anyway). Ignored by
+  /// Label index for the direct strategy instead of the database's
+  /// own. Must index the same tree (the benchmark points it at a
+  /// shard's index, which is the default anyway). Ignored by
   /// kSchema/kFullScan. Must outlive the call.
-  const index::PostingSource* posting_source = nullptr;
+  const index::LabelIndex* posting_source = nullptr;
   /// Optional out-parameters: filled with the evaluator's counters when
   /// non-null (benchmarks and tests inspect these).
   SchemaEvalStats* schema_stats_out = nullptr;

@@ -51,10 +51,10 @@ class DirectEvaluator {
 
   /// `tree`, `index` and `labels` must outlive the evaluator. `labels`
   /// resolves query label strings to the tree's label ids.
-  DirectEvaluator(EncodedTree tree, const index::PostingSource& index,
+  DirectEvaluator(EncodedTree tree, const index::LabelIndex& index,
                   const doc::LabelTable& labels, Options options)
       : tree_(tree), index_(index), labels_(labels), options_(options) {}
-  DirectEvaluator(EncodedTree tree, const index::PostingSource& index,
+  DirectEvaluator(EncodedTree tree, const index::LabelIndex& index,
                   const doc::LabelTable& labels)
       : DirectEvaluator(tree, index, labels, Options()) {}
 
@@ -79,7 +79,7 @@ class DirectEvaluator {
                  const EntryList& ancestors);
 
   EncodedTree tree_;
-  const index::PostingSource& index_;
+  const index::LabelIndex& index_;
   const doc::LabelTable& labels_;
   Options options_;
   EvalStats stats_;

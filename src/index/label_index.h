@@ -23,19 +23,7 @@ namespace approxql::index {
 
 using Posting = std::vector<doc::NodeId>;
 
-/// Where the evaluator gets postings from. LabelIndex is the one
-/// implementation; ExecOptions::posting_source lets a caller point a
-/// Database at another database's index.
-class PostingSource {
- public:
-  virtual ~PostingSource() = default;
-
-  /// The posting for (type, label) or nullptr if the label is unknown.
-  /// The pointer stays valid for the lifetime of the source.
-  virtual const Posting* Fetch(NodeType type, doc::LabelId label) const = 0;
-};
-
-class LabelIndex : public PostingSource {
+class LabelIndex {
  public:
   LabelIndex() = default;
   LabelIndex(const LabelIndex&) = delete;
@@ -48,7 +36,8 @@ class LabelIndex : public PostingSource {
   void Add(NodeType type, doc::LabelId label, doc::NodeId node);
 
   /// The posting for (type, label), or nullptr if the label is unknown.
-  const Posting* Fetch(NodeType type, doc::LabelId label) const override;
+  /// The pointer stays valid for the lifetime of the index.
+  const Posting* Fetch(NodeType type, doc::LabelId label) const;
 
   /// Number of resident postings (both types). Every posting is built
   /// up front, so nothing is decoded per query.

@@ -20,7 +20,7 @@ int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
 
 /// Owns a submitted request's completion callback until the worker
 /// takes it. If the task is destroyed without running
-/// (ThreadPool::Shutdown(kAbandon)), the destructor invokes the
+/// (ThreadPool::Shutdown), the destructor invokes the
 /// callback with kUnavailable — no caller is ever left waiting on a
 /// completion that will never come.
 class PendingResponse {
@@ -140,7 +140,7 @@ QueryService::QueryService(const Backend& backend, ServiceOptions options)
 // serve, and a deep queue of expensive queries would stall the teardown
 // for their full execution time. The promise guard resolves every
 // abandoned future with kUnavailable.
-QueryService::~QueryService() { pool_.Shutdown(DrainMode::kAbandon); }
+QueryService::~QueryService() { pool_.Shutdown(); }
 
 std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
   auto promise = std::make_shared<std::promise<QueryResponse>>();

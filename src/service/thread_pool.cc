@@ -34,12 +34,12 @@ size_t ThreadPool::QueueDepth() const {
   return queue_.size();
 }
 
-void ThreadPool::Shutdown(DrainMode mode) {
+void ThreadPool::Shutdown() {
   std::deque<std::function<void()>> abandoned;
   {
     util::MutexLock lock(&mu_);
     shutdown_ = true;
-    if (mode == DrainMode::kAbandon) abandoned.swap(queue_);
+    abandoned.swap(queue_);
   }
   // Destroy abandoned tasks outside the lock: their captures may run
   // arbitrary destructors (promise guards that notify waiters, etc.).
@@ -57,8 +57,7 @@ void ThreadPool::WorkerLoop() {
     {
       util::MutexLock lock(&mu_);
       while (!shutdown_ && queue_.empty()) work_available_.Wait(&mu_);
-      // Drain mode: keep taking after shutdown until the queue is empty.
-      if (queue_.empty()) return;
+      if (shutdown_) return;
       task = std::move(queue_.front());
       queue_.pop_front();
     }

@@ -21,12 +21,6 @@
 
 namespace approxql::service {
 
-/// What happens to tasks still queued when Shutdown is called.
-enum class DrainMode {
-  kDrain,    // run everything already admitted, then stop
-  kAbandon,  // destroy queued tasks without running them
-};
-
 class ThreadPool {
  public:
   struct Options {
@@ -38,7 +32,7 @@ class ThreadPool {
   };
 
   explicit ThreadPool(Options options);
-  /// Finishes queued tasks, then joins all workers.
+  /// Calls Shutdown().
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -51,12 +45,11 @@ class ThreadPool {
   /// Tasks currently waiting (excluding the ones running).
   size_t QueueDepth() const;
 
-  /// Stops admission, then either drains or abandons the queue, and
-  /// joins workers. Idempotent (later calls find an empty queue); the
-  /// destructor calls Shutdown(kDrain). Abandoned tasks are destroyed
+  /// Stops admission, abandons the queue, and joins workers once their
+  /// running tasks finish. Idempotent. Abandoned tasks are destroyed
   /// without running — callers whose tasks carry completion obligations
   /// (promises) must discharge them from the task's destructor.
-  void Shutdown(DrainMode mode = DrainMode::kDrain);
+  void Shutdown();
 
  private:
   void WorkerLoop();

@@ -8,6 +8,9 @@
 // cluster-global id assignment, and read-your-writes floors.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -89,6 +92,35 @@ std::string Canonical(const std::vector<QueryAnswer>& answers) {
   return out;
 }
 
+/// The value of the counter `name` in a metrics dump; -1 if absent.
+int64_t CounterValue(const std::string& dump, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = ("\n" + dump).find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(dump.substr(at + key.size() - 1));
+}
+
+/// A loopback listening socket nobody serves: connections complete in
+/// the kernel's backlog, and no reply ever comes. Returns the fd (or -1)
+/// and its port in `port`.
+int ListenLoopback(uint16_t* port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 8) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
 /// One mutable cluster shard-server process-equivalent: a single-shard
 /// MutableCorpus served in shard mode with the static CLUSTER
 /// fingerprint (the corpus's own fingerprint is epoch-salted).
@@ -146,7 +178,7 @@ class ClusterEquivalenceTest : public ::testing::Test {
     return node;
   }
 
-  void StartCluster(size_t width, bool subscribe = true) {
+  void StartCluster(size_t width, int health_period_ms = 50) {
     for (size_t i = 0; i < width; ++i) {
       nodes_.push_back(StartNode(i, width));
     }
@@ -160,9 +192,8 @@ class ClusterEquivalenceTest : public ::testing::Test {
     options.connect_timeout_ms = 500;
     options.attempt_deadline_ms = 2000;
     options.max_retries = 2;
-    options.health_period_ms = 50;
+    options.health_period_ms = health_period_ms;
     options.ping_deadline_ms = 500;
-    options.manifest_subscribe = subscribe;
     router_ = std::make_unique<ShardRouter>(config, std::move(options));
     ASSERT_TRUE(router_->Start().ok());
     ASSERT_TRUE(router_->live());
@@ -281,21 +312,126 @@ INSTANTIATE_TEST_SUITE_P(Widths, ClusterWidthTest,
 
 TEST_F(ClusterEquivalenceTest, StaleViewReconcilesThroughFetchNotGuessing)
 {
-  // Subscriptions off: the router's slices go stale after every ingest,
-  // so every translation initially fails Unavailable at the answer's
-  // (newer) epoch and Execute must reconcile by re-fetching the slice —
-  // never by translating through the stale spans.
-  StartCluster(2, /*subscribe=*/false);
+  // A remove made directly on a node's corpus is pushed to no one, so
+  // the router's slice of that node goes stale; and since the remove
+  // shifts every later local id, translating through the stale spans
+  // would put answers on the wrong documents. With the health checker
+  // off no pong notices the newer epoch either: the query path itself
+  // must see it on an answer, fetch the slice, and retranslate.
+  StartCluster(2, /*health_period_ms=*/0);
   floors_.assign(2, 0);
-  for (int i = 0; i < 10; ++i) AddOne();
-  Database oracle = Oracle();
-  const auto queries = MakeQueries(oracle, 4);
-  ExpectEquivalent(oracle, queries);
+  std::vector<net::WireIngestAck> acks;
+  for (int i = 0; i < 10; ++i) acks.push_back(AddOne());
+  // The oracle replays the acked history into one corpus, as in
+  // RemovesTranslateThroughShiftedSlices.
+  MutableCorpus::Options oracle_options;
+  oracle_options.data_dir = dir_ + "/oracle";
+  oracle_options.num_shards = 1;
+  oracle_options.model = TestModel();
+  auto oracle = MutableCorpus::Open(std::move(oracle_options));
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  for (size_t i = 0; i < acked_.size(); ++i) {
+    auto added = (*oracle)->AddDocumentAt(acked_[i], acks[i].doc_root);
+    ASSERT_TRUE(added.ok()) << added.status();
+  }
+  // The first acked document is its shard's first: every later
+  // document on that node gets new local ids.
+  const net::WireIngestAck& victim = acks[0];
+  ASSERT_LT(victim.shard_index, nodes_.size());
+  auto removed =
+      nodes_[victim.shard_index].corpus->RemoveDocument(victim.doc_root);
+  ASSERT_TRUE(removed.ok()) << removed.status();
+  ASSERT_TRUE((*oracle)->RemoveDocument(victim.doc_root).ok());
+  const int64_t fetches_before =
+      CounterValue(router_->DumpMetrics(), "dist_manifest_fetches");
+
+  auto snapshot = (*oracle)->snapshot();
+  const auto queries = MakeQueries(Oracle(), 4);
+  for (const std::string& query : queries) {
+    for (Strategy strategy : {Strategy::kSchema, Strategy::kDirect}) {
+      shard::ScatterOptions scatter;
+      ExecOptions exec;
+      exec.n = 10;
+      exec.strategy = strategy;
+      auto expected = snapshot->Execute(query, exec, scatter);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      auto routed = router_->Execute(query, strategy, 10,
+                                     /*deadline_ms=*/10000, floors_);
+      ASSERT_TRUE(routed.ok()) << routed.status();
+      EXPECT_FALSE(routed->degraded);
+      EXPECT_EQ(Canonical(routed->answers), Canonical(*expected)) << query;
+    }
+  }
+  // The queries fetched the slice (nothing else could have), and no
+  // answer was failed along the way.
   const std::string dump = router_->DumpMetrics();
-  // The reconciliation path really ran: fetches happened (ingest
-  // id-assignment also fetches) and no delta was ever applied.
-  EXPECT_NE(dump.find("dist_manifest_fetches"), std::string::npos);
-  EXPECT_NE(dump.find("dist_manifest_deltas 0"), std::string::npos) << dump;
+  EXPECT_GT(CounterValue(dump, "dist_manifest_fetches"), fetches_before)
+      << dump;
+  EXPECT_NE(dump.find("dist_shard_failures 0\n"), std::string::npos) << dump;
+}
+
+TEST_F(ClusterEquivalenceTest, DeadlineKeepsAnswersSettledWhileAShardHangs) {
+  // Shard 0 is a real node whose corpus is populated directly after the
+  // router started, so its answer arrives at an epoch the view lacks;
+  // shard 1 is a socket nobody serves, so its attempts hang until the
+  // overall deadline. Shard 0's answer must be settled (slice fetched,
+  // retranslated) while shard 1 still hangs, and survive the deadline:
+  // a degraded answer missing shard 1 only.
+  nodes_.push_back(StartNode(0, 2));
+  uint16_t silent_port = 0;
+  const int silent = ListenLoopback(&silent_port);
+  ASSERT_GE(silent, 0);
+  ClusterConfig config;
+  config.model = TestModel();
+  config.num_shards = 2;
+  RouterOptions options;
+  options.shards.push_back({"127.0.0.1", nodes_[0].port()});
+  options.shards.push_back({"127.0.0.1", silent_port});
+  options.connect_timeout_ms = 500;
+  options.attempt_deadline_ms = 2000;
+  options.health_period_ms = 0;
+  router_ = std::make_unique<ShardRouter>(config, std::move(options));
+  ASSERT_TRUE(router_->Start().ok());
+  // Let the bootstrap fetch install shard 0's empty slice first, so the
+  // documents below land at epochs the view never hears of.
+  for (int i = 0; i < 500 && !router_->view()->known(0); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(router_->view()->known(0));
+  for (int i = 0; i < 6; ++i) {
+    acked_.push_back(MakeDoc(doc_rng_));
+    auto added = nodes_[0].corpus->AddDocument(acked_.back());
+    ASSERT_TRUE(added.ok()) << added.status();
+  }
+  ASSERT_LT(router_->view()->epoch(0), nodes_[0].corpus->epoch());
+
+  // The first generated query with answers: an empty answer list needs
+  // no slice to translate.
+  Database oracle = Oracle();
+  ExecOptions exec;
+  exec.n = 10;
+  exec.strategy = Strategy::kSchema;
+  std::string query;
+  std::vector<QueryAnswer> expected;
+  for (const std::string& candidate : MakeQueries(oracle, 12)) {
+    auto answers = oracle.Execute(candidate, exec);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    if (!answers->empty()) {
+      query = candidate;
+      expected = std::move(answers).value();
+      break;
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  auto routed = router_->Execute(query, Strategy::kSchema, 10,
+                                 /*deadline_ms=*/300);
+  ASSERT_TRUE(routed.ok()) << routed.status();
+  EXPECT_TRUE(routed->degraded);
+  EXPECT_EQ(routed->missing_shards, std::vector<uint32_t>{1});
+  EXPECT_EQ(Canonical(routed->answers), Canonical(expected)) << query;
+  router_->Shutdown();
+  router_.reset();
+  ::close(silent);
 }
 
 TEST_F(ClusterEquivalenceTest, RemovesTranslateThroughShiftedSlices) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,10 +33,14 @@ using engine::Strategy;
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool({.num_threads = 4, .queue_capacity = 1024});
   std::atomic<int> sum{0};
+  std::latch ran(100);
   for (int i = 1; i <= 100; ++i) {
-    ASSERT_TRUE(pool.TrySubmit(
-        [&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); }));
+    ASSERT_TRUE(pool.TrySubmit([&sum, &ran, i] {
+      sum.fetch_add(i, std::memory_order_relaxed);
+      ran.count_down();
+    }));
   }
+  ran.wait();  // Shutdown abandons whatever is still queued
   pool.Shutdown();
   EXPECT_EQ(sum.load(), 5050);
 }
@@ -56,7 +61,7 @@ TEST(ThreadPoolTest, RejectsWhenQueueFull) {
   EXPECT_EQ(pool.QueueDepth(), 2u);
   EXPECT_FALSE(pool.TrySubmit([] {}));  // bounded: reject, don't buffer
   release.set_value();
-  pool.Shutdown();  // drains the two queued tasks
+  pool.Shutdown();  // abandons whatever of the two is still queued
   EXPECT_EQ(pool.QueueDepth(), 0u);
 }
 

@@ -1,6 +1,6 @@
 // Bounded FIFO scheduler contract: every submitter, pool workers
-// included, is held to queue_capacity, and Shutdown either drains or
-// abandons what is still queued.
+// included, is held to queue_capacity, and Shutdown abandons what is
+// still queued.
 #include "service/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -56,27 +56,9 @@ TEST(ThreadPoolTest, WorkerSubmissionIsBounded) {
   release.count_down();
 }
 
-// --- ThreadPool::Shutdown(DrainMode) ---------------------------------------
+// --- ThreadPool::Shutdown ------------------------------------------------
 
-TEST(DrainModeTest, DrainRunsEveryQueuedTask) {
-  ThreadPool pool({.num_threads = 1, .queue_capacity = 8});
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::promise<void> started;
-  ASSERT_TRUE(pool.TrySubmit([&started, gate] {
-    started.set_value();
-    gate.wait();
-  }));
-  started.get_future().wait();
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
-  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }));
-  release.set_value();
-  pool.Shutdown(DrainMode::kDrain);
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(DrainModeTest, AbandonDestroysQueuedTasksWithoutRunning) {
+TEST(ThreadPoolTest, ShutdownDestroysQueuedTasksWithoutRunning) {
   ThreadPool pool({.num_threads = 1, .queue_capacity = 8});
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
@@ -97,12 +79,12 @@ TEST(DrainModeTest, AbandonDestroysQueuedTasksWithoutRunning) {
     while (pool.QueueDepth() != 0) std::this_thread::yield();
     release.set_value();
   });
-  pool.Shutdown(DrainMode::kAbandon);
+  pool.Shutdown();
   releaser.join();
   EXPECT_EQ(ran.load(), 0);
 }
 
-TEST(DrainModeTest, AbandonedTaskDestructorsRun) {
+TEST(ThreadPoolTest, AbandonedTaskDestructorsRun) {
   // The promise-guard pattern in the query service relies on destroyed-
   // not-run tasks still discharging obligations from their destructors.
   struct Marker {
@@ -135,7 +117,7 @@ TEST(DrainModeTest, AbandonedTaskDestructorsRun) {
       while (pool.QueueDepth() != 0) std::this_thread::yield();
       release.set_value();
     });
-    pool.Shutdown(DrainMode::kAbandon);
+    pool.Shutdown();
     releaser.join();
   }
   EXPECT_EQ(destroyed.load(), 1);
